@@ -9,11 +9,11 @@ Run with: python3 demos/02_fragment_census.py
 """
 
 from k3lines import (
+    Analysis,
     LineConfiguration,
     catalog_graph,
     catalog_names,
     enumerate_fragments,
-    fano_lattice,
     graph_invariants,
 )
 
@@ -41,7 +41,7 @@ print()
 print("The Fano lattice of the K(3,3) configuration at 2d = 6 is")
 print("degenerate: the class sum of all six lines equals h.")
 k33 = LineConfiguration(6, catalog_graph("K33"))
-data = fano_lattice(k33)
+data = Analysis(k33)
 print("  radical basis:", data.radical)
 print("  quotient signature:", data.quotient_signature)
 
@@ -59,5 +59,5 @@ from k3lines import Multigraph
 union = LineConfiguration(6, Multigraph(tuple(tuple(r) for r in mult)))
 for fragment in enumerate_fragments(union):
     print("  fragment", fragment.vertices, "type", fragment.type_label)
-for warning in fano_lattice(union).warnings:
+for warning in Analysis(union).warnings:
     print("  warning:", warning)

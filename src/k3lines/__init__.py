@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .configio import load_configuration, read_configuration
 from .errors import CapExceeded, InputError
 from .fano import (
-    FanoData,
+    Analysis,
     Fragment,
     LineConfiguration,
     PolarizedIsometry,
@@ -24,7 +24,6 @@ from .fano import (
     classify_fragment,
     count_fragments_under,
     enumerate_fragments,
-    fano_lattice,
     graph_automorphisms,
     graph_invariants,
     polarized_stabilizer,
@@ -57,7 +56,6 @@ from .multigraph import (
     girth,
     graph_automorphism_group,
 )
-from .parallel import parallel_map
 from .realcrit import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -74,10 +72,10 @@ from .realcrit import (
 
 __all__ = [
     "ADMISSIBLE",
+    "Analysis",
     "CapExceeded",
     "Definite2",
     "DiscriminantData",
-    "FanoData",
     "FiniteQuadraticForm",
     "FqfIsometry",
     "Fragment",
@@ -106,7 +104,6 @@ __all__ = [
     "discriminant_data",
     "ell",
     "enumerate_fragments",
-    "fano_lattice",
     "finite_quadratic_form",
     "fqf_isometries",
     "girth",
@@ -120,7 +117,6 @@ __all__ = [
     "load_configuration",
     "match_real_structure",
     "orthogonal_group_definite",
-    "parallel_map",
     "polarized_stabilizer",
     "read_configuration",
     "real_structure_candidates",

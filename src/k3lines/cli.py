@@ -3,8 +3,9 @@
 Four subcommands: `lattice` prints the arithmetic invariants of a lattice
 expression, `fragments` runs the census on a configuration file, `real`
 lists real-structure candidates, and `totally-real` evaluates the
-existence criterion.  All output is buffered and emitted once; machine
-output (--json) is schema-stable and byte-identical across thread counts.
+existence criterion.  Each configuration command analyses its input once
+through one `Analysis`.  All output is buffered and emitted once; machine
+output (--json) is schema-stable and byte-identical from run to run.
 
 Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
 3 internal enumeration cap exceeded.
@@ -20,15 +21,8 @@ from pathlib import Path
 
 from .configio import read_configuration
 from .errors import CapExceeded, InputError
-from .fano import (
-    _ExtensionContext,
-    K3_RANK,
-    enumerate_fragments,
-    fano_lattice,
-    graph_invariants,
-    real_structure_candidates,
-)
-from .fqf import brown_invariant, ell, _primes_of
+from .fano import Analysis, graph_invariants
+from .fqf import brown_invariant, ell, prime_power_factors
 from .lattices import build_lattice, discriminant_data
 from .realcrit import UNKNOWN, totally_real_criterion
 
@@ -73,7 +67,7 @@ def cmd_lattice(args) -> int:
     form = data.form
     pos, neg, _ = lattice.signature
     det = lattice.determinant
-    primes = _primes_of(abs(det)) if det not in (1, -1) else []
+    primes = [p for p, _ in prime_power_factors(abs(det))]
     ell_table = {str(p): ell(form, p) for p in primes}
     brown = brown_invariant(form)
     milgram_ok = (pos - neg - brown) % 8 == 0
@@ -116,6 +110,8 @@ def cmd_lattice(args) -> int:
 
 
 def _load(args):
+    if args.threads is not None and args.threads < 1:
+        raise InputError("--threads must be at least 1")
     path = Path(args.file)
     if not path.is_file():
         raise InputError(f"no such file: {args.file}")
@@ -125,8 +121,9 @@ def _load(args):
 
 def cmd_fragments(args) -> int:
     cfg, digest = _load(args)
-    fano = fano_lattice(cfg)
-    fragments = enumerate_fragments(cfg, threads=args.threads)
+    analysis = Analysis(cfg)
+    warnings = analysis.warnings
+    fragments = analysis.fragments
     rank, girth_value, aut_order = graph_invariants(cfg)
     by_type: dict[str, int] = {}
     for fr in fragments:
@@ -144,7 +141,7 @@ def cmd_fragments(args) -> int:
         },
         "total": len(fragments),
         "by_type": dict(sorted(by_type.items())),
-        "warnings": list(fano.warnings),
+        "warnings": list(warnings),
     }
     if args.list_fragments:
         report["fragments"] = [
@@ -163,7 +160,7 @@ def cmd_fragments(args) -> int:
     if args.list_fragments:
         for fr in fragments:
             lines.append(f"  {list(fr.vertices)}  {fr.type_label}")
-    for w in fano.warnings:
+    for w in warnings:
         lines.append(f"warning: {w}")
     _emit(report, lines, args.json)
     return EXIT_OK
@@ -171,7 +168,7 @@ def cmd_fragments(args) -> int:
 
 def cmd_real(args) -> int:
     cfg, digest = _load(args)
-    candidates = real_structure_candidates(cfg, threads=args.threads)
+    candidates = Analysis(cfg).real_structure_candidates()
     report = {
         "command": "real",
         "input": args.file,
@@ -209,21 +206,16 @@ def cmd_real(args) -> int:
 
 def cmd_totally_real(args) -> int:
     cfg, digest = _load(args)
-    ctx = _ExtensionContext(cfg)
-    r = K3_RANK - ctx.rank_n()
-    if r < 1:
-        raise InputError(
-            f"line lattice rank {ctx.rank_n()} leaves no transcendental "
-            "directions"
-        )
-    det_n = ctx.det_n()
-    verdict = totally_real_criterion(ctx.dn, r, det_n)
-    warnings = list(fano_lattice(cfg).warnings)
+    analysis = Analysis(cfg)
+    r = analysis.r
+    det_n = analysis.det_n
+    verdict = totally_real_criterion(analysis.dn, r, det_n)
+    warnings = list(analysis.warnings)
     report = {
         "command": "totally-real",
         "input": args.file,
         "input_sha256": digest,
-        "rank_n": ctx.rank_n(),
+        "rank_n": analysis.rank_n,
         "r": r,
         "det_n": det_n,
         "verdict": verdict.kind,
@@ -231,7 +223,7 @@ def cmd_totally_real(args) -> int:
         "warnings": warnings,
     }
     lines = [
-        f"rank N = {ctx.rank_n()}, r = {r}, det N = {det_n}",
+        f"rank N = {analysis.rank_n}, r = {r}, det N = {det_n}",
         f"verdict: {verdict.kind}",
     ]
     for reason in verdict.reasons:
@@ -269,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: all cores)",
+            help="accepted for compatibility and ignored: every analysis "
+            "runs on one thread (must be at least 1)",
         )
         if strict:
             cmd.add_argument(

@@ -18,13 +18,16 @@ real lines are the fixed vertices.  Admissibility of a candidate is decided
 by gluing its discriminant action to a sign-reversing involution on the
 transcendental side, or by the arithmetic screening rules when no
 transcendental representative is supplied.
+
+`Analysis` holds all of this for one configuration and computes each part
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError
 from .fqf import (
@@ -36,17 +39,15 @@ from .fqf import (
     subgroup_membership,
 )
 from .intmat import (
-    inertia,
-    integral_kernel,
     integral_kernel_with_complement,
     inverse_unimodular,
     mat_mul,
+    mat_vec,
     matrix_rank,
     solve_exact,
     transpose,
 )
 from .lattices import Isometry, Lattice, discriminant_data
-from .parallel import parallel_map
 from .multigraph import (
     ELEMENT_CAP,
     Multigraph,
@@ -109,10 +110,7 @@ class LineConfiguration:
                 raise InputError(
                     f"kernel vector length {len(vec)} != line count + 1"
                 )
-            pair = [
-                sum(Fraction(gram[i][j]) * vec[j] for j in range(n + 1))
-                for i in range(n + 1)
-            ]
+            pair = mat_vec(gram, vec)
             if any(x.denominator != 1 for x in pair):
                 raise InputError(
                     "kernel vector does not pair integrally with the lines and h"
@@ -147,45 +145,14 @@ def _fano_gram(cfg: LineConfiguration) -> list[list[int]]:
     return g
 
 
-@dataclass(frozen=True)
-class FanoData:
-    gram: tuple[tuple[int, ...], ...]
-    radical: tuple[tuple[int, ...], ...]
-    quotient_signature: tuple[int, int]
-    warnings: tuple[str, ...]
-
-
-def fano_lattice(cfg: LineConfiguration) -> FanoData:
-    """Gram matrix on (lines..., h), the radical of that form, and the
-    signature of the quotient.  A non-hyperbolic quotient is flagged with a
-    warning, not an error."""
-    gram = _fano_gram(cfg)
-    radical, complement = integral_kernel_with_complement(gram)
-    qgram = mat_mul(mat_mul(complement, gram), transpose(complement))
-    pos, neg, zero = inertia(qgram) if qgram else (0, 0, 0)
-    warnings = []
-    if (pos, neg) != (1, len(qgram) - 1):
-        warnings.append(
-            f"quotient signature ({pos},{neg}) is not hyperbolic; no polarized "
-            "K3 surface realizes this configuration"
-        )
-    return FanoData(
-        tuple(tuple(row) for row in gram),
-        tuple(tuple(row) for row in radical),
-        (pos, neg),
-        tuple(warnings),
-    )
-
-
 def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
     """Whether sum(v in S) - h lies in the radical of the Fano form."""
-    gram = _fano_gram(cfg)
-    radical = integral_kernel(gram)
+    radical = Analysis(cfg).radical
     n = cfg.graph.n
     x = [1 if v in set(vertices) else 0 for v in range(n)] + [-1]
     if not radical:
         return all(c == 0 for c in x)
-    stacked = radical + [x]
+    stacked = list(radical) + [x]
     return matrix_rank(stacked) == matrix_rank(radical)
 
 
@@ -198,53 +165,42 @@ class Fragment:
     type_label: str
 
 
-def enumerate_fragments(
-    cfg: LineConfiguration, threads: int | None = 1
-) -> list[Fragment]:
+def enumerate_fragments(cfg: LineConfiguration) -> list[Fragment]:
     """All 2d-subsets with intra-subset weighted valency exactly 3 at every
-    member, in lexicographic order.  The search runs one worker per leading
-    vertex; the result does not depend on the thread count."""
+    member, in lexicographic order.  `Analysis.fragments` keeps the result,
+    so one analysis searches once."""
     size = cfg.degree
     graph = cfg.graph
     n = graph.n
-    if size > n:
-        return []
+    found: list[Fragment] = []
+    chosen: list[int] = []
+    valency = [0] * n  # intra-subset valency of chosen vertices
 
-    def branch(first: int) -> list[Fragment]:
-        found: list[Fragment] = []
-        chosen = [first]
-        valency = [0] * n  # intra-subset valency of chosen vertices
+    def extend(start: int):
+        if len(chosen) == size:
+            if all(valency[v] == 3 for v in chosen):
+                sub = graph.induced(chosen)
+                found.append(Fragment(tuple(chosen), classify_fragment(sub)))
+            return
+        for v in range(start, n - (size - len(chosen)) + 1):
+            bump = [graph.mult[v][u] for u in chosen]
+            val_v = sum(bump)
+            if val_v > 3:
+                continue
+            if any(valency[u] + b > 3 for u, b in zip(chosen, bump)):
+                continue
+            for u, b in zip(chosen, bump):
+                valency[u] += b
+            chosen.append(v)
+            valency[v] = val_v
+            extend(v + 1)
+            chosen.pop()
+            valency[v] = 0
+            for u, b in zip(chosen, bump):
+                valency[u] -= b
 
-        def extend(start: int):
-            if len(chosen) == size:
-                if all(valency[v] == 3 for v in chosen):
-                    sub = graph.induced(chosen)
-                    found.append(
-                        Fragment(tuple(chosen), classify_fragment(sub))
-                    )
-                return
-            for v in range(start, n - (size - len(chosen)) + 1):
-                bump = [graph.mult[v][u] for u in chosen]
-                val_v = sum(bump)
-                if val_v > 3:
-                    continue
-                if any(valency[u] + b > 3 for u, b in zip(chosen, bump)):
-                    continue
-                for u, b in zip(chosen, bump):
-                    valency[u] += b
-                chosen.append(v)
-                valency[v] = val_v
-                extend(v + 1)
-                chosen.pop()
-                valency[v] = 0
-                for u, b in zip(chosen, bump):
-                    valency[u] -= b
-
-        extend(first + 1)
-        return found
-
-    parts = parallel_map(branch, range(n - size + 1), threads)
-    return [fr for part in parts for fr in part]
+    extend(0)
+    return found
 
 
 def _catalog_builders() -> dict[str, Multigraph]:
@@ -368,73 +324,222 @@ class PolarizedStabilizer:
         return iso.permutation in self.sigmas
 
 
-class _ExtensionContext:
-    """Discriminant-level data of a configuration: the quotient lattice of
-    the Fano form, the kernel classes inside its discriminant form, and the
-    discriminant form of the extension N."""
+@dataclass(frozen=True)
+class RealCandidate:
+    isometry: PolarizedIsometry
+    num_r: int
+    num_rr: int
+    admissibility: str
+    reason: str
+    verdict: Verdict | None = None
+    notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not (0 <= self.num_rr <= self.num_r):
+            raise ValueError("fragment counts violate num_rr <= num_r")
+
+
+def _involution_classes_of(sigmas) -> list[tuple[int, ...]]:
+    """Lexicographically minimal representatives of the conjugacy classes of
+    involutions (identity included) in an explicitly listed group, in
+    increasing order."""
+    elems = list(sigmas)
+    n = len(elems[0]) if elems else 0
+    ident = tuple(range(n))
+    invs = [g for g in elems if compose_perm(g, g) == ident]
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for g in sorted(invs):
+        if g in seen:
+            continue
+        orbit = set()
+        for a in elems:
+            orbit.add(compose_perm(compose_perm(a, g), invert_perm(a)))
+        seen |= orbit
+        reps.append(g)
+    return reps
+
+
+# -- the analysis of one configuration ------------------------------------------
+
+
+class Analysis:
+    """Everything the package derives from one configuration, each item
+    computed on first use and then kept.
+
+    The Fano form lives on (lines..., h).  Its radical is split off once;
+    the quotient lattice carries the discriminant data, the kernel classes
+    inside its discriminant form, and the discriminant form D_N of the
+    extension N.  The graph automorphism group, the polarized stabilizer and
+    the fragment list are kept as well, so counting fragments under every
+    candidate involution reuses one search.
+    """
 
     def __init__(self, cfg: LineConfiguration):
         self.cfg = cfg
-        gram = _fano_gram(cfg)
-        radical, complement = integral_kernel_with_complement(gram)
-        self.gram = gram
-        self.radical = radical
-        self.complement = complement
-        qgram = mat_mul(mat_mul(complement, gram), transpose(complement))
-        self.qlattice = Lattice(tuple(tuple(row) for row in qgram))
-        self.data = discriminant_data(self.qlattice)
-        self.kernel_classes = tuple(
-            self._class_of(vec) for vec in cfg.kernel
+
+    # -- the Fano lattice and its quotient ----------------------------------
+
+    # Matrices are kept as tuples of rows: every caller shares them.
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _fano_gram(self.cfg)))
+
+    @cached_property
+    def _split(self):
+        radical, complement = integral_kernel_with_complement(self.gram)
+        return tuple(map(tuple, radical)), tuple(map(tuple, complement))
+
+    @property
+    def radical(self) -> tuple[tuple[int, ...], ...]:
+        """Saturated basis of the radical of the Fano form."""
+        return self._split[0]
+
+    @property
+    def complement(self) -> tuple[tuple[int, ...], ...]:
+        """Vectors completing the radical to a basis of Z^(n+1)."""
+        return self._split[1]
+
+    @cached_property
+    def qlattice(self) -> Lattice:
+        """The Fano form restricted to the complement, i.e. modulo the
+        radical."""
+        c = self.complement
+        qgram = mat_mul(mat_mul(c, self.gram), transpose(c))
+        return Lattice(tuple(tuple(row) for row in qgram))
+
+    @property
+    def quotient_signature(self) -> tuple[int, int]:
+        pos, neg, _ = self.qlattice.signature
+        return pos, neg
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """A non-hyperbolic quotient is flagged with a warning, not an
+        error."""
+        pos, neg = self.quotient_signature
+        if (pos, neg) == (1, self.qlattice.rank - 1):
+            return ()
+        return (
+            f"quotient signature ({pos},{neg}) is not hyperbolic; no "
+            "polarized K3 surface realizes this configuration",
         )
-        self.dn, self.reps = isotropic_quotient(
-            self.data.form, list(self.kernel_classes)
-        )
+
+    # -- the extension N ----------------------------------------------------
+
+    @cached_property
+    def data(self):
+        return discriminant_data(self.qlattice)
+
+    @cached_property
+    def kernel_classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._class_of(vec) for vec in self.cfg.kernel)
+
+    @cached_property
+    def _extension(self):
+        return isotropic_quotient(self.data.form, list(self.kernel_classes))
+
+    @property
+    def dn(self):
+        """The discriminant form of N."""
+        return self._extension[0]
+
+    @property
+    def reps(self):
+        """One coordinate tuple in the quotient's form per generator of
+        `dn`."""
+        return self._extension[1]
+
+    @cached_property
+    def kernel_order(self) -> int:
         sub, _ = subgroup_form(self.data.form, list(self.kernel_classes))
-        self.kernel_order = sub.order()
+        return sub.order()
+
+    @property
+    def rank_n(self) -> int:
+        return self.qlattice.rank
+
+    @cached_property
+    def det_n(self) -> int:
+        det, rem = divmod(self.qlattice.determinant, self.kernel_order**2)
+        if rem:
+            raise ValueError("kernel order squared does not divide det")
+        return det
+
+    @cached_property
+    def r(self) -> int:
+        """Rank 22 - rank N of the transcendental lattice."""
+        r = K3_RANK - self.rank_n
+        if r < 1:
+            raise InputError(
+                f"line lattice rank {self.rank_n} leaves no transcendental "
+                "directions"
+            )
+        return r
 
     def _class_of(self, vec) -> tuple[int, ...]:
-        m = len(self.gram)
-        pair = [
-            sum(Fraction(self.gram[i][j]) * vec[j] for j in range(m))
-            for i in range(m)
-        ]
-        t = [
-            int(sum(Fraction(row[i]) * pair[i] for i in range(m)))
-            for row in self.complement
-        ]
+        pair = mat_vec(self.gram, vec)
+        t = [int(x) for x in mat_vec(self.complement, pair)]
         if not t:
             return ()
         w = solve_exact(self.qlattice.gram, t)
         return self.data.coordinates(w)
 
-    def rank_n(self) -> int:
-        return self.qlattice.rank
+    # -- symmetries ---------------------------------------------------------
 
-    def det_n(self) -> int:
-        det_q = self.qlattice.determinant
-        det, rem = divmod(det_q, self.kernel_order**2)
-        if rem:
-            raise ValueError("kernel order squared does not divide det")
-        return det
+    @cached_property
+    def automorphisms(self) -> PermutationGroup:
+        return graph_automorphism_group(self.cfg.graph)
+
+    @cached_property
+    def stabilizer(self) -> PolarizedStabilizer:
+        """The subgroup of Aut(graph) x {+-1} whose induced discriminant
+        action preserves the subgroup generated by the kernel classes."""
+        group = self.automorphisms
+        if not self.cfg.kernel:
+            return PolarizedStabilizer(group, None, 2 * group.order())
+        kept = tuple(
+            perm for perm in group.elements() if self._preserves_kernel(perm)
+        )
+        return PolarizedStabilizer(group, kept, 2 * len(kept))
+
+    def _preserves_kernel(self, perm) -> bool:
+        m = len(self.gram)
+        full = list(perm) + [m - 1]
+        images = []
+        for vec in self.cfg.kernel:
+            permuted = [Fraction(0)] * m
+            for i in range(m):
+                permuted[full[i]] = vec[i]
+            images.append(self._class_of(permuted))
+        form = self.data.form
+        back = list(self.kernel_classes)
+        return all(
+            subgroup_membership(form, back, img) for img in images
+        ) and all(
+            subgroup_membership(form, images, cls)
+            for cls in self.kernel_classes
+        )
+
+    @cached_property
+    def _basis_inverse(self) -> list[list[int]]:
+        """Coordinates of the standard basis on (complement, radical)."""
+        return inverse_unimodular(transpose(self.complement + self.radical))
 
     def quotient_action(self, perm) -> Isometry:
         """The permutation of (lines, h fixed) descended to the quotient
         lattice."""
         m = len(self.gram)
-        n = m - 1
-        full = list(perm) + [n]
-        stacked = self.complement + self.radical
-        inv = inverse_unimodular(transpose(stacked))
+        full = list(perm) + [m - 1]
+        inv = self._basis_inverse
         k = len(self.complement)
         cols = []
         for row in self.complement:
             permuted = [0] * m
             for i in range(m):
                 permuted[full[i]] = row[i]
-            coeffs = [
-                sum(inv[i][j] * permuted[j] for j in range(m)) for i in range(m)
-            ]
-            cols.append(coeffs[:k])
+            cols.append(mat_vec(inv, permuted)[:k])
         matrix = tuple(
             tuple(cols[j][i] for j in range(k)) for i in range(k)
         )
@@ -457,164 +562,95 @@ class _ExtensionContext:
         descended = FqfIsometry(self.dn, self.dn, tuple(cols), anti=False)
         return minus_identity_isometry(self.dn).compose(descended)
 
-    def preserves_kernel(self, perm) -> bool:
-        m = len(self.gram)
-        n = m - 1
-        full = list(perm) + [n]
-        images = []
-        for vec in self.cfg.kernel:
-            permuted = [Fraction(0)] * m
-            for i in range(m):
-                permuted[full[i]] = vec[i]
-            images.append(self._class_of(permuted))
-        form = self.data.form
-        back = list(self.kernel_classes)
-        return all(
-            subgroup_membership(form, back, img) for img in images
-        ) and all(
-            subgroup_membership(form, images, cls)
-            for cls in self.kernel_classes
-        )
+    # -- fragments and real structures ---------------------------------------
+
+    @cached_property
+    def fragments(self) -> tuple[Fragment, ...]:
+        return tuple(enumerate_fragments(self.cfg))
+
+    def count_fragments_under(self, sigma) -> tuple[int, int]:
+        """(setwise-invariant fragment count, pointwise-fixed fragment
+        count) under a graph involution."""
+        sigma = tuple(sigma)
+        graph = self.cfg.graph
+        if sorted(sigma) != list(range(graph.n)):
+            raise InputError("sigma is not a permutation of the vertices")
+        if compose_perm(sigma, sigma) != tuple(range(graph.n)):
+            raise InputError("sigma is not an involution")
+        if graph.relabel(sigma) != graph:
+            raise InputError("sigma does not preserve the multigraph")
+        num_r = 0
+        num_rr = 0
+        for frag in self.fragments:
+            vs = set(frag.vertices)
+            if {sigma[v] for v in vs} == vs:
+                num_r += 1
+                if all(sigma[v] == v for v in vs):
+                    num_rr += 1
+        return (num_r, num_rr)
+
+    def real_structure_candidates(self) -> list[RealCandidate]:
+        """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
+        increasing order of sigma, each with its fragment counts and gluing
+        admissibility."""
+        r = self.r
+        det_n = self.det_n
+        notes = list(self.warnings)
+        spec = self.cfg.transcendental
+        tside = None
+        if spec is not None:
+            if spec.rank() != r:
+                notes.append(
+                    f"transcendental rank {spec.rank()} differs from "
+                    f"22 - rank N = {r}"
+                )
+            tside = t_side_involution_classes(spec)
+        ident = tuple(range(self.cfg.graph.n))
+        out = []
+        for sigma in _involution_classes_of(self.stabilizer.sigma_elements()):
+            num_r, num_rr = self.count_fragments_under(sigma)
+            verdict = None
+            if spec is None:
+                if sigma == ident:
+                    verdict = totally_real_criterion(self.dn, r, det_n)
+                    status = {
+                        "YES_CONTAINS_2": ADMISSIBLE,
+                        "YES_CONTAINS_U2": ADMISSIBLE,
+                        "NO": INADMISSIBLE,
+                        "UNKNOWN": UNKNOWN,
+                    }[verdict.kind]
+                    reason = f"screening rules: {verdict.kind}"
+                else:
+                    status = UNKNOWN
+                    reason = (
+                        "no transcendental data; only the trivial involution "
+                        "can be screened arithmetically"
+                    )
+            else:
+                tau = self.candidate_action(sigma)
+                status, reason = match_real_structure(tau, tside)
+            out.append(RealCandidate(
+                PolarizedIsometry(sigma, -1),
+                num_r,
+                num_rr,
+                status,
+                reason,
+                verdict,
+                tuple(notes),
+            ))
+        return out
 
 
 def polarized_stabilizer(cfg: LineConfiguration) -> PolarizedStabilizer:
-    """The subgroup of Aut(graph) x {+-1} whose induced discriminant action
-    preserves the subgroup generated by the kernel classes."""
-    group = graph_automorphism_group(cfg.graph)
-    if not cfg.kernel:
-        return PolarizedStabilizer(group, None, 2 * group.order())
-    ctx = _ExtensionContext(cfg)
-    kept = tuple(
-        perm for perm in group.elements() if ctx.preserves_kernel(perm)
-    )
-    return PolarizedStabilizer(group, kept, 2 * len(kept))
-
-
-# -- fragment counting under an involution -------------------------------------
+    """`Analysis(cfg).stabilizer`."""
+    return Analysis(cfg).stabilizer
 
 
 def count_fragments_under(cfg: LineConfiguration, sigma) -> tuple[int, int]:
-    """(setwise-invariant fragment count, pointwise-fixed fragment count)
-    under a graph involution."""
-    sigma = tuple(sigma)
-    n = cfg.graph.n
-    if sorted(sigma) != list(range(n)):
-        raise InputError("sigma is not a permutation of the vertices")
-    if compose_perm(sigma, sigma) != tuple(range(n)):
-        raise InputError("sigma is not an involution")
-    if cfg.graph.relabel(sigma) != cfg.graph:
-        raise InputError("sigma does not preserve the multigraph")
-    num_r = 0
-    num_rr = 0
-    for frag in enumerate_fragments(cfg):
-        vs = set(frag.vertices)
-        if {sigma[v] for v in vs} == vs:
-            num_r += 1
-            if all(sigma[v] == v for v in vs):
-                num_rr += 1
-    return (num_r, num_rr)
+    """`Analysis(cfg).count_fragments_under(sigma)`."""
+    return Analysis(cfg).count_fragments_under(sigma)
 
 
-# -- real-structure candidates --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealCandidate:
-    isometry: PolarizedIsometry
-    num_r: int
-    num_rr: int
-    admissibility: str
-    reason: str
-    verdict: Verdict | None = None
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not (0 <= self.num_rr <= self.num_r):
-            raise ValueError("fragment counts violate num_rr <= num_r")
-
-
-def _involution_classes_of(sigmas) -> list[tuple[int, ...]]:
-    """Lexicographically minimal representatives of the conjugacy classes of
-    involutions (identity included) in an explicitly listed group."""
-    elems = list(sigmas)
-    n = len(elems[0]) if elems else 0
-    ident = tuple(range(n))
-    invs = [g for g in elems if compose_perm(g, g) == ident]
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for g in sorted(invs):
-        if g in seen:
-            continue
-        orbit = set()
-        for a in elems:
-            orbit.add(compose_perm(compose_perm(a, g), invert_perm(a)))
-        seen |= orbit
-        reps.append(g)
-    return reps
-
-
-def real_structure_candidates(
-    cfg: LineConfiguration, threads: int | None = 1
-) -> list[RealCandidate]:
-    """Involutive candidates (sigma, -1) up to stabilizer conjugacy, each with
-    its fragment counts and gluing admissibility.  Candidate analyses run in
-    parallel; the result does not depend on the thread count."""
-    ctx = _ExtensionContext(cfg)
-    r = K3_RANK - ctx.rank_n()
-    if r < 1:
-        raise InputError(
-            f"line lattice rank {ctx.rank_n()} leaves no transcendental "
-            "directions"
-        )
-    det_n = ctx.det_n()
-    notes: list[str] = []
-    fano = fano_lattice(cfg)
-    notes.extend(fano.warnings)
-    spec = cfg.transcendental
-    tside = None
-    if spec is not None:
-        if spec.rank() != r:
-            notes.append(
-                f"transcendental rank {spec.rank()} differs from "
-                f"22 - rank N = {r}"
-            )
-        tside = t_side_involution_classes(spec)
-    stab = polarized_stabilizer(cfg)
-    sigmas = stab.sigma_elements()
-    ident = tuple(range(cfg.graph.n))
-
-    def analyze(sigma: tuple[int, ...]) -> RealCandidate:
-        num_r, num_rr = count_fragments_under(cfg, sigma)
-        verdict = None
-        if spec is None:
-            if sigma == ident:
-                verdict = totally_real_criterion(ctx.dn, r, det_n)
-                status = {
-                    "YES_CONTAINS_2": ADMISSIBLE,
-                    "YES_CONTAINS_U2": ADMISSIBLE,
-                    "NO": INADMISSIBLE,
-                    "UNKNOWN": UNKNOWN,
-                }[verdict.kind]
-                reason = f"screening rules: {verdict.kind}"
-            else:
-                status = UNKNOWN
-                reason = (
-                    "no transcendental data; only the trivial involution can "
-                    "be screened arithmetically"
-                )
-        else:
-            tau = ctx.candidate_action(sigma)
-            status, reason = match_real_structure(tau, tside)
-        return RealCandidate(
-            PolarizedIsometry(sigma, -1),
-            num_r,
-            num_rr,
-            status,
-            reason,
-            verdict,
-            tuple(notes),
-        )
-
-    out = parallel_map(analyze, _involution_classes_of(sigmas), threads)
-    out.sort(key=lambda c: c.isometry.permutation)
-    return out
+def real_structure_candidates(cfg: LineConfiguration) -> list[RealCandidate]:
+    """`Analysis(cfg).real_structure_candidates()`."""
+    return Analysis(cfg).real_structure_candidates()

@@ -14,7 +14,7 @@ an ascending divisor chain d1 | d2 | ...; quadratic values are reduced to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,6 +23,24 @@ from .intmat import integral_kernel, inverse_unimodular, smith_decompose
 
 ELEMENT_CAP = 10_000
 GAUSS_SUM_CAP = 300_000
+
+
+def prime_power_factors(n: int) -> list[tuple[int, int]]:
+    """(p, p**a) for every prime p dividing n, with p**a the exact power of
+    p in n, by increasing p.  Trial division; empty for n < 2."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+            out.append((p, power))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, n))
+    return out
 
 
 def _mod2(x: Fraction) -> Fraction:
@@ -211,22 +229,10 @@ def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
     # per prime power.
     primary: dict[int, list[tuple[int, list[int]]]] = {}
     for i, (d, _) in enumerate(gens):
-        if d <= 1:
-            continue
-        rest = d
-        p = 2
-        while rest > 1:
-            if p * p > rest:
-                p = rest
-            if rest % p == 0:
-                power = 1
-                while rest % p == 0:
-                    rest //= p
-                    power *= p
-                coeff = [0] * k
-                coeff[i] = d // power
-                primary.setdefault(p, []).append((power, coeff))
-            p += 1 if p == 2 else 2
+        for p, power in prime_power_factors(d):
+            coeff = [0] * k
+            coeff[i] = d // power
+            primary.setdefault(p, []).append((power, coeff))
 
     for p in primary:
         primary[p].sort(key=lambda t: t[0])
@@ -294,13 +300,23 @@ def subgroup_form(form: FiniteQuadraticForm, gens):
     gens = [g for g in gens if form.order_of(g) > 1]
     if not gens:
         return TRIVIAL_FORM, []
+    return _presentation(form, gens, [])
+
+
+def _presentation(form: FiniteQuadraticForm, gens, killed):
+    """The form on the subgroup generated by `gens` modulo the subgroup
+    generated by `killed`, as (form, basis) with basis in `form`
+    coordinates.  The caller ensures the form descends to that quotient."""
     k = form.rank()
     m = len(gens)
-    stacked = [[gens[j][i] for j in range(m)]
-               + [form.orders[i] if t == i else 0 for t in range(k)]
-               for i in range(k)]
+    stacked = [
+        [gens[j][i] for j in range(m)]
+        + [g[i] for g in killed]
+        + [form.orders[i] if t == i else 0 for t in range(k)]
+        for i in range(k)
+    ]
     relations = [vec[:m] for vec in integral_kernel(stacked)]
-    # Z^m modulo the relation lattice presents the subgroup; diagonalize the
+    # Z^m modulo the relation lattice presents the group; diagonalize the
     # relations to read off a clean cyclic decomposition.
     rel_cols = [[rel[i] for rel in relations] for i in range(m)]
     s, u, v = smith_decompose(rel_cols)
@@ -311,25 +327,23 @@ def subgroup_form(form: FiniteQuadraticForm, gens):
         e = s[i][i] if i < min(len(s), len(s[0]) if s else 0) else 0
         if e == 1:
             continue
+        if e == 0:
+            raise ValueError("relation lattice unexpectedly degenerate")
         combo = [0] * k
         for j in range(m):
             cj = uinv[j][i]
             if cj:
                 for t in range(k):
                     combo[t] += cj * gens[j][t]
-        combo = form.reduce(combo)
-        if e == 0:
-            raise ValueError("relation lattice unexpectedly degenerate")
         orders.append(e)
-        basis.append(combo)
+        basis.append(form.reduce(combo))
     qvals = [form.q_of(c) for c in basis]
     pair = [[form.b_of(c1, c2) for c2 in basis] for c1 in basis]
     sub = finite_quadratic_form(orders, qvals, pair)
     # The normalization inside finite_quadratic_form recombines primary
     # parts; rebuild the matching coordinate representatives.
     if sub.orders != tuple(orders):
-        rebuilt = _match_basis(form, basis, orders, sub)
-        return sub, rebuilt
+        basis = _match_basis(form, basis, orders, sub)
     return sub, basis
 
 
@@ -337,21 +351,11 @@ def _match_basis(form, basis, orders, sub):
     # Mirror the primary-splitting recombination on explicit coordinates.
     primary: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for d, coords in zip(orders, basis):
-        rest = d
-        p = 2
-        while rest > 1:
-            if p * p > rest:
-                p = rest
-            if rest % p == 0:
-                power = 1
-                while rest % p == 0:
-                    rest //= p
-                    power *= p
-                cof = d // power
-                primary.setdefault(p, []).append(
-                    (power, form.reduce([cof * c for c in coords]))
-                )
-            p += 1 if p == 2 else 2
+        for p, power in prime_power_factors(d):
+            cof = d // power
+            primary.setdefault(p, []).append(
+                (power, form.reduce([cof * c for c in coords]))
+            )
     for p in primary:
         primary[p].sort(key=lambda t: t[0])
     depth = max((len(v) for v in primary.values()), default=0)
@@ -410,42 +414,7 @@ def isotropic_quotient(form: FiniteQuadraticForm, kernel_gens):
     perp = orthogonal_subgroup(form, kernel_gens)
     if not perp:
         return TRIVIAL_FORM, []
-    k = form.rank()
-    m = len(perp)
-    extra = kernel_gens
-    cols = m + len(extra)
-    stacked = [
-        [perp[j][i] for j in range(m)]
-        + [g[i] for g in extra]
-        + [form.orders[i] if t == i else 0 for t in range(k)]
-        for i in range(k)
-    ]
-    relations = [vec[:m] for vec in integral_kernel(stacked)]
-    rel_cols = [[rel[i] for rel in relations] for i in range(m)]
-    s, u, v = smith_decompose(rel_cols)
-    uinv = inverse_unimodular(u)
-    basis = []
-    orders = []
-    for i in range(m):
-        e = s[i][i] if i < min(len(s), len(s[0]) if s else 0) else 0
-        if e == 1:
-            continue
-        if e == 0:
-            raise ValueError("quotient presentation unexpectedly infinite")
-        combo = [0] * k
-        for j in range(m):
-            cj = uinv[j][i]
-            if cj:
-                for t in range(k):
-                    combo[t] += cj * perp[j][t]
-        orders.append(e)
-        basis.append(form.reduce(combo))
-    qvals = [form.q_of(c) for c in basis]
-    pair = [[form.b_of(c1, c2) for c2 in basis] for c1 in basis]
-    quot = finite_quadratic_form(orders, qvals, pair)
-    if quot.orders != tuple(orders):
-        basis = _match_basis(form, basis, orders, quot)
-    return quot, basis
+    return _presentation(form, perp, kernel_gens)
 
 
 def ell(form: FiniteQuadraticForm, p: int) -> int:
@@ -456,20 +425,6 @@ def ell(form: FiniteQuadraticForm, p: int) -> int:
 # -- Gauss-sum signature residue --------------------------------------------
 
 
-def _primes_of(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def brown_invariant(form: FiniteQuadraticForm) -> int:
     """Signature residue mod 8 of the form, via exact Gauss sums.
 
@@ -478,7 +433,7 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
     ValueError: its Gauss sum never lands on an admissible value.
     """
     total = 0
-    for p in _primes_of(form.order()):
+    for p, _ in prime_power_factors(form.order()):
         total += _brown_p(form.p_part(p), p)
     return total % 8
 
@@ -795,21 +750,10 @@ def involution_classes(
 # -- local determinant square classes ----------------------------------------
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def square_class_equal(a, b, p: int) -> bool:
     """Whether a and b generate the same square class of p-adic units times
     powers of p (both nonzero rationals)."""
-    if not _is_prime(p):
+    if prime_power_factors(p) != [(p, p)]:
         raise ValueError(f"{p} is not prime")
     ratio = Fraction(a) / Fraction(b)
     num, den = ratio.numerator, ratio.denominator

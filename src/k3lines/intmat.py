@@ -8,9 +8,7 @@ forms are exact objects and rounding would be unrecoverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 Mat = list[list[int]]
 Vec = list[int]
@@ -41,18 +39,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def scale_mat(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def block_diag(*blocks) -> Mat:
@@ -230,7 +216,12 @@ def matrix_rank(m: Mat) -> int:
     return sum(1 for d in smith_diagonal(m) if d != 0)
 
 
-def _kernel_split(m: Mat) -> tuple[list[Vec], list[Vec]]:
+def integral_kernel_with_complement(m: Mat) -> tuple[list[Vec], list[Vec]]:
+    """Kernel basis plus vectors completing it to a basis of Z^n.
+
+    Both lists together are the columns of the unimodular Smith transform V,
+    so stacking them yields a unimodular matrix.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     s, _, v = smith_decompose(m)
@@ -244,17 +235,7 @@ def integral_kernel(m: Mat) -> list[Vec]:
     """Basis of {x in Z^n : m·x = 0}, saturated (the quotient by its span is
     torsion-free).  The basis consists of the trailing columns of the Smith
     transform V, so it is deterministic."""
-    return _kernel_split(m)[0]
-
-
-def integral_kernel_with_complement(m: Mat) -> tuple[list[Vec], list[Vec]]:
-    """Kernel basis plus vectors completing it to a basis of Z^n.
-
-    Both lists together are the columns of the unimodular Smith transform V,
-    so stacking them yields a unimodular matrix.
-    """
-    kernel, complement = _kernel_split(m)
-    return kernel, complement
+    return integral_kernel_with_complement(m)[0]
 
 
 def inverse_unimodular(m: Mat) -> Mat:
@@ -384,40 +365,3 @@ def positive_basis(m) -> list[list[Fraction]]:
             for w in rest
         ]
     return found
-
-
-@dataclass(frozen=True)
-class RationalVector:
-    """Integer numerators over one positive denominator, in lowest terms:
-    gcd of all numerators with the denominator is 1."""
-
-    numerators: tuple[int, ...]
-    denominator: int
-
-    @classmethod
-    def make(cls, numerators, denominator: int) -> "RationalVector":
-        if denominator == 0:
-            raise ValueError("denominator must be nonzero")
-        nums = [int(x) for x in numerators]
-        den = int(denominator)
-        if den < 0:
-            den = -den
-            nums = [-x for x in nums]
-        g = den
-        for x in nums:
-            g = gcd(g, x)
-        return cls(tuple(x // g for x in nums), den // g)
-
-    @classmethod
-    def from_fractions(cls, fracs) -> "RationalVector":
-        fracs = [Fraction(f) for f in fracs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls.make([int(f * den) for f in fracs], den)
-
-    def fractions(self) -> list[Fraction]:
-        return [Fraction(x, self.denominator) for x in self.numerators]
-
-    def __len__(self) -> int:
-        return len(self.numerators)

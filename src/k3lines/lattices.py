@@ -30,6 +30,7 @@ from .intmat import (
     integral_kernel,
     inverse_unimodular,
     mat_mul,
+    mat_vec,
     positive_basis,
     smith_decompose,
     transpose,
@@ -180,11 +181,6 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
     def expect(self, c: str):
         if self.peek() != c:
             self.error(f"expected {c!r}")
@@ -242,7 +238,7 @@ class _Parser:
         if c == "U":
             self.pos += 1
             return Lattice.from_rows([[0, 1], [1, 0]])
-        if c in "ADE":
+        if c and c in "ADE":
             self.pos += 1
             return Lattice.from_rows(_root_gram(c, self.integer(signed=False)))
         if c == "[":
@@ -350,19 +346,13 @@ class DiscriminantData:
         if isometry.lattice != self.lattice:
             raise ValueError("isometry acts on a different lattice")
         w = isometry.matrix
-        n = self.lattice.rank
-        cols = []
-        for vec in self.dual_vectors:
-            image = [
-                sum(Fraction(w[i][j]) * vec[j] for j in range(n)) for i in range(n)
-            ]
-            cols.append(self.coordinates(image))
+        cols = [self.coordinates(mat_vec(w, vec)) for vec in self.dual_vectors]
         return FqfIsometry(self.form, self.form, tuple(cols), anti=False)
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
     if not lattice.is_nondegenerate():
-        raise ValueError("degenerate lattice has no discriminant form")
+        raise InputError("degenerate lattice has no discriminant form")
     n = lattice.rank
     g = [list(r) for r in lattice.gram]
     s, u, v = smith_decompose(g)
@@ -506,10 +496,7 @@ def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
     n = lattice.rank
     g = lattice.gram
     w = isometry.matrix
-    imgs = [
-        [sum(Fraction(w[i][j]) * vec[j] for j in range(n)) for i in range(n)]
-        for vec in basis
-    ]
+    imgs = [mat_vec(w, vec) for vec in basis]
     mat = [
         [
             sum(

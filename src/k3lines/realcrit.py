@@ -34,8 +34,8 @@ from .fqf import (
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
-    _primes_of,
     ell,
+    prime_power_factors,
 )
 from .lattices import (
     Isometry,
@@ -65,9 +65,6 @@ class Verdict:
     def __post_init__(self):
         if self.kind not in VERDICT_KINDS:
             raise ValueError(f"unknown verdict kind {self.kind!r}")
-
-    def is_yes(self) -> bool:
-        return self.kind in (VERDICT_YES_2, VERDICT_YES_U2)
 
 
 def totally_real_criterion(
@@ -105,31 +102,10 @@ def totally_real_criterion(
 
 
 def _norm_two_case(d_n, r, absn, reasons) -> bool | None:
-    failed = False
+    failed = not _odd_prime_rules(
+        d_n, r, absn, gap=1, factor=2, case="norm-2", reasons=reasons
+    )
     undecided = False
-    for p in [q for q in _primes_of(absn) if q != 2]:
-        part = d_n.p_part(p)
-        length = part.rank()
-        if length <= r - 2:
-            reasons.append(f"norm-2 case, p={p}: length {length} <= r-2: pass")
-        elif length == r - 1:
-            detcls = odd_p_det_class(part, p)
-            if square_class_equal(detcls, -2 * absn, p):
-                reasons.append(
-                    f"norm-2 case, p={p}: length {length} = r-1 and the forced "
-                    "local determinant matches -2|det N|: pass"
-                )
-            else:
-                reasons.append(
-                    f"norm-2 case, p={p}: length {length} = r-1 but the forced "
-                    "local determinant differs from -2|det N|: fail"
-                )
-                failed = True
-        else:
-            reasons.append(
-                f"norm-2 case, p={p}: length {length} exceeds r-1: fail"
-            )
-            failed = True
     if r == 1:
         reasons.append(
             "norm-2 case, primes away from det N: length 0 = r-1 would force "
@@ -169,6 +145,38 @@ def _norm_two_case(d_n, r, absn, reasons) -> bool | None:
     return True
 
 
+def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
+    """The rule of either case at every odd prime p dividing det N: the
+    p-length is below r-gap, or equal to it with a forced local determinant
+    in the square class of -factor*|det N|.  Appends one reason per prime
+    and returns whether all of them pass."""
+    target = "-2|det N|" if factor == 2 else "-|det N|"
+    ok = True
+    for p in [q for q, _ in prime_power_factors(absn) if q != 2]:
+        part = d_n.p_part(p)
+        length = part.rank()
+        head = f"{case} case, p={p}: length {length}"
+        if length < r - gap:
+            reasons.append(f"{head} <= r-{gap + 1}: pass")
+        elif length == r - gap:
+            detcls = odd_p_det_class(part, p)
+            if square_class_equal(detcls, -factor * absn, p):
+                reasons.append(
+                    f"{head} = r-{gap} and the forced local determinant "
+                    f"matches {target}: pass"
+                )
+            else:
+                reasons.append(
+                    f"{head} = r-{gap} but the forced local determinant "
+                    f"differs from {target}: fail"
+                )
+                ok = False
+        else:
+            reasons.append(f"{head} exceeds r-{gap}: fail")
+            ok = False
+    return ok
+
+
 def _norm_two_vector_hunt(part2, l2, absn) -> str | None:
     twos = [v for v in part2.two_torsion() if part2.order_of(v) == 2]
     half = Fraction(3, 2)  # -1/2 mod 2
@@ -194,32 +202,9 @@ def _norm_two_vector_hunt(part2, l2, absn) -> str | None:
 
 
 def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
-    ok = True
-    for p in [q for q in _primes_of(absn) if q != 2]:
-        part = d_n.p_part(p)
-        length = part.rank()
-        if length <= r - 3:
-            reasons.append(
-                f"hyperbolic case, p={p}: length {length} <= r-3: pass"
-            )
-        elif length == r - 2:
-            detcls = odd_p_det_class(part, p)
-            if square_class_equal(detcls, -absn, p):
-                reasons.append(
-                    f"hyperbolic case, p={p}: length {length} = r-2 and the "
-                    "forced local determinant matches -|det N|: pass"
-                )
-            else:
-                reasons.append(
-                    f"hyperbolic case, p={p}: length {length} = r-2 but the "
-                    "forced local determinant differs from -|det N|: fail"
-                )
-                ok = False
-        else:
-            reasons.append(
-                f"hyperbolic case, p={p}: length {length} exceeds r-2: fail"
-            )
-            ok = False
+    ok = _odd_prime_rules(
+        d_n, r, absn, gap=2, factor=1, case="hyperbolic", reasons=reasons
+    )
     if r <= 2:
         reasons.append(
             "hyperbolic case, primes away from det N: r <= 2 leaves no room "
@@ -300,7 +285,7 @@ class GenericDiscr:
     def __post_init__(self):
         if self.rank_ < 1:
             raise InputError("rank must be positive")
-        for p in _primes_of(self.form.order()):
+        for p, _ in prime_power_factors(self.form.order()):
             if ell(self.form, p) > self.rank_:
                 raise InputError(
                     f"rank {self.rank_} is below the {p}-length of the form"

@@ -66,6 +66,17 @@ class TestLatticeCommand:
         assert code == EXIT_INPUT
         assert "error:" in err
 
+    def test_degenerate_lattice_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "lattice", "[2,2,2]")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: degenerate lattice has no discriminant form\n"
+
+    def test_empty_expression_names_the_missing_atom(self, capsys):
+        code, _, err = run(capsys, "lattice", "")
+        assert code == EXIT_INPUT
+        assert "position 0: expected a lattice atom" in err
+
     def test_human_output_mentions_milgram(self, capsys):
         code, out, _ = run(capsys, "lattice", "[8,4,8]")
         assert code == EXIT_OK
@@ -130,6 +141,15 @@ class TestFragmentsCommand:
         code, _, err = run(capsys, "fragments", "no_such.json")
         assert code == EXIT_INPUT
         assert "no such file" in err
+
+    def test_thread_count_below_one_is_an_input_error(self, capsys):
+        for cmd in ("fragments", "real", "totally-real"):
+            code, out, err = run(
+                capsys, cmd, str(CORPUS / "k33.json"), "--threads", "0"
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == "error: --threads must be at least 1\n"
 
     def test_invalid_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

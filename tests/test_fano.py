@@ -14,19 +14,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+from k3lines import fano
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import (
+    Analysis,
     Fragment,
     LineConfiguration,
     PolarizedIsometry,
-    _ExtensionContext,
     catalog_graph,
     catalog_names,
     class_sum_in_radical,
     classify_fragment,
     count_fragments_under,
     enumerate_fragments,
-    fano_lattice,
     graph_automorphisms,
     graph_invariants,
     polarized_stabilizer,
@@ -181,14 +181,14 @@ class TestLineConfigurationValidation:
 class TestFanoLattice:
     def test_single_line_on_a_quadric(self):
         g = empty_graph(1)
-        data = fano_lattice(LineConfiguration(2, g))
+        data = Analysis(LineConfiguration(2, g))
         assert data.gram == ((-2, 1), (1, 2))
         assert data.radical == ()
         assert data.quotient_signature == (1, 1)
         assert data.warnings == ()
 
     def test_k33_radical_and_signature(self):
-        data = fano_lattice(LineConfiguration(6, catalog_graph("K33")))
+        data = Analysis(LineConfiguration(6, catalog_graph("K33")))
         assert len(data.radical) == 1
         vec = data.radical[0]
         scaled = tuple(-x for x in vec) if vec[-1] > 0 else vec
@@ -205,13 +205,13 @@ class TestFanoLattice:
         assert data.warnings == ()
 
     def test_prism_radical_and_signature(self):
-        data = fano_lattice(LineConfiguration(6, catalog_graph("prism")))
+        data = Analysis(LineConfiguration(6, catalog_graph("prism")))
         assert len(data.radical) == 1
         assert data.quotient_signature == (1, 5)
         assert data.warnings == ()
 
     def test_disjoint_union_not_hyperbolic(self):
-        data = fano_lattice(LineConfiguration(6, prism_plus_k33()))
+        data = Analysis(LineConfiguration(6, prism_plus_k33()))
         assert data.quotient_signature == (2, 11)
         assert len(data.warnings) == 1
         assert "no polarized K3" in data.warnings[0]
@@ -543,8 +543,8 @@ class TestRealStructureCandidates:
             assert any("differs from 22 - rank N" in n for n in cand.notes)
 
     def test_generic_discriminant_stays_unknown(self):
-        ctx = _ExtensionContext(LineConfiguration(6, catalog_graph("K33")))
-        spec = GenericDiscr(ctx.dn, 16)
+        analysis = Analysis(LineConfiguration(6, catalog_graph("K33")))
+        spec = GenericDiscr(analysis.dn, 16)
         cfg = LineConfiguration(
             6, catalog_graph("K33"), transcendental=spec
         )
@@ -588,10 +588,10 @@ class TestExtensionContext:
         for name in ("prism", "K4"):
             degree = TestFragmentEnumeration.HOME[name]
             cfg = LineConfiguration(degree, catalog_graph(name))
-            ctx = _ExtensionContext(cfg)
+            analysis = Analysis(cfg)
             group = graph_automorphisms(cfg)
             elems = group.elements(cap=1000)
-            acts = {g: ctx.quotient_action(g) for g in elems}
+            acts = {g: analysis.quotient_action(g) for g in elems}
             for g in elems:
                 for h in elems:
                     composed = acts[compose_perm(g, h)]
@@ -601,23 +601,23 @@ class TestExtensionContext:
                     )
 
     def test_determinant_of_triangle_extension(self):
-        ctx = _ExtensionContext(LineConfiguration(6, TRIANGLE))
-        assert ctx.rank_n() == 4
-        assert ctx.det_n() == -27
+        analysis = Analysis(LineConfiguration(6, TRIANGLE))
+        assert analysis.rank_n == 4
+        assert analysis.det_n == -27
 
     def test_kernel_index_squares_the_determinant(self):
-        plain = _ExtensionContext(LineConfiguration(6, catalog_graph("K33")))
-        glued = _ExtensionContext(
+        plain = Analysis(LineConfiguration(6, catalog_graph("K33")))
+        glued = Analysis(
             LineConfiguration(
                 6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
             )
         )
-        assert plain.det_n() == -80
+        assert plain.det_n == -80
         assert glued.kernel_order == 2
-        assert glued.det_n() == -20
+        assert glued.det_n == -20
 
     def test_discriminant_of_glued_extension_exists(self):
-        glued = _ExtensionContext(
+        glued = Analysis(
             LineConfiguration(
                 6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
             )
@@ -632,3 +632,49 @@ class TestExtensionContext:
             )
         )
         del negated
+
+
+class TestAnalysis:
+    def test_one_search_per_configuration(self, monkeypatch):
+        # every candidate reads the same fragment list and the same split of
+        # the Fano form; nothing is recomputed per candidate
+        calls = {"enumerate_fragments": 0, "integral_kernel_with_complement": 0}
+
+        def counted(name):
+            inner = getattr(fano, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fano, name, counted(name))
+        cfg = LineConfiguration(
+            6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
+        )
+        cands = real_structure_candidates(cfg)
+        assert len(cands) > 1
+        assert calls == {
+            "enumerate_fragments": 1,
+            "integral_kernel_with_complement": 1,
+        }
+
+    def test_items_match_the_standalone_functions(self):
+        cfg = LineConfiguration(6, two_prisms())
+        analysis = Analysis(cfg)
+        assert analysis.fragments == tuple(enumerate_fragments(cfg))
+        stab = polarized_stabilizer(cfg)
+        assert analysis.stabilizer.order == stab.order == 2 * 288
+        swap = tuple(list(range(6, 12)) + list(range(6)))
+        assert analysis.count_fragments_under(swap) == (0, 0)
+        assert analysis.real_structure_candidates() == (
+            real_structure_candidates(cfg)
+        )
+
+    def test_rank_constraint_is_raised_by_r(self):
+        analysis = Analysis(LineConfiguration(2, empty_graph(22)))
+        assert analysis.rank_n == 23
+        with pytest.raises(InputError, match="no transcendental directions"):
+            analysis.r

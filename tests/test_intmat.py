@@ -5,7 +5,6 @@ from itertools import permutations
 import pytest
 
 from k3lines.intmat import (
-    RationalVector,
     block_diag,
     det,
     det_fraction,
@@ -234,15 +233,3 @@ def test_block_diag():
         [0, 2, 3],
         [0, 4, 5],
     ]
-
-
-def test_rational_vector_normalization():
-    v = RationalVector.make([2, 4], 6)
-    assert v.numerators == (1, 2) and v.denominator == 3
-    v = RationalVector.make([1, -1], -2)
-    assert v.numerators == (-1, 1) and v.denominator == 2
-    v = RationalVector.make([0, 0], 5)
-    assert v.numerators == (0, 0) and v.denominator == 1
-    v = RationalVector.from_fractions([Fraction(1, 2), Fraction(2, 3)])
-    assert v.numerators == (3, 4) and v.denominator == 6
-    assert v.fractions() == [Fraction(1, 2), Fraction(2, 3)]
