@@ -54,7 +54,11 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
 def _read_source(arg: str) -> tuple[str, str]:
     """Expression text and its digest; file contents when arg is a path."""
     path = Path(arg)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an expression too long to be a file name
+        is_file = False
+    if is_file:
         data = path.read_bytes()
         return data.decode().strip(), _digest(data)
     return arg.strip(), _digest(arg.strip().encode())

@@ -11,13 +11,19 @@ A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
 3, and that combinatorial condition is what the enumeration uses; the class
 sum test against the radical is available separately and implies 3-regularity
-on every input.
+on every input.  The enumeration is a deficit-driven connected-subgraph
+search (Wernicke, *Efficient detection of network motifs*, IEEE/ACM TCBB
+2006): it grows the fragment one 3-regular component at a time and branches
+only where some chosen line is still short of valency 3.
 
 Real-structure candidates pair a graph involution with the global sign -1, so
-real lines are the fixed vertices.  Admissibility of a candidate is decided
-by gluing its discriminant action to a sign-reversing involution on the
-transcendental side, or by the arithmetic screening rules when no
-transcendental representative is supplied.
+real lines are the fixed vertices.  They are taken one per conjugacy class of
+involutions in the polarized stabilizer; each class is a conjugation orbit
+under the stabilizer's generators (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 4.1).  Admissibility of a
+candidate is decided by gluing its discriminant action to a sign-reversing
+involution on the transcendental side, or by the arithmetic screening rules
+when no transcendental representative is supplied.
 
 `Analysis` holds all of this for one configuration and computes each part
 once.
@@ -168,39 +174,85 @@ class Fragment:
 def enumerate_fragments(cfg: LineConfiguration) -> list[Fragment]:
     """All 2d-subsets with intra-subset weighted valency exactly 3 at every
     member, in lexicographic order.  `Analysis.fragments` keeps the result,
-    so one analysis searches once."""
+    so one analysis searches once.
+
+    The search is deficit-driven, in the connected-subgraph enumeration
+    family of Wernicke, *Efficient detection of network motifs*, IEEE/ACM
+    TCBB 2006.  A fragment is a disjoint union of 3-regular components,
+    built one component at a time from its lowest vertex, the start.  The
+    weighted valency into the chosen set is kept for every vertex.  While
+    some chosen vertex is short of 3, the search branches only on the
+    neighbours of the lowest such vertex above the start: include a
+    neighbour, or exclude it for the rest of the branch, so each subset is
+    reached exactly once.  A branch is cut when the chosen vertices lack
+    more than 3 per free slot, since each further vertex fills at most 3.
+    Once every chosen vertex is saturated, the next component starts at an
+    open vertex above the previous start with valency 0.  The vertex tuples
+    are sorted before classification.
+    """
     size = cfg.degree
     graph = cfg.graph
     n = graph.n
-    found: list[Fragment] = []
+    adj = [[(w, m) for w, m in enumerate(row) if m] for row in graph.mult]
+    valency = [0] * n  # weighted valency into the chosen set
+    state = [0] * n  # 0 open, 1 chosen, 2 excluded
     chosen: list[int] = []
-    valency = [0] * n  # intra-subset valency of chosen vertices
+    found: list[tuple[int, ...]] = []
+
+    def include(v: int):
+        state[v] = 1
+        chosen.append(v)
+        for w, m in adj[v]:
+            valency[w] += m
+
+    def drop(v: int):
+        state[v] = 0
+        chosen.pop()
+        for w, m in adj[v]:
+            valency[w] -= m
+
+    def fits(v: int) -> bool:
+        return valency[v] <= 3 and all(
+            state[w] != 1 or valency[w] + m <= 3 for w, m in adj[v]
+        )
 
     def extend(start: int):
-        if len(chosen) == size:
-            if all(valency[v] == 3 for v in chosen):
-                sub = graph.induced(chosen)
-                found.append(Fragment(tuple(chosen), classify_fragment(sub)))
+        short = [v for v in chosen if valency[v] < 3]
+        if not short:
+            if len(chosen) == size:
+                found.append(tuple(sorted(chosen)))
+                return
+            # a start touching the chosen set would overfill a saturated
+            # vertex, and nothing checks starts again
+            for s in range(start + 1, n - (size - len(chosen)) + 1):
+                if state[s] == 0 and valency[s] == 0:
+                    include(s)
+                    extend(s)
+                    drop(s)
             return
-        for v in range(start, n - (size - len(chosen)) + 1):
-            bump = [graph.mult[v][u] for u in chosen]
-            val_v = sum(bump)
-            if val_v > 3:
+        if sum(3 - valency[v] for v in short) > 3 * (size - len(chosen)):
+            return
+        low = min(short)
+        deficit = 3 - valency[low]
+        excluded = []
+        for w, m in adj[low]:
+            if w <= start or state[w] or m > deficit:
                 continue
-            if any(valency[u] + b > 3 for u, b in zip(chosen, bump)):
-                continue
-            for u, b in zip(chosen, bump):
-                valency[u] += b
-            chosen.append(v)
-            valency[v] = val_v
-            extend(v + 1)
-            chosen.pop()
-            valency[v] = 0
-            for u, b in zip(chosen, bump):
-                valency[u] -= b
+            if fits(w):
+                include(w)
+                extend(start)
+                drop(w)
+            state[w] = 2
+            excluded.append(w)
+        for w in excluded:
+            state[w] = 0
 
-    extend(0)
-    return found
+    if size <= n:
+        extend(-1)
+    found.sort()
+    return [
+        Fragment(vs, classify_fragment(graph.induced(vs))) for vs in found
+    ]
 
 
 def _catalog_builders() -> dict[str, Multigraph]:
@@ -323,6 +375,29 @@ class PolarizedStabilizer:
             return self.group.contains(iso.permutation)
         return iso.permutation in self.sigmas
 
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the sigma part.  An explicit list is reduced
+        greedily: each pick lies outside the subgroup the earlier picks
+        generate, so there are at most log2 |sigmas| of them."""
+        if self.sigmas is None:
+            return self.group.generators
+        ident = tuple(range(self.group.n))
+        picks: list[tuple[int, ...]] = []
+        closure = {ident}
+        for g in self.sigmas:
+            if g in closure:
+                continue
+            picks.append(g)
+            queue = list(closure)
+            for x in queue:
+                for p in picks:
+                    y = compose_perm(x, p)
+                    if y not in closure:
+                        closure.add(y)
+                        queue.append(y)
+        return tuple(picks) or (ident,)
+
 
 @dataclass(frozen=True)
 class RealCandidate:
@@ -339,24 +414,37 @@ class RealCandidate:
             raise ValueError("fragment counts violate num_rr <= num_r")
 
 
-def _involution_classes_of(sigmas) -> list[tuple[int, ...]]:
+def _involution_classes_of(
+    stabilizer: PolarizedStabilizer,
+) -> list[tuple[int, ...]]:
     """Lexicographically minimal representatives of the conjugacy classes of
-    involutions (identity included) in an explicitly listed group, in
-    increasing order."""
-    elems = list(sigmas)
-    n = len(elems[0]) if elems else 0
-    ident = tuple(range(n))
-    invs = [g for g in elems if compose_perm(g, g) == ident]
+    involutions (identity included) in the sigma part of the stabilizer, in
+    increasing order.
+
+    Each class is the conjugation orbit of its least involution under the
+    stabilizer's generators, the orbit algorithm of Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1: in a finite
+    group an orbit closed under the generators is closed under the group,
+    so a class costs |class| x |generators| conjugations, not |group|."""
+    ident = tuple(range(stabilizer.group.n))
+    invs = sorted(
+        g for g in stabilizer.sigma_elements() if compose_perm(g, g) == ident
+    )
+    gens = [(a, invert_perm(a)) for a in stabilizer.generators]
     seen: set[tuple[int, ...]] = set()
     reps = []
-    for g in sorted(invs):
+    for g in invs:
         if g in seen:
             continue
-        orbit = set()
-        for a in elems:
-            orbit.add(compose_perm(compose_perm(a, g), invert_perm(a)))
-        seen |= orbit
         reps.append(g)
+        seen.add(g)
+        orbit = [g]
+        for x in orbit:
+            for a, a_inv in gens:
+                y = tuple(a[x[i]] for i in a_inv)  # a x a^-1 in one pass
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
     return reps
 
 
@@ -607,7 +695,7 @@ class Analysis:
             tside = t_side_involution_classes(spec)
         ident = tuple(range(self.cfg.graph.n))
         out = []
-        for sigma in _involution_classes_of(self.stabilizer.sigma_elements()):
+        for sigma in _involution_classes_of(self.stabilizer):
             num_r, num_rr = self.count_fragments_under(sigma)
             verdict = None
             if spec is None:

@@ -146,6 +146,12 @@ def identity_isometry_of(lattice: Lattice) -> Isometry:
 
 # -- the text notation -------------------------------------------------------
 
+# Largest rank an expression may describe.  The K3 lattice has rank 22 and
+# every input the package works with lies far below this; the bound is
+# checked before any Gram matrix is built, so an expression like A1000 or
+# 500U fails at once instead of starting cubic-time matrix work.
+MAX_RANK = 64
+
 
 def _root_gram(letter: str, n: int) -> list[list[int]]:
     if letter == "A":
@@ -181,6 +187,10 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def check_rank(self, rank: int):
+        if rank > MAX_RANK:
+            self.error(f"lattice rank {rank} exceeds the limit of {MAX_RANK}")
+
     def expect(self, c: str):
         if self.peek() != c:
             self.error(f"expected {c!r}")
@@ -198,14 +208,19 @@ class _Parser:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # beyond the interpreter's digit limit
+            self.error("integer has too many digits")
         return -value if neg else value
 
     def expr(self) -> Lattice:
         out = self.term()
         while self.peek() == "+":
             self.pos += 1
-            out = out.direct_sum(self.term())
+            term = self.term()
+            self.check_rank(out.rank + term.rank)
+            out = out.direct_sum(term)
         return out
 
     def term(self) -> Lattice:
@@ -216,6 +231,7 @@ class _Parser:
             if self.peek() == "*":
                 self.pos += 1
             base = self.factor()
+            self.check_rank(count * base.rank)
             out = base
             for _ in range(count - 1):
                 out = out.direct_sum(base)
@@ -240,7 +256,9 @@ class _Parser:
             return Lattice.from_rows([[0, 1], [1, 0]])
         if c and c in "ADE":
             self.pos += 1
-            return Lattice.from_rows(_root_gram(c, self.integer(signed=False)))
+            index = self.integer(signed=False)
+            self.check_rank(index)
+            return Lattice.from_rows(_root_gram(c, index))
         if c == "[":
             self.pos += 1
             entries = [self.integer(signed=True)]
@@ -267,7 +285,8 @@ class _Parser:
 def build_lattice(spec: str) -> Lattice:
     """Parse the lattice notation: root series A/D/E, the hyperbolic plane U,
     [a,b,c] and [n] bracket forms, postfix (n) rescaling, k* repetition, and
-    + for direct sums.  Whitespace-insensitive."""
+    + for direct sums.  Whitespace-insensitive.  An expression of rank above
+    `MAX_RANK` is an `InputError`."""
     parser = _Parser(spec)
     out = parser.expr()
     if parser.peek() != "":

@@ -77,6 +77,33 @@ class TestLatticeCommand:
         assert code == EXIT_INPUT
         assert "position 0: expected a lattice atom" in err
 
+    @pytest.mark.parametrize("expr", ["A1000", "500U", "100U"])
+    def test_rank_above_the_limit_fails_before_matrix_work(self, expr):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lines.cli", "lattice", expr],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "exceeds the limit of 64" in proc.stderr
+
+    def test_rank_limit_counts_every_summand(self, capsys):
+        code, _, err = run(capsys, "lattice", "+".join(["U"] * 33))
+        assert code == EXIT_INPUT
+        assert "lattice rank 66 exceeds the limit of 64" in err
+        code, out, _ = run(capsys, "lattice", "+".join(["U"] * 32), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["rank"] == 64
+
+    def test_overlong_integer_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "lattice", "A" + "9" * 5000)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "integer has too many digits" in err
+
     def test_human_output_mentions_milgram(self, capsys):
         code, out, _ = run(capsys, "lattice", "[8,4,8]")
         assert code == EXIT_OK

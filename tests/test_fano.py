@@ -11,10 +11,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lines import fano
+from k3lines.configio import read_configuration
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import (
     Analysis,
@@ -50,25 +54,28 @@ def empty_graph(n: int) -> Multigraph:
     return Multigraph(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
 
 
-def two_prisms() -> Multigraph:
-    pr = catalog_graph("prism")
-    mult = [[0] * 12 for _ in range(12)]
-    for i in range(6):
-        for j in range(6):
-            mult[i][j] = pr.mult[i][j]
-            mult[6 + i][6 + j] = pr.mult[i][j]
+def disjoint_union(*graphs: Multigraph, extra=()) -> Multigraph:
+    """The graphs side by side, then the (i, j, multiplicity) edges of
+    `extra` on the combined labels."""
+    n = sum(g.n for g in graphs)
+    mult = [[0] * n for _ in range(n)]
+    offset = 0
+    for g in graphs:
+        for i in range(g.n):
+            for j in range(g.n):
+                mult[offset + i][offset + j] = g.mult[i][j]
+        offset += g.n
+    for i, j, m in extra:
+        mult[i][j] = mult[j][i] = m
     return Multigraph(tuple(tuple(row) for row in mult))
+
+
+def two_prisms() -> Multigraph:
+    return disjoint_union(catalog_graph("prism"), catalog_graph("prism"))
 
 
 def prism_plus_k33() -> Multigraph:
-    pr = catalog_graph("prism")
-    k = catalog_graph("K33")
-    mult = [[0] * 12 for _ in range(12)]
-    for i in range(6):
-        for j in range(6):
-            mult[i][j] = pr.mult[i][j]
-            mult[6 + i][6 + j] = k.mult[i][j]
-    return Multigraph(tuple(tuple(row) for row in mult))
+    return disjoint_union(catalog_graph("prism"), catalog_graph("K33"))
 
 
 def random_configuration(rng: random.Random) -> LineConfiguration:
@@ -98,6 +105,24 @@ def brute_force_fragments(cfg: LineConfiguration) -> list[tuple[int, ...]]:
         if ok:
             out.append(subset)
     return out
+
+
+def all_elements_involution_classes(sigmas) -> list[tuple[int, ...]]:
+    """Least representatives of the involution classes, in increasing
+    order, by conjugating each involution with every group element."""
+    elems = list(sigmas)
+    ident = tuple(range(len(elems[0])))
+    invs = [g for g in elems if compose_perm(g, g) == ident]
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for g in sorted(invs):
+        if g in seen:
+            continue
+        seen |= {
+            compose_perm(compose_perm(a, g), invert_perm(a)) for a in elems
+        }
+        reps.append(g)
+    return reps
 
 
 def in_integer_span(rows, vec) -> bool:
@@ -317,6 +342,112 @@ class TestFragmentEnumeration:
                 sub = cfg.graph.induced(fr.vertices)
                 assert fr.type_label == classify_fragment(sub)
 
+    # Fragments with several components: the search starts each component
+    # at its lowest vertex, so relabelings interleave the components.
+    MULTI_COMPONENT = {
+        "five tritangent pairs": disjoint_union(
+            *[catalog_graph("tritangent-pair")] * 5
+        ),
+        "K4 and three tritangent pairs": disjoint_union(
+            catalog_graph("K4"), *[catalog_graph("tritangent-pair")] * 3
+        ),
+        # three K4 on 0-3, 4-7, 8-11 with one edge between the last two;
+        # lines 12 and 13 meet one vertex of every K4
+        "three K4 with cross edges": disjoint_union(
+            *[catalog_graph("K4")] * 3,
+            empty_graph(2),
+            extra=[(5, 9, 1)] + [(12, v, 1) for v in (0, 4, 8)]
+            + [(13, v, 1) for v in (1, 6, 11)],
+        ),
+        # two K4 on 0-3 and 4-7; lines 8-11 close up to a 3-regular piece
+        # only through two more edges into the first K4
+        "two K4 and a cap on one": disjoint_union(
+            *[catalog_graph("K4")] * 2,
+            empty_graph(4),
+            extra=[(8, 9, 1), (9, 10, 1), (9, 11, 1), (10, 11, 2),
+                   (0, 8, 1), (1, 8, 1)],
+        ),
+        "prism, K4 and a tritangent pair": disjoint_union(
+            catalog_graph("prism"),
+            catalog_graph("K4"),
+            catalog_graph("tritangent-pair"),
+            extra=[(0, 6, 1)],
+        ),
+    }
+
+    def test_multi_component_fragments_match_brute_force(self):
+        rng = random.Random(8)
+        counts = {}
+        for name, graph in self.MULTI_COMPONENT.items():
+            for trial in range(6):
+                perm = list(range(graph.n))
+                if trial:
+                    rng.shuffle(perm)
+                cfg = LineConfiguration(8, graph.relabel(perm))
+                got = [f.vertices for f in enumerate_fragments(cfg)]
+                assert got == brute_force_fragments(cfg), (name, trial)
+                counts[name] = len(got)
+        assert counts == {
+            "five tritangent pairs": 5,
+            "K4 and three tritangent pairs": 3,
+            "three K4 with cross edges": 2,
+            "two K4 and a cap on one": 1,
+            "prism, K4 and a tritangent pair": 1,
+        }
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.sampled_from((0, 0, 0, 1, 1, 2, 3)),
+                    min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2,
+                ),
+            )
+        ),
+        st.sampled_from((2, 4, 6, 8)),
+    )
+    def test_property_matches_brute_force(self, graph_data, degree):
+        n, flat = graph_data
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graph = Multigraph.from_edges(
+            n, [(i, j, m) for (i, j), m in zip(pairs, flat) if m]
+        )
+        cfg = LineConfiguration(degree, graph)
+        got = [f.vertices for f in enumerate_fragments(cfg)]
+        assert got == brute_force_fragments(cfg)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(("tritangent-pair", "K4", "prism", "K33")),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda names: sum(catalog_graph(x).n for x in names) <= 14),
+        st.lists(
+            st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=3
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from((4, 6, 8)),
+    )
+    def test_property_unions_of_fragments_match_brute_force(
+        self, names, extra, rng, degree
+    ):
+        graph = disjoint_union(*map(catalog_graph, names))
+        extra = {
+            (min(i, j), max(i, j), 1)
+            for i, j in extra
+            if i != j and max(i, j) < graph.n and not graph.mult[i][j]
+        }
+        graph = disjoint_union(graph, extra=sorted(extra))
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        cfg = LineConfiguration(degree, graph.relabel(perm))
+        got = [f.vertices for f in enumerate_fragments(cfg)]
+        assert got == brute_force_fragments(cfg)
+
 
 class TestClassifyFragment:
     def test_rejects_non_regular(self):
@@ -417,6 +548,44 @@ class TestPolarizedStabilizer:
             if fwd and back:
                 expected.add(perm)
         assert set(stab.sigmas) == expected
+
+    def test_involution_classes_match_all_elements_conjugation(self):
+        # S7, kernel-free, so the orbits run under the chain generators
+        stab = polarized_stabilizer(LineConfiguration(2, empty_graph(7)))
+        assert stab.sigmas is None and stab.order == 2 * 5040
+        reps = fano._involution_classes_of(stab)
+        # identity and one, two and three disjoint transpositions
+        assert len(reps) == 4
+        assert reps == all_elements_involution_classes(
+            stab.sigma_elements()
+        )
+
+    def test_involution_classes_under_greedy_generators(self):
+        # explicit stabilizers: the glued K33, and the lines 0-3 of an
+        # edgeless graph tied together by a half-sum
+        half = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 3)
+        for cfg in (
+            read_configuration(
+                Path(__file__).parent.parent / "corpus" / "k33_glued.json"
+            ),
+            LineConfiguration(2, empty_graph(6), kernel=(half,)),
+        ):
+            stab = polarized_stabilizer(cfg)
+            assert stab.sigmas is not None
+            gens = stab.generators
+            assert 2 ** len(gens) <= len(stab.sigmas)
+            closure = {tuple(range(cfg.graph.n))}
+            frontier = list(closure)
+            for x in frontier:
+                for g in gens:
+                    y = compose_perm(x, g)
+                    if y not in closure:
+                        closure.add(y)
+                        frontier.append(y)
+            assert closure == set(stab.sigmas)
+            assert fano._involution_classes_of(
+                stab
+            ) == all_elements_involution_classes(stab.sigmas)
 
     def test_enumeration_cap_is_honest(self):
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
