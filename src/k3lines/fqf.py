@@ -14,7 +14,8 @@ an ascending divisor chain d1 | d2 | ...; quadratic values are reduced to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,43 +24,99 @@ from .intmat import integral_kernel, inverse_unimodular, smith_decompose
 
 ELEMENT_CAP = 10_000
 GAUSS_SUM_CAP = 300_000
+TRIAL_DIVISION_LIMIT = 10**6
+_MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
 
 
 def prime_power_factors(n: int) -> list[tuple[int, int]]:
     """(p, p**a) for every prime p dividing n, with p**a the exact power of
-    p in n, by increasing p.  Trial division; empty for n < 2."""
+    p in n, by increasing p; empty for n < 2.
+
+    Trial division stops at TRIAL_DIVISION_LIMIT.  A cofactor left above it
+    is accepted only when provably prime (deterministic Miller-Rabin);
+    otherwise the factorisation raises CapExceeded."""
     out = []
+    m = n
     p = 2
-    while p * p <= n:
-        if n % p == 0:
+    while p * p <= m:
+        if p > TRIAL_DIVISION_LIMIT:
+            if not _is_prime_above_trial_limit(m):
+                raise CapExceeded(
+                    f"factoring a {n.bit_length()}-bit number: a "
+                    f"{m.bit_length()}-bit cofactor has no prime factor up "
+                    f"to {TRIAL_DIVISION_LIMIT} and is not provably prime"
+                )
+            break
+        if m % p == 0:
             power = 1
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 power *= p
             out.append((p, power))
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, n))
+    if m > 1:
+        out.append((m, m))
     return out
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return Fraction(x) % 2
+def _is_prime_above_trial_limit(m: int) -> bool:
+    # Miller-Rabin with the primes up to 41 as bases is exact below
+    # _MILLER_RABIN_EXACT (Sorenson and Webster, Math. Comp. 86, 2017); m
+    # has no factor up to TRIAL_DIVISION_LIMIT, so it is odd and above 41.
+    if m >= _MILLER_RABIN_EXACT:
+        return False
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (m - 1) >> s, m)
+        if x != 1 and all(pow(x, 1 << r, m) != m - 1 for r in range(s)):
+            return False
+    return True
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return Fraction(x) % 1
+def _scaled(x: Fraction, n: int) -> int:
+    """x * n, for an n that x's denominator divides."""
+    return x.numerator * (n // x.denominator)
+
+
+def _basis(k: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
+
+def _q_scaled(qs, bs, c) -> int:
+    """n * q(c), unreduced, for a form given by n * q on generators (`qs`)
+    and n * b between them (`bs`)."""
+    total = 0
+    k = len(c)
+    for i, ci in enumerate(c):
+        if ci:
+            row = bs[i]
+            cross = sum(row[j] * c[j] for j in range(i + 1, k) if c[j])
+            total += ci * (ci * qs[i] + 2 * cross)
+    return total
+
+
+def _b_scaled(bs, x, y) -> int:
+    """n * b(x, y), unreduced, for n * b between generators given by `bs`."""
+    return sum(xi * sum(map(operator.mul, bs[i], y)) for i, xi in enumerate(x) if xi)
 
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     """Invariant factors with quadratic values on generators and their
     pairing matrix.  Build instances through `finite_quadratic_form`, which
-    normalizes arbitrary independent generators into this shape."""
+    normalizes arbitrary independent generators into this shape.
+
+    The arithmetic runs on integers: with n the exponent, `_q` holds
+    n * q on the generators mod 2n and `_b` holds n * b between them mod n.
+    Both are derived from the Fraction fields, so they take no part in
+    equality, hashing or repr."""
 
     orders: tuple[int, ...]
     qvalues: tuple[Fraction, ...]
     pairing: tuple[tuple[Fraction, ...], ...]
+    _n: int = field(init=False, compare=False, repr=False)
+    _q: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _b: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         k = len(self.orders)
@@ -79,7 +136,7 @@ class FiniteQuadraticForm:
                     raise ValueError("odd-order generator with invalid square")
             elif (q * d * d) % 2 != 0:
                 raise ValueError("generator square incompatible with its order")
-            if _mod1(q) != self.pairing[i][i]:
+            if q % 1 != self.pairing[i][i]:
                 raise ValueError("pairing diagonal must equal the square mod 1")
             for j in range(k):
                 bij = self.pairing[i][j]
@@ -89,6 +146,13 @@ class FiniteQuadraticForm:
                     raise ValueError("pairing must be symmetric")
                 if (bij * d) % 1 != 0:
                     raise ValueError("pairing denominator must divide the order")
+        # Every denominator divides its generator's order, hence n.
+        n = self.exponent()
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_q", tuple(_scaled(q, n) for q in self.qvalues))
+        object.__setattr__(self, "_b", tuple(
+            tuple(_scaled(x, n) for x in row) for row in self.pairing
+        ))
 
     # -- basic queries ---------------------------------------------------
 
@@ -108,24 +172,20 @@ class FiniteQuadraticForm:
         return self.orders[-1] if self.orders else 1
 
     def q_of(self, coords) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            ci = coords[i]
-            if ci:
-                total += ci * ci * self.qvalues[i]
-                for j in range(i + 1, k):
-                    if coords[j]:
-                        total += 2 * ci * coords[j] * self.pairing[i][j]
-        return _mod2(total)
+        return Fraction(self._qn(coords), self._n)
 
     def b_of(self, x, y) -> Fraction:
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.pairing[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return _mod1(total)
+        return Fraction(_b_scaled(self._b, x, y) % self._n, self._n)
+
+    def _qn(self, coords) -> int:
+        """n * q(coords), reduced mod 2n."""
+        return _q_scaled(self._q, self._b, coords) % (2 * self._n)
+
+    def _dual(self, y) -> tuple[int, ...]:
+        """n * b(e_i, y) mod n for every generator e_i, so that n * b(x, y)
+        is the dot product of x with it."""
+        n = self._n
+        return tuple(sum(map(operator.mul, row, y)) % n for row in self._b)
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.orders))
@@ -154,23 +214,18 @@ class FiniteQuadraticForm:
     # -- constructions ---------------------------------------------------
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        k1, k2 = self.rank(), other.rank()
-        orders = self.orders + other.orders
-        qvals = self.qvalues + other.qvalues
-        pair = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                pair[i][j] = self.pairing[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                pair[k1 + i][k1 + j] = other.pairing[i][j]
-        return finite_quadratic_form(orders, qvals, pair)
+        zeros1, zeros2 = (0,) * self.rank(), (0,) * other.rank()
+        pair = [row + zeros2 for row in self.pairing]
+        pair += [zeros1 + row for row in other.pairing]
+        return finite_quadratic_form(
+            self.orders + other.orders, self.qvalues + other.qvalues, pair
+        )
 
     def negated(self) -> "FiniteQuadraticForm":
         return finite_quadratic_form(
             self.orders,
-            [_mod2(-q) for q in self.qvalues],
-            [[_mod1(-x) for x in row] for row in self.pairing],
+            [-q % 2 for q in self.qvalues],
+            [[-x % 1 for x in row] for row in self.pairing],
         )
 
     def p_part(self, p: int) -> "FiniteQuadraticForm":
@@ -194,67 +249,57 @@ def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
     """Normalize independent generators (arbitrary orders) into the divisor
     chain presentation.  Generators of order 1 are dropped; the rest are split
     into primary components and recombined so the orders form a chain."""
-    gens = [
-        (int(d), _mod2(Fraction(q)))
-        for d, q in zip(orders, qvalues)
-    ]
-    k = len(gens)
-    pair = [[_mod1(Fraction(pairing[i][j])) for j in range(k)] for i in range(k)]
+    orders = [int(d) for d in orders]
+    k = len(orders)
+    qvalues = [Fraction(q) for q in qvalues]
+    pairing = [[Fraction(pairing[i][j]) for j in range(k)] for i in range(k)]
+    # Exact integer arithmetic over a common multiple n of every order and
+    # denominator: n * q mod 2n and n * b mod n.
+    n = lcm(
+        *(d for d in orders if d > 0),
+        *(x.denominator for x in qvalues),
+        *(x.denominator for row in pairing for x in row),
+    )
+    qs = [_scaled(q, n) % (2 * n) for q in qvalues]
+    bs = [[_scaled(x, n) % n for x in row] for row in pairing]
     for i in range(k):
-        if _mod1(gens[i][1]) != pair[i][i]:
+        if qs[i] % n != bs[i][i]:
             raise ValueError("pairing diagonal must equal the square mod 1")
         for j in range(k):
-            if pair[i][j] != pair[j][i]:
+            if bs[i][j] != bs[j][i]:
                 raise ValueError("pairing must be symmetric")
 
-    def q_combo(coeffs) -> Fraction:
-        total = Fraction(0)
-        for i in range(k):
-            ci = coeffs[i]
-            if ci:
-                total += ci * ci * gens[i][1]
-                for j in range(i + 1, k):
-                    if coeffs[j]:
-                        total += 2 * ci * coeffs[j] * pair[i][j]
-        return _mod2(total)
+    new_gens = _chain(list(zip(orders, _basis(k))))
+    new_orders = tuple(d for d, _ in new_gens)
+    new_q = tuple(Fraction(_q_scaled(qs, bs, c) % (2 * n), n) for _, c in new_gens)
+    new_pair = tuple(
+        tuple(Fraction(_b_scaled(bs, c1, c2) % n, n) for _, c2 in new_gens)
+        for _, c1 in new_gens
+    )
+    return FiniteQuadraticForm(new_orders, new_q, new_pair)
 
-    def b_combo(c1, c2) -> Fraction:
-        total = Fraction(0)
-        for i in range(k):
-            if c1[i]:
-                total += c1[i] * sum(pair[i][j] * c2[j] for j in range(k) if c2[j])
-        return _mod1(total)
 
-    # Split every generator into primary components, one coefficient vector
-    # per prime power.
+def _chain(gens) -> list[tuple[int, list[int]]]:
+    """Split independent generators, given as (order, coefficient vector),
+    into primary components and recombine them slot by slot, so that the
+    orders of the resulting (order, vector) pairs form a divisor chain."""
     primary: dict[int, list[tuple[int, list[int]]]] = {}
-    for i, (d, _) in enumerate(gens):
+    for d, vec in gens:
         for p, power in prime_power_factors(d):
-            coeff = [0] * k
-            coeff[i] = d // power
-            primary.setdefault(p, []).append((power, coeff))
-
-    for p in primary:
-        primary[p].sort(key=lambda t: t[0])
-    depth = max((len(v) for v in primary.values()), default=0)
-    new_gens: list[tuple[int, list[int]]] = []
+            primary.setdefault(p, []).append((power, [d // power * c for c in vec]))
+    for comps in primary.values():
+        comps.sort(key=lambda t: t[0])
+    depth = max(map(len, primary.values()), default=0)
+    out = []
     for slot in range(depth):
-        order = 1
-        coeff = [0] * k
-        for p, comps in primary.items():
+        order, vec = 1, [0] * len(gens[0][1])
+        for comps in primary.values():
             at = slot - (depth - len(comps))
             if at >= 0:
                 order *= comps[at][0]
-                for idx in range(k):
-                    coeff[idx] += comps[at][1][idx]
-        new_gens.append((order, coeff))
-
-    new_orders = tuple(d for d, _ in new_gens)
-    new_q = tuple(q_combo(c) for _, c in new_gens)
-    new_pair = tuple(
-        tuple(b_combo(c1, c2) for _, c2 in new_gens) for _, c1 in new_gens
-    )
-    return FiniteQuadraticForm(new_orders, new_q, new_pair)
+                vec = [a + b for a, b in zip(vec, comps[at][1])]
+        out.append((order, vec))
+    return out
 
 
 # -- coordinate solving ----------------------------------------------------
@@ -343,34 +388,10 @@ def _presentation(form: FiniteQuadraticForm, gens, killed):
     # The normalization inside finite_quadratic_form recombines primary
     # parts; rebuild the matching coordinate representatives.
     if sub.orders != tuple(orders):
-        basis = _match_basis(form, basis, orders, sub)
+        basis = [form.reduce(v) for _, v in _chain(list(zip(orders, basis)))]
+        if tuple(form.order_of(c) for c in basis) != sub.orders:
+            raise ValueError("subgroup basis reconstruction failed")
     return sub, basis
-
-
-def _match_basis(form, basis, orders, sub):
-    # Mirror the primary-splitting recombination on explicit coordinates.
-    primary: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for d, coords in zip(orders, basis):
-        for p, power in prime_power_factors(d):
-            cof = d // power
-            primary.setdefault(p, []).append(
-                (power, form.reduce([cof * c for c in coords]))
-            )
-    for p in primary:
-        primary[p].sort(key=lambda t: t[0])
-    depth = max((len(v) for v in primary.values()), default=0)
-    out = []
-    for slot in range(depth):
-        combo = [0] * form.rank()
-        for p, comps in primary.items():
-            at = slot - (depth - len(comps))
-            if at >= 0:
-                for idx in range(form.rank()):
-                    combo[idx] += comps[at][1][idx]
-        out.append(form.reduce(combo))
-    if tuple(form.order_of(c) for c in out) != sub.orders:
-        raise ValueError("subgroup basis reconstruction failed")
-    return out
 
 
 def orthogonal_subgroup(form: FiniteQuadraticForm, gens) -> list[tuple[int, ...]]:
@@ -380,15 +401,12 @@ def orthogonal_subgroup(form: FiniteQuadraticForm, gens) -> list[tuple[int, ...]
         return []
     gens = [form.reduce(g) for g in gens]
     if not gens:
-        return [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    den = 1
-    rows = []
-    for g in gens:
-        row = [form.b_of(tuple(1 if i == t else 0 for i in range(k)), g) for t in range(k)]
-        for x in row:
-            den = lcm(den, x.denominator)
-        rows.append(row)
-    introws = [[int(x * den) for x in row] for row in rows]
+        return _basis(k)
+    # n * b(e_t, g) over the least common denominator of the b(e_t, g).
+    n = form._n
+    rows = [form._dual(g) for g in gens]
+    den = lcm(*(n // gcd(n, x) for row in rows for x in row))
+    introws = [[x * den // n for x in row] for row in rows]
     m = len(introws)
     stacked = [introws[i] + [den if t == i else 0 for t in range(m)] for i in range(m)]
     sols = [vec[:k] for vec in integral_kernel(stacked)]
@@ -486,8 +504,7 @@ def _brown_odd(part: FiniteQuadraticForm, p: int, amax: int, kexp: int) -> int:
 
     hist: dict[int, int] = {}
     for el in part.elements(cap=GAUSS_SUM_CAP):
-        q = part.q_of(el)
-        t = int(q * modulus / 2) % modulus
+        t = part._qn(el) // 2  # the exponent is `modulus`, so q = 2t / modulus
         hist[t] = hist.get(t, 0) + 1
     target = reduce_poly(hist)
 
@@ -533,8 +550,7 @@ def _brown_two(part: FiniteQuadraticForm, amax: int, kexp: int) -> int:
     hist: dict[int, int] = {}
     unit = qq // 2 ** (amax + 1)
     for el in part.elements(cap=GAUSS_SUM_CAP):
-        s = int(part.q_of(el) * 2**amax)
-        e = (s * unit) % qq
+        e = (part._qn(el) * unit) % qq  # the exponent is 2**amax
         hist[e] = hist.get(e, 0) + 1
     target = reduce_poly(hist)
 
@@ -609,9 +625,7 @@ class FqfIsometry:
 
 
 def identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
-    k = form.rank()
-    cols = tuple(tuple(1 if i == j else 0 for i in range(k)) for j in range(k))
-    return FqfIsometry(form, form, cols, anti=False)
+    return FqfIsometry(form, form, tuple(_basis(form.rank())), anti=False)
 
 
 def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
@@ -632,66 +646,56 @@ def fqf_isometries(
     """All isometries (anti=False) or anti-isometries (anti=True) from
     source to target, sorted canonically.  Enumerates the target group, so
     its order is capped."""
-    if source.order() != target.order():
+    if source.order() != target.order() or source.exponent() != target.exponent():
         return []
     if source.is_trivial():
         return [FqfIsometry(source, target, (), anti=anti)]
-    elements = list(target.elements(cap=cap))
-    info = [(target.order_of(el), target.q_of(el)) for el in elements]
-    buckets: dict[tuple[int, Fraction], list[int]] = {}
-    for idx, key in enumerate(info):
-        buckets.setdefault(key, []).append(idx)
+    # Both forms are scaled by the same n, so every test is on integers.
+    n = target._n
+    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for el in target.elements(cap=cap):
+        buckets.setdefault((target.order_of(el), target._qn(el)), []).append(el)
 
     k = source.rank()
     sign = -1 if anti else 1
-    order_by = sorted(
-        range(k), key=lambda i: (-source.orders[i], source.qvalues[i])
-    )
-    want_q = [_mod2(sign * source.qvalues[i]) for i in range(k)]
-    want_b = [
-        [_mod1(sign * source.pairing[i][j]) for j in range(k)] for i in range(k)
-    ]
+    order_by = sorted(range(k), key=lambda i: (-source.orders[i], source._q[i]))
+    want_q = [sign * q % (2 * n) for q in source._q]
+    want_b = [[sign * x % n for x in row] for row in source._b]
+    # A pairing-preserving map out of a nondegenerate form is injective, so
+    # with equal orders every leaf is onto; only a degenerate source needs
+    # the Smith-form check.
+    check_onto = not _nondegenerate(source)
 
     results: list[tuple[tuple[int, ...], ...]] = []
-    chosen: dict[int, int] = {}
-
-    def full_image(cols: dict[int, int]) -> bool:
-        mat = [
-            [elements[cols[j]][i] for j in range(k)]
-            + [target.orders[i] if t == i else 0 for t in range(target.rank())]
-            for i in range(target.rank())
-        ]
-        s, _, _ = smith_decompose(mat)
-        n = min(len(s), len(s[0]) if s else 0)
-        prod = 1
-        for i in range(n):
-            prod *= s[i][i]
-        return prod == 1
+    images: list = [None] * k
+    duals: list[tuple[int, tuple[int, ...]]] = []  # (j, dual of images[j])
 
     def extend(depth: int):
         if depth == k:
-            if full_image(chosen):
-                results.append(
-                    tuple(elements[chosen[j]] for j in range(k))
-                )
+            if not check_onto or all(
+                subgroup_membership(target, images, e) for e in _basis(k)
+            ):
+                results.append(tuple(images))
             return
         i = order_by[depth]
-        for idx in buckets.get((source.orders[i], want_q[i]), []):
-            el = elements[idx]
-            ok = True
-            for jdepth in range(depth):
-                j = order_by[jdepth]
-                if target.b_of(el, elements[chosen[j]]) != want_b[i][j]:
-                    ok = False
-                    break
-            if ok:
-                chosen[i] = idx
-                extend(depth + 1)
-                del chosen[i]
+        found = buckets.get((source.orders[i], want_q[i]), [])
+        for j, dual in duals:  # n * b(el, images[j]) is a dot product
+            w = want_b[i][j]
+            found = [el for el in found if sum(map(operator.mul, el, dual)) % n == w]
+        for el in found:
+            images[i] = el
+            duals.append((i, target._dual(el)))
+            extend(depth + 1)
+            duals.pop()
 
     extend(0)
     results.sort()
     return [FqfIsometry(source, target, cols, anti=anti) for cols in results]
+
+
+def _nondegenerate(form: FiniteQuadraticForm) -> bool:
+    radical = orthogonal_subgroup(form, _basis(form.rank()))
+    return all(form.order_of(v) == 1 for v in radical)
 
 
 _AUT_CACHE: dict[FiniteQuadraticForm, list[FqfIsometry]] = {}
@@ -701,16 +705,6 @@ def automorphism_group(form: FiniteQuadraticForm, cap: int = ELEMENT_CAP):
     if form not in _AUT_CACHE:
         _AUT_CACHE[form] = fqf_isometries(form, form, anti=False, cap=cap)
     return _AUT_CACHE[form]
-
-
-def _power_inverse(g: FqfIsometry) -> FqfIsometry:
-    ident = identity_isometry(g.source)
-    prev = ident
-    cur = g
-    while not cur.is_identity():
-        prev = cur
-        cur = g.compose(cur)
-    return prev if not g.is_identity() else ident
 
 
 @dataclass(frozen=True)
@@ -727,24 +721,65 @@ def involution_classes(
     form: FiniteQuadraticForm, cap: int = ELEMENT_CAP
 ) -> list[InvolutionClass]:
     """Conjugacy classes of self-inverse automorphisms, the identity and the
-    negation map included.  Sorted by (class size, representative)."""
-    group = automorphism_group(form, cap=cap)
-    involutions = [g for g in group if g.compose(g).is_identity()]
-    inverses = [_power_inverse(g) for g in group]
+    negation map included.  Sorted by (class size, representative).
+
+    Each class is the conjugation orbit of its least involution under a
+    generating set of the group (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.1), so a class costs
+    |class| x |generators| conjugations, not |group|."""
+    group = [g.columns for g in automorphism_group(form, cap=cap)]
+    orders = form.orders
+
+    def mul(a, b):  # a after b, both given by columns
+        rows = tuple(zip(*a))
+        return tuple(
+            tuple(sum(map(operator.mul, row, col)) % d for row, d in zip(rows, orders))
+            for col in b
+        )
+
+    ident = identity_isometry(form).columns
+    gens = [
+        (a, FqfIsometry(form, form, a).inverse().columns)
+        for a in _generators(group, mul, ident)
+    ]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     classes = []
-    for s in involutions:
-        if s.columns in seen:
+    for s in group:  # sorted, so s is the least member of its class
+        if s in seen or mul(s, s) != ident:
             continue
-        orbit = set()
-        for g, ginv in zip(group, inverses):
-            orbit.add(g.compose(s).compose(ginv).columns)
-        seen |= orbit
-        rep_cols = min(orbit)
-        rep = FqfIsometry(form, form, rep_cols, anti=False)
+        seen.add(s)
+        orbit = [s]
+        for x in orbit:
+            for a, a_inv in gens:
+                y = mul(a, mul(x, a_inv))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        rep = FqfIsometry(form, form, s, anti=False)
         classes.append(InvolutionClass(rep, len(orbit), frozenset(orbit)))
     classes.sort(key=lambda c: (c.size, c.representative.columns))
     return classes
+
+
+def _generators(group, mul, ident) -> list:
+    """Elements of `group` that generate it, each picked in list order when
+    it lies outside the subgroup the earlier picks generate.  That subgroup
+    is grown coset by coset (Dimino's algorithm), so building it costs
+    about |group| products."""
+    span, inside, gens = [ident], {ident}, []
+    for g in group:
+        if g in inside:
+            continue
+        gens.append(g)
+        sub, reps = list(span), [g]
+        for r in reps:
+            if r in inside:
+                continue
+            coset = [mul(h, r) for h in sub]
+            span += coset
+            inside.update(coset)
+            reps += [mul(r, a) for a in gens]
+    return gens
 
 
 # -- local determinant square classes ----------------------------------------
@@ -797,13 +832,12 @@ def odd_p_det_class(part: FiniteQuadraticForm, p: int) -> int:
     while not form.is_trivial():
         k = form.rank()
         dmax = form.exponent()
-        pick = None
+        g = None
         for i in range(k - 1, -1, -1):
             if form.orders[i] == dmax and form.qvalues[i].denominator == dmax:
-                pick = [0] * k
-                pick[i] = 1
+                g, skip = _basis(k)[i], (i,)
                 break
-        if pick is None:
+        if g is None:
             # No generator of maximal order has a unit square; adding another
             # maximal-order generator with unit pairing fixes that.
             fixed = None
@@ -818,33 +852,36 @@ def odd_p_det_class(part: FiniteQuadraticForm, p: int) -> int:
                     break
             if fixed is None:
                 raise ValueError("degenerate p-part: no unit block found")
-            i, j = fixed
-            pick = [0] * k
-            pick[i] = 1
-            pick[j] = 1
-        g = tuple(pick)
+            g, skip = tuple(int(s in fixed) for s in range(k)), ()
         qg = form.q_of(g)
         if qg.denominator != dmax:
             raise ValueError("degenerate p-part: no unit block found")
-        twob = int(qg * dmax)
-        det *= twob * dmax
-        u = int(_mod1(qg) * dmax) % dmax
-        uinv = pow(u, -1, dmax)
-        rest = []
-        for t in range(k):
-            if tuple(1 if s == t else 0 for s in range(k)) == g:
-                continue
-            e = [1 if s == t else 0 for s in range(k)]
-            c = (int(form.b_of(tuple(e), g) * dmax) * uinv) % dmax
-            proj = [e[s] - c * g[s] for s in range(k)]
-            rest.append(form.reduce(proj))
-        form = subgroup_form(form, rest)[0]
+        det *= int(qg * dmax) * dmax
+        form = _complement(form, [g], skip)
     return det
 
 
-def _unit_times_power(n: int, p: int) -> tuple[int, int]:
-    v = _pval(abs(n), p)
-    return v, n // p**v
+def _complement(form: FiniteQuadraticForm, block, skip) -> FiniteQuadraticForm:
+    """The form on the orthogonal complement of `block`, one or two vectors
+    whose pairing matrix, scaled by the exponent n, is invertible mod n.
+    It is generated by the generators outside `skip`, each minus its
+    projection to the block."""
+    n, k = form._n, form.rank()
+    duals = [form._dual(g) for g in block]
+    gram = [[sum(map(operator.mul, d, g)) for g in block] for d in duals]
+    if len(block) == 1:
+        inv = [[pow(gram[0][0], -1, n)]]
+    else:
+        (a, b), (_, c) = gram
+        dinv = pow(a * c - b * b, -1, n)
+        inv = [[c * dinv, -b * dinv], [-b * dinv, a * dinv]]
+    rest = []
+    for t, e in enumerate(_basis(k)):
+        if t not in skip:
+            coef = [sum(x * d[t] for x, d in zip(row, duals)) for row in inv]
+            proj = [e[s] - sum(x * g[s] for x, g in zip(coef, block)) for s in range(k)]
+            rest.append(form.reduce(proj))
+    return subgroup_form(form, rest)[0]
 
 
 def two_adic_det_classes(part: FiniteQuadraticForm) -> list[int]:
@@ -870,19 +907,8 @@ def two_adic_det_classes(part: FiniteQuadraticForm) -> list[int]:
                 pick = i
                 break
         if pick is not None:
-            qg = form.qvalues[pick]
-            c = int(qg * dmax)  # odd
-            g = tuple(1 if s == pick else 0 for s in range(k))
-            u = int(_mod1(qg) * dmax) % dmax
-            rest = []
-            for t in range(k):
-                if t == pick:
-                    continue
-                e = [1 if s == t else 0 for s in range(k)]
-                coeff = (int(form.b_of(tuple(e), g) * dmax) * pow(u, -1, dmax)) % dmax
-                proj = [e[s] - coeff * g[s] for s in range(k)]
-                rest.append(form.reduce(proj))
-            nxt = subgroup_form(form, rest)[0]
+            c = int(form.qvalues[pick] * dmax)  # odd
+            nxt = _complement(form, [_basis(k)[pick]], (pick,))
             if dmax == 2:
                 branches.append((det * 2 * c, nxt))
                 branches.append((det * 2 * (c + 4), nxt))
@@ -914,32 +940,16 @@ def two_adic_det_classes(part: FiniteQuadraticForm) -> list[int]:
             if not fqf_isometries(block, skew):
                 raise ValueError("unrecognized rank-two 2-adic block")
             factor = 3 * 4**a
-        b11 = int(form.pairing[gi][gi] * dmax) % dmax
-        b22 = int(form.pairing[hj][hj] * dmax) % dmax
-        b12 = int(form.pairing[gi][hj] * dmax) % dmax
-        delta = (b11 * b22 - b12 * b12) % dmax
-        dinv = pow(delta, -1, dmax)
-        rest = []
-        for t in range(k):
-            if t in (gi, hj):
-                continue
-            e = [1 if s == t else 0 for s in range(k)]
-            r1 = int(form.b_of(tuple(e), g) * dmax) % dmax
-            r2 = int(form.b_of(tuple(e), h) * dmax) % dmax
-            x = (dinv * (b22 * r1 - b12 * r2)) % dmax
-            y = (dinv * (b11 * r2 - b12 * r1)) % dmax
-            proj = [e[s] - x * g[s] - y * h[s] for s in range(k)]
-            rest.append(form.reduce(proj))
-        branches.append((det * factor, subgroup_form(form, rest)[0]))
+        branches.append((det * factor, _complement(form, [g, h], (gi, hj))))
     out: dict[tuple[int, int], int] = {}
     for det in finished:
-        v, u = _unit_times_power(det, 2)
-        out.setdefault((v, u % 8), det)
+        v = _pval(abs(det), 2)
+        out.setdefault((v, det // 2**v % 8), det)
     return sorted(out.values(), key=lambda n: (abs(n), n))
 
 
 def _two_block(a: int, hyperbolic: bool) -> FiniteQuadraticForm:
     d = 2**a
-    q = Fraction(0) if hyperbolic else _mod2(Fraction(2, d))
-    pair = [[_mod1(q), Fraction(1, d)], [Fraction(1, d), _mod1(q)]]
+    q = Fraction(0) if hyperbolic else Fraction(2, d) % 2
+    pair = [[q % 1, Fraction(1, d)], [Fraction(1, d), q % 1]]
     return finite_quadratic_form((d, d), (q, q), pair)

@@ -104,6 +104,27 @@ class TestLatticeCommand:
         assert out == ""
         assert "integer has too many digits" in err
 
+    def test_determinant_with_two_large_prime_factors_hits_the_cap(self):
+        # 2 x 1000000007 x 998244353: trial division alone would run for
+        # minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lines.cli", "lattice", "[1996488719975420942]"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_CAP
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: factoring a 61-bit number")
+
+    def test_determinant_with_one_large_prime_factor_is_factored(self, capsys):
+        # 2 x (2**61 - 1): the cofactor is past the trial division but
+        # proven prime, so the Gauss sum over its part is the stage that stops
+        code, out, err = run(capsys, "lattice", f"[{2 * (2**61 - 1)}]")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith(f"error: Gauss sum over {2**61 - 1} elements")
+
     def test_human_output_mentions_milgram(self, capsys):
         code, out, _ = run(capsys, "lattice", "[8,4,8]")
         assert code == EXIT_OK

@@ -1,14 +1,22 @@
 """Finite quadratic form machinery: construction, Gauss sums, isometries,
 subquotients, local determinant classes."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from k3lines import fqf
+from k3lines.configio import load_configuration
 from k3lines.errors import CapExceeded
 from k3lines.fqf import (
+    TRIAL_DIVISION_LIMIT,
     TRIVIAL_FORM,
+    FqfIsometry,
     automorphism_group,
     brown_invariant,
     ell,
@@ -19,12 +27,20 @@ from k3lines.fqf import (
     isotropic_quotient,
     odd_p_det_class,
     orthogonal_subgroup,
+    prime_power_factors,
     solve_mod,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
 )
-from k3lines.lattices import build_lattice, discriminant_data, discriminant_form
+from k3lines.lattices import (
+    Lattice,
+    build_lattice,
+    discriminant_data,
+    discriminant_form,
+)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def cyclic(d, q):
@@ -382,3 +398,239 @@ def test_gauss_sum_cap():
         big = big.direct_sum(cyclic(2, F(1, 2)))
     with pytest.raises(CapExceeded):
         brown_invariant(big)
+
+
+def test_prime_power_factors_accepts_one_large_prime_cofactor():
+    # above the limit but below its square: trial division settles it
+    p = 1_000_000_007
+    assert TRIAL_DIVISION_LIMIT < p < TRIAL_DIVISION_LIMIT**2
+    assert prime_power_factors(2 * p) == [(2, 2), (p, p)]
+    assert prime_power_factors(12 * p) == [(2, 4), (3, 3), (p, p)]
+    # above the square of the limit: Miller-Rabin proves it prime
+    mersenne = 2**61 - 1
+    assert mersenne > TRIAL_DIVISION_LIMIT**2
+    assert prime_power_factors(5 * mersenne) == [(5, 5), (mersenne, mersenne)]
+    assert prime_power_factors(1) == []
+    assert prime_power_factors(2**20 * 3**5) == [(2, 2**20), (3, 3**5)]
+
+
+def test_prime_power_factors_caps_two_large_prime_factors():
+    with pytest.raises(CapExceeded, match="factoring a 61-bit number"):
+        prime_power_factors(2 * 1_000_000_007 * 998_244_353)
+    # the square of a prime just above the limit is not provably prime
+    with pytest.raises(CapExceeded, match="factoring"):
+        prime_power_factors(1_000_003**2)
+    # a prime beyond the proven range of the Miller-Rabin bases is refused
+    with pytest.raises(CapExceeded, match="factoring a 91-bit number"):
+        prime_power_factors(3 * (2**89 - 1))
+
+
+# -- the integer path against Fraction oracles -------------------------------
+
+
+@st.composite
+def even_lattices(draw, max_rank=3):
+    """Nondegenerate even lattices from small random Gram matrices."""
+    r = draw(st.integers(1, max_rank))
+    diag = [2 * draw(st.integers(-3, 3)) for _ in range(r)]
+    off = {
+        (i, j): draw(st.integers(-2, 2)) for i in range(r) for j in range(i + 1, r)
+    }
+    gram = tuple(
+        tuple(diag[i] if i == j else off[min(i, j), max(i, j)] for j in range(r))
+        for i in range(r)
+    )
+    lat = Lattice(gram)
+    assume(lat.determinant != 0)
+    return lat
+
+
+def fraction_q(form, c):
+    """q(c) recomputed in Fractions from the stored generator values."""
+    k = form.rank()
+    total = sum(c[i] * c[i] * form.qvalues[i] for i in range(k))
+    total += 2 * sum(
+        c[i] * c[j] * form.pairing[i][j] for i in range(k) for j in range(i + 1, k)
+    )
+    return F(total) % 2
+
+
+def fraction_b(form, x, y):
+    """b(x, y) recomputed in Fractions from the stored pairing."""
+    k = form.rank()
+    total = sum(x[i] * y[j] * form.pairing[i][j] for i in range(k) for j in range(k))
+    return F(total) % 1
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(even_lattices(max_rank=4), st.randoms(use_true_random=False))
+def test_property_q_and_b_match_fraction_recomputation(lat, rng):
+    form = discriminant_form(lat)
+    for _ in range(20):
+        # unreduced coordinates exercise the reduction mod 2n and mod n
+        x = tuple(rng.randrange(-2 * d, 2 * d) for d in form.orders)
+        y = tuple(rng.randrange(-2 * d, 2 * d) for d in form.orders)
+        assert form.q_of(x) == fraction_q(form, x)
+        assert form.b_of(x, y) == fraction_b(form, x, y)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(even_lattices(max_rank=4))
+def test_property_milgram_identity(lat):
+    form = discriminant_form(lat)
+    assume(form.order() <= 5000)
+    plus, minus, _ = lat.signature
+    assert brown_invariant(form) == (plus - minus) % 8
+
+
+def brute_force_isometries(source, target, anti):
+    """Column tuples of every (anti-)isometry source -> target: each tuple of
+    generator images that kills the source orders is kept when the map it
+    defines is bijective and carries q to +q or -q on every element."""
+    sign = -1 if anti else 1
+    target_q = {y: fraction_q(target, y) for y in target.elements()}
+    source_els = list(source.elements())
+    source_q = [sign * fraction_q(source, x) % 2 for x in source_els]
+    choices = [
+        [y for y in target_q if target.reduce([d * c for c in y]) == target.zero()
+         and target_q[y] == sign * q % 2]  # cheap necessary conditions first
+        for d, q in zip(source.orders, source.qvalues)
+    ]
+    found = []
+    for images in itertools.product(*choices):
+        image = [
+            target.reduce([sum(c * y[i] for c, y in zip(x, images))
+                           for i in range(target.rank())])
+            for x in source_els
+        ]
+        if len(set(image)) == target.order() and all(
+            target_q[y] == q for y, q in zip(image, source_q)
+        ):
+            found.append(images)
+    return sorted(found)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(even_lattices(max_rank=3), st.booleans(), st.booleans())
+def test_property_isometries_match_brute_force(lat, anti, negate):
+    form = discriminant_form(lat)
+    assume(not form.is_trivial() and form.order() <= 64)
+    target = form.negated() if negate else form
+    got = [g.columns for g in fqf_isometries(form, target, anti=anti)]
+    assert got == brute_force_isometries(form, target, anti)
+    assert all(g.anti == anti for g in fqf_isometries(form, target, anti=anti))
+
+
+def test_isometries_out_of_a_degenerate_form_must_be_onto():
+    # On (Z/2)^2 with q = 0 and b = 0 every pair of nonzero images preserves
+    # the form; only the 6 invertible ones are isometries.
+    zero = finite_quadratic_form((2, 2), (0, 0), [[0, 0], [0, 0]])
+    auts = fqf_isometries(zero, zero)
+    assert len(auts) == 6
+    assert [g.columns for g in auts] == brute_force_isometries(zero, zero, False)
+
+
+def test_isometries_need_equal_exponents():
+    four = cyclic(4, F(1, 4)).direct_sum(cyclic(4, F(1, 4)))
+    two_eight = cyclic(2, F(1, 2)).direct_sum(cyclic(8, F(1, 8)))
+    assert four.order() == two_eight.order()
+    assert fqf_isometries(four, two_eight) == []
+    assert fqf_isometries(two_eight, four, anti=True) == []
+
+
+# -- involution classes against conjugation by every element ----------------
+
+
+def all_elements_involution_classes(form):
+    """(size, least member, members) of every involution class, sorted, by
+    conjugating with every automorphism and its Smith-form inverse."""
+    group = automorphism_group(form)
+    inverses = [g.inverse() for g in group]
+    seen, out = set(), []
+    for s in group:
+        if s.columns in seen or not s.compose(s).is_identity():
+            continue
+        members = frozenset(
+            g.compose(s).compose(g_inv).columns for g, g_inv in zip(group, inverses)
+        )
+        seen |= members
+        out.append((len(members), min(members), members))
+    return sorted(out, key=lambda t: t[:2])
+
+
+@pytest.mark.parametrize(
+    "spec, order", [("2U(3)", 1152), ("A2(3)", None), ("3A1", None)]
+)
+def test_involution_classes_match_all_elements_oracle(spec, order):
+    form = discriminant_form(build_lattice(spec))
+    if order is not None:
+        assert len(automorphism_group(form)) == order
+    got = [
+        (c.size, c.representative.columns, c.members) for c in involution_classes(form)
+    ]
+    assert got == all_elements_involution_classes(form)
+    # the orbits grow under greedy generators: at most log2 |Aut| of them,
+    # and they generate Aut
+    group = [g.columns for g in automorphism_group(form)]
+
+    def mul(a, b):
+        return FqfIsometry(form, form, a).compose(FqfIsometry(form, form, b)).columns
+
+    ident = identity_isometry(form).columns
+    gens = fqf._generators(group, mul, ident)
+    assert 2 ** len(gens) <= len(group)
+    span, frontier = {ident}, [ident]
+    for x in frontier:
+        for y in (mul(x, a) for a in gens):
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    assert sorted(span) == group
+
+
+# -- the integer tables stay out of identity ---------------------------------
+
+
+def test_integer_tables_do_not_leak_into_identity():
+    # Three presentations of Z/6 with q = 7/6; the last is worked over the
+    # common denominator 12 because of its order-1 generator.
+    a = finite_quadratic_form(
+        (2, 3), (F(1, 2), F(2, 3)), [[F(1, 2), 0], [0, F(2, 3)]]
+    )
+    b = finite_quadratic_form((6,), (F(7, 6),), [[F(1, 6)]])
+    c = finite_quadratic_form((6, 1), (F(7, 6), F(5, 4)), [[F(1, 6), 0], [0, F(1, 4)]])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    tables = [(f._n, f._q, f._b) for f in (a, b, c)]
+    assert tables == [(6, (7,), ((1,),))] * 3
+    group = automorphism_group(a)
+    assert b in fqf._AUT_CACHE and c in fqf._AUT_CACHE
+    assert automorphism_group(b) is group and automorphism_group(c) is group
+    assert repr(a) == (
+        "FiniteQuadraticForm(orders=(6,), qvalues=(Fraction(7, 6),), "
+        "pairing=((Fraction(1, 6),),))"
+    )
+
+
+def test_generic_discr_block_reads_the_same_through_configio():
+    # The corpus block's last generator has order 10; normalization replaces
+    # it by 7 times itself (5 + 2, its 2- and 5-parts), so 9/5 reads 1/5.
+    form = load_configuration(
+        (CORPUS / "k33_generic.json").read_text()
+    ).transcendental.form
+    assert {
+        "factors": list(form.orders),
+        "qvalues": [str(q) for q in form.qvalues],
+        "pairing": [[str(x) for x in row] for row in form.pairing],
+    } == {
+        "factors": [2, 2, 2, 10],
+        "qvalues": ["1", "1", "1", "1/5"],
+        "pairing": [
+            ["0", "1/2", "0", "0"],
+            ["1/2", "0", "0", "0"],
+            ["0", "0", "0", "1/2"],
+            ["0", "0", "1/2", "1/5"],
+        ],
+    }
+    assert (form._n, form._q) == (10, (10, 10, 10, 2))
+    assert form._b == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 2))
