@@ -31,13 +31,15 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InputError
 from .fqf import (
     FqfIsometry,
+    greedy_generators,
     isotropic_quotient,
     minus_identity_isometry,
     solve_mod,
@@ -46,16 +48,13 @@ from .fqf import (
 )
 from .intmat import (
     integral_kernel_with_complement,
-    inverse_unimodular,
     mat_mul,
     mat_vec,
     matrix_rank,
-    solve_exact,
     transpose,
 )
-from .lattices import Isometry, Lattice, discriminant_data
+from .lattices import Lattice, discriminant_data
 from .multigraph import (
-    ELEMENT_CAP,
     Multigraph,
     PermutationGroup,
     canonical_certificate,
@@ -86,13 +85,17 @@ class LineConfiguration:
     kernel entries are rational coordinate vectors of length n+1 on the basis
     (lines..., h).  Each must pair integrally with every line and with h, have
     even self-pairing, and pair integrally with the other kernel vectors, so
-    that adjoining them yields an even lattice.
+    that adjoining them yields an even lattice.  `kernel_pairings` keeps
+    those integer pairings with (lines..., h), one row per kernel vector.
     """
 
     degree: int
     graph: Multigraph
     kernel: tuple[tuple[Fraction, ...], ...] = ()
     transcendental: TranscendentalSpec | None = None
+    kernel_pairings: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.degree < 2 or self.degree % 2:
@@ -132,6 +135,9 @@ class LineConfiguration:
                     raise InputError(
                         "kernel vectors with fractional mutual pairing"
                     )
+        object.__setattr__(self, "kernel_pairings", tuple(
+            tuple(int(x) for x in pair) for pair in pairings
+        ))
 
     @property
     def line_count(self) -> int:
@@ -365,9 +371,9 @@ class PolarizedStabilizer:
     sigmas: tuple[tuple[int, ...], ...] | None
     order: int
 
-    def sigma_elements(self, cap: int | None = ELEMENT_CAP):
+    def sigma_elements(self):
         if self.sigmas is None:
-            return tuple(self.group.elements(cap))
+            return tuple(self.group.elements())
         return self.sigmas
 
     def contains(self, iso: PolarizedIsometry) -> bool:
@@ -383,19 +389,7 @@ class PolarizedStabilizer:
         if self.sigmas is None:
             return self.group.generators
         ident = tuple(range(self.group.n))
-        picks: list[tuple[int, ...]] = []
-        closure = {ident}
-        for g in self.sigmas:
-            if g in closure:
-                continue
-            picks.append(g)
-            queue = list(closure)
-            for x in queue:
-                for p in picks:
-                    y = compose_perm(x, p)
-                    if y not in closure:
-                        closure.add(y)
-                        queue.append(y)
+        picks = greedy_generators(self.sigmas, compose_perm, ident)
         return tuple(picks) or (ident,)
 
 
@@ -522,7 +516,7 @@ class Analysis:
 
     @cached_property
     def kernel_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._class_of(vec) for vec in self.cfg.kernel)
+        return tuple(self._class_of(t) for t in self.cfg.kernel_pairings)
 
     @cached_property
     def _extension(self):
@@ -566,13 +560,10 @@ class Analysis:
             )
         return r
 
-    def _class_of(self, vec) -> tuple[int, ...]:
-        pair = mat_vec(self.gram, vec)
-        t = [int(x) for x in mat_vec(self.complement, pair)]
-        if not t:
-            return ()
-        w = solve_exact(self.qlattice.gram, t)
-        return self.data.coordinates(w)
+    def _class_of(self, pairings) -> tuple[int, ...]:
+        """The class in the quotient's discriminant form of a vector whose
+        pairings with (lines..., h) are the integers `pairings`."""
+        return self.data.class_of(mat_vec(self.complement, pairings))
 
     # -- symmetries ---------------------------------------------------------
 
@@ -593,14 +584,9 @@ class Analysis:
         return PolarizedStabilizer(group, kept, 2 * len(kept))
 
     def _preserves_kernel(self, perm) -> bool:
-        m = len(self.gram)
-        full = list(perm) + [m - 1]
-        images = []
-        for vec in self.cfg.kernel:
-            permuted = [Fraction(0)] * m
-            for i in range(m):
-                permuted[full[i]] = vec[i]
-            images.append(self._class_of(permuted))
+        images = [
+            self._class_of(_moved(perm, t)) for t in self.cfg.kernel_pairings
+        ]
         form = self.data.form
         back = list(self.kernel_classes)
         return all(
@@ -611,36 +597,25 @@ class Analysis:
         )
 
     @cached_property
-    def _basis_inverse(self) -> list[list[int]]:
-        """Coordinates of the standard basis on (complement, radical)."""
-        return inverse_unimodular(transpose(self.complement + self.radical))
-
-    def quotient_action(self, perm) -> Isometry:
-        """The permutation of (lines, h fixed) descended to the quotient
-        lattice."""
-        m = len(self.gram)
-        full = list(perm) + [m - 1]
-        inv = self._basis_inverse
-        k = len(self.complement)
-        cols = []
-        for row in self.complement:
-            permuted = [0] * m
-            for i in range(m):
-                permuted[full[i]] = row[i]
-            cols.append(mat_vec(inv, permuted)[:k])
-        matrix = tuple(
-            tuple(cols[j][i] for j in range(k)) for i in range(k)
+    def _rep_pairings(self) -> tuple[tuple[int, ...], ...]:
+        """Pairings with (lines..., h) of one lift of each `reps` entry.
+        Generator i of the quotient's form lifts to C^T·V[:, i] / d_i, with
+        C the complement rows; its pairings are G·C^T·V[:, i] / d_i."""
+        lifts = self.data.generator_pairings(
+            mat_mul(self.gram, transpose(self.complement))
         )
-        return Isometry(self.qlattice, matrix)
+        return tuple(
+            tuple(sum(map(operator.mul, rep, col)) for col in zip(*lifts))
+            for rep in self.reps
+        )
 
     def candidate_action(self, perm) -> FqfIsometry:
         """Action of (perm, sign -1) on the discriminant form of N."""
-        tau_q = self.data.act(self.quotient_action(perm))
         orders = list(self.data.form.orders)
         columns = list(self.reps) + list(self.kernel_classes)
         cols = []
-        for rep in self.reps:
-            image = tau_q.apply(rep)
+        for lift in self._rep_pairings:
+            image = self._class_of(_moved(perm, lift))
             sol = solve_mod(columns, list(image), orders)
             if sol is None:
                 raise ValueError(
@@ -727,6 +702,17 @@ class Analysis:
                 tuple(notes),
             ))
         return out
+
+
+def _moved(perm, vec) -> list[int]:
+    """A vector on (lines..., h) after the line permutation `perm`: entry
+    i moves to perm[i], and the h entry stays.  A graph automorphism fixes
+    h and commutes with the Fano Gram matrix, so this also moves the
+    pairing vector of a class to that of the class's image."""
+    out = list(vec)
+    for i, p in enumerate(perm):
+        out[p] = vec[i]
+    return out
 
 
 def polarized_stabilizer(cfg: LineConfiguration) -> PolarizedStabilizer:

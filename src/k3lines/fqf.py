@@ -286,7 +286,10 @@ def _chain(gens) -> list[tuple[int, list[int]]]:
     primary: dict[int, list[tuple[int, list[int]]]] = {}
     for d, vec in gens:
         for p, power in prime_power_factors(d):
-            primary.setdefault(p, []).append((power, [d // power * c for c in vec]))
+            # the CRT idempotent: a multiple of d / power that is 1 mod
+            # power, so the parts have orders power and sum back to vec
+            e = d // power * pow(d // power, -1, power)
+            primary.setdefault(p, []).append((power, [e * c for c in vec]))
     for comps in primary.values():
         comps.sort(key=lambda t: t[0])
     depth = max(map(len, primary.values()), default=0)
@@ -641,7 +644,6 @@ def fqf_isometries(
     source: FiniteQuadraticForm,
     target: FiniteQuadraticForm,
     anti: bool = False,
-    cap: int = ELEMENT_CAP,
 ) -> list[FqfIsometry]:
     """All isometries (anti=False) or anti-isometries (anti=True) from
     source to target, sorted canonically.  Enumerates the target group, so
@@ -653,7 +655,7 @@ def fqf_isometries(
     # Both forms are scaled by the same n, so every test is on integers.
     n = target._n
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for el in target.elements(cap=cap):
+    for el in target.elements():
         buckets.setdefault((target.order_of(el), target._qn(el)), []).append(el)
 
     k = source.rank()
@@ -701,9 +703,9 @@ def _nondegenerate(form: FiniteQuadraticForm) -> bool:
 _AUT_CACHE: dict[FiniteQuadraticForm, list[FqfIsometry]] = {}
 
 
-def automorphism_group(form: FiniteQuadraticForm, cap: int = ELEMENT_CAP):
+def automorphism_group(form: FiniteQuadraticForm):
     if form not in _AUT_CACHE:
-        _AUT_CACHE[form] = fqf_isometries(form, form, anti=False, cap=cap)
+        _AUT_CACHE[form] = fqf_isometries(form, form, anti=False)
     return _AUT_CACHE[form]
 
 
@@ -717,9 +719,7 @@ class InvolutionClass:
         return g.columns in self.members
 
 
-def involution_classes(
-    form: FiniteQuadraticForm, cap: int = ELEMENT_CAP
-) -> list[InvolutionClass]:
+def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:
     """Conjugacy classes of self-inverse automorphisms, the identity and the
     negation map included.  Sorted by (class size, representative).
 
@@ -727,7 +727,7 @@ def involution_classes(
     generating set of the group (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, 2005, section 4.1), so a class costs
     |class| x |generators| conjugations, not |group|."""
-    group = [g.columns for g in automorphism_group(form, cap=cap)]
+    group = [g.columns for g in automorphism_group(form)]
     orders = form.orders
 
     def mul(a, b):  # a after b, both given by columns
@@ -740,7 +740,7 @@ def involution_classes(
     ident = identity_isometry(form).columns
     gens = [
         (a, FqfIsometry(form, form, a).inverse().columns)
-        for a in _generators(group, mul, ident)
+        for a in greedy_generators(group, mul, ident)
     ]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     classes = []
@@ -761,7 +761,7 @@ def involution_classes(
     return classes
 
 
-def _generators(group, mul, ident) -> list:
+def greedy_generators(group, mul, ident) -> list:
     """Elements of `group` that generate it, each picked in list order when
     it lies outside the subgroup the earlier picks generate.  That subgroup
     is grown coset by coset (Dimino's algorithm), so building it costs

@@ -108,25 +108,6 @@ def det_fraction(m) -> Fraction:
     return out
 
 
-def solve_exact(a, b) -> list[Fraction]:
-    """Solve a·x = b for square nonsingular a, exactly."""
-    n = len(a)
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-        inv = 1 / work[k][k]
-        for i in range(n):
-            if i != k and work[i][k] != 0:
-                f = work[i][k] * inv
-                for j in range(k, n + 1):
-                    work[i][j] -= f * work[k][j]
-    return [work[i][n] / work[i][i] for i in range(n)]
-
-
 def smith_decompose(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form: returns (S, U, V) with U·m·V = S.
 

@@ -14,6 +14,7 @@ convert.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -328,45 +329,66 @@ BUILTIN_SPECS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Discriminant form of a nondegenerate even lattice with coordinate
-    machinery: generators are explicit dual vectors, and isometries of the
-    lattice push forward to isometries of the form."""
+    """Discriminant form of a nondegenerate even lattice L, with the integer
+    map that names its elements.
+
+    Let G be the Gram matrix and U·G·V = S its Smith form.  A class of
+    dual(L)/L is carried by its pairings t = G·w with the basis of L, an
+    integer vector, and its coordinates are (U·t)_i mod d_i over the Smith
+    invariants d_i > 1 (`class_of`).  Generator i is the dual vector
+    V[:, i] / d_i.  Rational dual vectors (`coordinates`) and isometries of
+    the lattice (`act`) enter through this one map."""
 
     lattice: Lattice
     form: FiniteQuadraticForm
-    dual_vectors: tuple[tuple[Fraction, ...], ...]
+    smith_u: tuple[tuple[int, ...], ...]  # the rows of U at each d_i > 1
+    smith_v: tuple[tuple[int, ...], ...]  # the columns of V at each d_i > 1
+
+    @property
+    def dual_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The generators as dual vectors in lattice coordinates."""
+        return tuple(
+            tuple(Fraction(x, d) for x in col)
+            for col, d in zip(self.smith_v, self.form.orders)
+        )
+
+    def class_of(self, pairings) -> tuple[int, ...]:
+        """Coordinates of the class whose pairings with the lattice basis
+        are the integers `pairings`."""
+        return tuple(
+            sum(map(operator.mul, row, pairings)) % d
+            for row, d in zip(self.smith_u, self.form.orders)
+        )
+
+    def generator_pairings(self, matrix) -> list[list[int]]:
+        """matrix·V[:, i] / d_i for each generator i, for an integer matrix
+        that takes every generator's dual vector to an integer vector (the
+        division is exact).  With matrix = G·W this gives the pairings of
+        the generators' images under an isometry W."""
+        return _pushed(matrix, self.smith_v, self.form.orders)
 
     def coordinates(self, dual_vector) -> tuple[int, ...]:
         """Coordinates in the generator presentation of a vector of the dual
         lattice (given in lattice coordinates, rational entries)."""
-        g = self.lattice.gram
-        n = self.lattice.rank
-        w = [Fraction(x) for x in dual_vector]
-        pair = [sum(g[i][j] * w[j] for j in range(n)) for i in range(n)]
-        for x in pair:
-            if x.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-        u = self._smith[1]
-        raw = [
-            sum(u[i][j] * int(pair[j]) for j in range(n)) for i in range(n)
-        ]
-        diag = [self._smith[0][i][i] for i in range(n)]
-        return tuple(
-            raw[i] % diag[i] for i in range(n) if diag[i] > 1
-        )
-
-    @cached_property
-    def _smith(self):
-        s, u, v = smith_decompose([list(r) for r in self.lattice.gram])
-        return s, u, v
+        pair = mat_vec(self.lattice.gram, [Fraction(x) for x in dual_vector])
+        if any(x.denominator != 1 for x in pair):
+            raise ValueError("vector is not in the dual lattice")
+        return self.class_of([int(x) for x in pair])
 
     def act(self, isometry: Isometry) -> FqfIsometry:
         """Induced automorphism of the discriminant form."""
         if isometry.lattice != self.lattice:
             raise ValueError("isometry acts on a different lattice")
-        w = isometry.matrix
-        cols = [self.coordinates(mat_vec(w, vec)) for vec in self.dual_vectors]
-        return FqfIsometry(self.form, self.form, tuple(cols), anti=False)
+        gw = mat_mul([list(r) for r in self.lattice.gram], isometry.matrix)
+        cols = tuple(self.class_of(t) for t in self.generator_pairings(gw))
+        return FqfIsometry(self.form, self.form, cols, anti=False)
+
+
+def _pushed(matrix, columns, orders) -> list[list[int]]:
+    """matrix·col / d for each column and its order; the division is exact."""
+    return [
+        [x // d for x in mat_vec(matrix, col)] for col, d in zip(columns, orders)
+    ]
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
@@ -375,34 +397,26 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     n = lattice.rank
     g = [list(r) for r in lattice.gram]
     s, u, v = smith_decompose(g)
-    duals = []
-    orders = []
-    for i in range(n):
-        d = s[i][i]
-        if d > 1:
-            duals.append(tuple(Fraction(v[j][i], d) for j in range(n)))
-            orders.append(d)
-    qvals = []
-    pair = [[Fraction(0)] * len(duals) for _ in range(len(duals))]
-    for a, wa in enumerate(duals):
-        val = sum(
-            wa[i] * lattice.gram[i][j] * wa[j] for i in range(n) for j in range(n)
-        )
-        qvals.append(val % 2)
-        for b, wb in enumerate(duals):
-            val = sum(
-                wa[i] * lattice.gram[i][j] * wb[j]
-                for i in range(n)
-                for j in range(n)
-            )
-            pair[a][b] = val % 1
+    keep = [i for i in range(n) if s[i][i] > 1]
+    orders = tuple(s[i][i] for i in keep)
+    smith_v = tuple(tuple(row[i] for row in v) for i in keep)
+    pairs = _pushed(g, smith_v, orders)  # G·w for each generator w
+
+    def value(a, b) -> Fraction:  # w_a·G·w_b
+        return Fraction(sum(map(operator.mul, smith_v[a], pairs[b])), orders[a])
+
+    k = len(keep)
     # The Smith diagonal is already a divisor chain, so the generators can be
     # used as-is; running them through the normalizing factory could remix
-    # them and break alignment with the stored dual vectors.
+    # them and break alignment with the Smith transforms.
     form = FiniteQuadraticForm(
-        tuple(orders), tuple(qvals), tuple(tuple(row) for row in pair)
+        orders,
+        tuple(value(a, a) % 2 for a in range(k)),
+        tuple(tuple(value(a, b) % 1 for b in range(k)) for a in range(k)),
     )
-    return DiscriminantData(lattice, form, tuple(duals))
+    return DiscriminantData(
+        lattice, form, tuple(tuple(u[i]) for i in keep), smith_v
+    )
 
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:

@@ -36,9 +36,19 @@ from k3lines.fano import (
     polarized_stabilizer,
     real_structure_candidates,
 )
-from k3lines.fqf import fqf_isometries
-from k3lines.intmat import mat_mul, smith_decompose
-from k3lines.lattices import Lattice, build_lattice, discriminant_data
+from k3lines.fqf import (
+    FqfIsometry,
+    fqf_isometries,
+    minus_identity_isometry,
+    solve_mod,
+)
+from k3lines.intmat import (
+    inverse_unimodular,
+    mat_vec,
+    smith_decompose,
+    transpose,
+)
+from k3lines.lattices import Isometry, Lattice, build_lattice, discriminant_data
 from k3lines.multigraph import Multigraph, compose_perm, invert_perm
 from k3lines.realcrit import (
     ADMISSIBLE,
@@ -530,24 +540,29 @@ class TestPolarizedStabilizer:
     def test_symmetry_breaking_kernel_against_module_oracle(self):
         # a permutation preserves the extension exactly when it maps the
         # glue vector into the extended module and conversely
-        kernel = K33_ISOTROPIC_KERNEL
-        cfg = LineConfiguration(6, catalog_graph("K33"), kernel=(kernel,))
-        stab = polarized_stabilizer(cfg)
-        group = graph_automorphisms(cfg)
-        basis = [
-            [1 if i == j else 0 for j in range(7)] for i in range(7)
-        ]
-        expected = set()
-        for perm in group.elements(cap=1000):
-            full = list(perm) + [6]
-            moved = [Fraction(0)] * 7
-            for i in range(7):
-                moved[full[i]] = kernel[i]
-            fwd = in_integer_span(basis + [list(kernel)], moved)
-            back = in_integer_span(basis + [moved], list(kernel))
-            if fwd and back:
-                expected.add(perm)
-        assert set(stab.sigmas) == expected
+        for degree, graph, kernel in (
+            (6, catalog_graph("K33"), K33_ISOTROPIC_KERNEL),
+            # lines 0-3 of an edgeless graph tied together by a half-sum
+            (2, empty_graph(6), (Fraction(1, 2),) * 4 + (Fraction(0),) * 3),
+        ):
+            cfg = LineConfiguration(degree, graph, kernel=(kernel,))
+            stab = polarized_stabilizer(cfg)
+            group = graph_automorphisms(cfg)
+            m = graph.n + 1
+            basis = [
+                [1 if i == j else 0 for j in range(m)] for i in range(m)
+            ]
+            expected = set()
+            for perm in group.elements(cap=1000):
+                full = list(perm) + [m - 1]
+                moved = [Fraction(0)] * m
+                for i in range(m):
+                    moved[full[i]] = kernel[i]
+                fwd = in_integer_span(basis + [list(kernel)], moved)
+                back = in_integer_span(basis + [moved], list(kernel))
+                if fwd and back:
+                    expected.add(perm)
+            assert set(stab.sigmas) == expected
 
     def test_involution_classes_match_all_elements_conjugation(self):
         # S7, kernel-free, so the orbits run under the chain generators
@@ -752,22 +767,67 @@ class TestRealStructureCandidates:
             real_structure_candidates(cfg)
 
 
+def rational_candidate_action(analysis, perm):
+    """`candidate_action` by the rational route: the permutation descended to
+    an isometry of the quotient lattice through the inverse of the
+    (complement, radical) basis, pushed to the quotient's discriminant form
+    on Fraction dual vectors, then descended to D_N and negated."""
+    m = len(analysis.gram)
+    full = list(perm) + [m - 1]
+    k = len(analysis.complement)
+    inv = inverse_unimodular(
+        transpose(list(analysis.complement) + list(analysis.radical))
+    )
+    cols = []
+    for row in analysis.complement:
+        permuted = [0] * m
+        for i in range(m):
+            permuted[full[i]] = row[i]
+        cols.append(mat_vec(inv, permuted)[:k])
+    w = Isometry(
+        analysis.qlattice,
+        tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)),
+    )
+    data = analysis.data
+    tau_q = FqfIsometry(
+        data.form,
+        data.form,
+        tuple(data.coordinates(mat_vec(w.matrix, v)) for v in data.dual_vectors),
+    )
+    columns = list(analysis.reps) + list(analysis.kernel_classes)
+    images = []
+    for rep in analysis.reps:
+        sol = solve_mod(columns, list(tau_q.apply(rep)), list(data.form.orders))
+        images.append(analysis.dn.reduce(sol[: len(analysis.reps)]))
+    dn = analysis.dn
+    descended = FqfIsometry(dn, dn, tuple(images))
+    return minus_identity_isometry(dn).compose(descended)
+
+
 class TestExtensionContext:
-    def test_quotient_action_is_a_homomorphism(self):
-        for name in ("prism", "K4"):
-            degree = TestFragmentEnumeration.HOME[name]
-            cfg = LineConfiguration(degree, catalog_graph(name))
+    def test_candidate_action_matches_the_rational_route(self):
+        # every stabilizer element, not only involutions; the glued K33 has
+        # a kernel, the 2U(3) graph a transcendental lattice
+        home = TestFragmentEnumeration.HOME
+        configs = [
+            LineConfiguration(home[name], catalog_graph(name))
+            for name in ("prism", "K4")
+        ] + [
+            read_configuration(Path(__file__).parent.parent / "corpus" / name)
+            for name in ("k33_glued.json", "k33_twou3.json")
+        ]
+        for cfg in configs:
             analysis = Analysis(cfg)
-            group = graph_automorphisms(cfg)
-            elems = group.elements(cap=1000)
-            acts = {g: analysis.quotient_action(g) for g in elems}
+            elems = analysis.stabilizer.sigma_elements()
+            acts = {g: analysis.candidate_action(g) for g in elems}
+            minus = minus_identity_isometry(analysis.dn)
+            for g in elems:
+                assert acts[g] == rational_candidate_action(analysis, g)
+            # sigma -> -candidate_action(sigma) is a homomorphism
+            plus = {g: minus.compose(act) for g, act in acts.items()}
             for g in elems:
                 for h in elems:
-                    composed = acts[compose_perm(g, h)]
-                    product = mat_mul(acts[g].matrix, acts[h].matrix)
-                    assert composed.matrix == tuple(
-                        tuple(row) for row in product
-                    )
+                    assert plus[compose_perm(g, h)] == plus[g].compose(plus[h])
 
     def test_determinant_of_triangle_extension(self):
         analysis = Analysis(LineConfiguration(6, TRIANGLE))

@@ -22,6 +22,7 @@ from k3lines.fqf import (
     ell,
     finite_quadratic_form,
     fqf_isometries,
+    greedy_generators,
     identity_isometry,
     involution_classes,
     isotropic_quotient,
@@ -475,6 +476,16 @@ def test_property_q_and_b_match_fraction_recomputation(lat, rng):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
+@given(even_lattices(max_rank=3), even_lattices(max_rank=3))
+def test_property_normalization_is_idempotent(a, b):
+    # direct_sum normalizes once; normalizing again must change nothing,
+    # also where a generator of order 10 or 15 is split into primary parts
+    form = discriminant_form(a).direct_sum(discriminant_form(b))
+    assert finite_quadratic_form(form.orders, form.qvalues, form.pairing) == form
+    assert form.direct_sum(TRIVIAL_FORM) == form
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(even_lattices(max_rank=4))
 def test_property_milgram_identity(lat):
     form = discriminant_form(lat)
@@ -577,7 +588,7 @@ def test_involution_classes_match_all_elements_oracle(spec, order):
         return FqfIsometry(form, form, a).compose(FqfIsometry(form, form, b)).columns
 
     ident = identity_isometry(form).columns
-    gens = fqf._generators(group, mul, ident)
+    gens = greedy_generators(group, mul, ident)
     assert 2 ** len(gens) <= len(group)
     span, frontier = {ident}, [ident]
     for x in frontier:
@@ -613,8 +624,8 @@ def test_integer_tables_do_not_leak_into_identity():
 
 
 def test_generic_discr_block_reads_the_same_through_configio():
-    # The corpus block's last generator has order 10; normalization replaces
-    # it by 7 times itself (5 + 2, its 2- and 5-parts), so 9/5 reads 1/5.
+    # The corpus block's last generator has order 10; normalization splits
+    # it into its 2- and 5-parts and sums them back to the same generator.
     form = load_configuration(
         (CORPUS / "k33_generic.json").read_text()
     ).transcendental.form
@@ -624,13 +635,13 @@ def test_generic_discr_block_reads_the_same_through_configio():
         "pairing": [[str(x) for x in row] for row in form.pairing],
     } == {
         "factors": [2, 2, 2, 10],
-        "qvalues": ["1", "1", "1", "1/5"],
+        "qvalues": ["1", "1", "1", "9/5"],
         "pairing": [
             ["0", "1/2", "0", "0"],
             ["1/2", "0", "0", "0"],
             ["0", "0", "0", "1/2"],
-            ["0", "0", "1/2", "1/5"],
+            ["0", "0", "1/2", "4/5"],
         ],
     }
-    assert (form._n, form._q) == (10, (10, 10, 10, 2))
-    assert form._b == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 2))
+    assert (form._n, form._q) == (10, (10, 10, 10, 18))
+    assert form._b == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 8))

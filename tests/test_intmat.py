@@ -19,7 +19,6 @@ from k3lines.intmat import (
     positive_basis,
     smith_decompose,
     smith_diagonal,
-    solve_exact,
     transpose,
 )
 
@@ -213,18 +212,6 @@ def test_inverse_unimodular():
         assert mat_mul(m, inverse_unimodular(m)) == identity(n)
     with pytest.raises(ValueError):
         inverse_unimodular([[2, 0], [0, 1]])
-
-
-def test_solve_exact_roundtrip():
-    rng = random.Random(828282)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        a = random_matrix(rng, n, n, bound=8)
-        while det(a) == 0:
-            a = random_matrix(rng, n, n, bound=8)
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-        b = [sum(Fraction(a[i][j]) * x[j] for j in range(n)) for i in range(n)]
-        assert solve_exact(a, b) == x
 
 
 def test_block_diag():

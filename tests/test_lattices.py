@@ -1,14 +1,17 @@
 """Lattice constructors, discriminant forms, orthogonal groups, sign action,
 fixed sublattices."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lines.errors import InputError
 from k3lines.fqf import brown_invariant, fqf_isometries
-from k3lines.intmat import identity, mat_mul
+from k3lines.intmat import identity, mat_mul, mat_vec
 from k3lines.lattices import (
     BUILTIN_SPECS,
     Isometry,
@@ -192,6 +195,60 @@ def test_act_pushes_isometries_to_the_form():
             lhs = data.act(g.compose(h))
             rhs = data.act(g).compose(data.act(h))
             assert lhs.columns == rhs.columns
+
+
+def rational_act(data, isometry):
+    """Columns of the induced automorphism by the rational route: each
+    generator's dual vector pushed through the isometry in Fractions."""
+    return tuple(
+        data.coordinates(mat_vec(isometry.matrix, vec)) for vec in data.dual_vectors
+    )
+
+
+def _isometries_of_double(lat):
+    """Isometries of lat + lat: a sign on each summand, with or without the
+    swap of the summands, and O(lat) on the first summand when lat is small
+    and definite."""
+    n = lat.rank
+    double = lat.direct_sum(lat)
+    out = []
+    for s1, s2, swap in itertools.product((1, -1), (1, -1), (False, True)):
+        m = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            if swap:
+                m[n + i][i], m[i][n + i] = s1, s2
+            else:
+                m[i][i], m[n + i][n + i] = s1, s2
+        out.append(Isometry(double, tuple(map(tuple, m))))
+    if lat.is_definite():
+        for g in orthogonal_group_definite(lat)[:8]:
+            m = [list(row) + [0] * n for row in g.matrix]
+            m += [[0] * n + row for row in identity(n)]
+            out.append(Isometry(double, tuple(map(tuple, m))))
+    return double, out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_property_integer_class_map_matches_the_rational_route(seed):
+    rng = random.Random(seed)
+    lat = _random_even_lattice(rng, max_rank=3, det_cap=60)
+    data = discriminant_data(lat)
+    n = lat.rank
+    for _ in range(10):
+        # a dual vector with known coordinates, shifted by a lattice vector
+        el = tuple(rng.randrange(-2 * d, 2 * d) for d in data.form.orders)
+        w = [
+            sum(c * data.dual_vectors[i][j] for i, c in enumerate(el))
+            + rng.randrange(-3, 4)
+            for j in range(n)
+        ]
+        pairings = [int(x) for x in mat_vec(lat.gram, w)]
+        assert data.class_of(pairings) == data.coordinates(w) == data.form.reduce(el)
+    double, isometries = _isometries_of_double(lat)
+    data = discriminant_data(double)
+    for g in isometries:
+        assert data.act(g).columns == rational_act(data, g)
 
 
 def test_orthogonal_group_frozen_orders():
