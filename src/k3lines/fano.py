@@ -44,7 +44,6 @@ from .fqf import (
     minus_identity_isometry,
     solve_mod,
     subgroup_form,
-    subgroup_membership,
 )
 from .intmat import (
     integral_kernel_with_complement,
@@ -583,17 +582,29 @@ class Analysis:
         )
         return PolarizedStabilizer(group, kept, 2 * len(kept))
 
-    def _preserves_kernel(self, perm) -> bool:
-        images = [
-            self._class_of(_moved(perm, t)) for t in self.cfg.kernel_pairings
-        ]
+    @cached_property
+    def _kernel_subgroup(self) -> frozenset[tuple[int, ...]]:
+        """Every element of the subgroup the kernel classes generate."""
         form = self.data.form
-        back = list(self.kernel_classes)
+        zero = (0,) * len(form.orders)
+        elements = {zero}
+        frontier = [zero]
+        for x in frontier:
+            for k in self.kernel_classes:
+                y = form.reduce(map(operator.add, x, k))
+                if y not in elements:
+                    elements.add(y)
+                    frontier.append(y)
+        return frozenset(elements)
+
+    def _preserves_kernel(self, perm) -> bool:
+        # A graph automorphism acts on the discriminant group injectively,
+        # so once it maps the kernel classes into the finite kernel
+        # subgroup it maps that subgroup onto itself: the reverse
+        # containment needs no test.
         return all(
-            subgroup_membership(form, back, img) for img in images
-        ) and all(
-            subgroup_membership(form, images, cls)
-            for cls in self.kernel_classes
+            self._class_of(_moved(perm, t)) in self._kernel_subgroup
+            for t in self.cfg.kernel_pairings
         )
 
     @cached_property

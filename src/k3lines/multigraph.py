@@ -1,10 +1,22 @@
 """Multigraphs with edge multiplicities.
 
-Automorphism groups are computed as stabilizer chains: level i stores one
-witness automorphism per reachable image of vertex i among the maps fixing
-0..i-1 pointwise.  The group order is the product of the transversal sizes,
-so highly symmetric graphs (an edgeless graph on 12 vertices has order 12!)
-never require element enumeration; `elements` stays available, capped.
+Automorphism groups come from one individualization-refinement search tree
+(McKay and Piperno, *Practical graph isomorphism, II*, J. Symbolic Comput.
+60, 2014).  Colour refinement gives an equitable partition.  The first path
+individualizes the first vertex of the first non-singleton cell and refines,
+until the partition is discrete; those vertices are the base b_0..b_k.
+Then, level by level from the bottom, partition backtracking looks for an
+automorphism taking b_i to each vertex of its cell outside the orbit found
+so far: it individualizes and refines, cuts branches whose colour multiset
+differs from the first path's, and tests each leaf map on the multiplicity
+matrix.  The generators found at levels >= i generate the pointwise
+stabilizer of b_0..b_{i-1}, so the orbit of b_i under them is the
+transversal of level i and no Schreier-Sims step is needed.  Each generator
+at least doubles the group, so there are at most log2 |Aut| of them.  The
+cost follows the symmetry, not the labels, and the order is a product of
+orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
+order 60!) never require element enumeration; `elements` stays available,
+capped.
 
 Canonical certificates come from color refinement plus branch-and-bound over
 the orderings that respect the refined classes, minimizing the column-major
@@ -13,13 +25,14 @@ upper-triangle encoding of the multiplicity matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceeded, InputError
 
 ELEMENT_CAP = 10_000
 CERTIFICATE_NODE_CAP = 2_000_000
+AUTOMORPHISM_NODE_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,13 @@ class Multigraph:
             m[i][j] = m[j][i] = int(k)
         return Multigraph(tuple(tuple(row) for row in m))
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(neighbour, multiplicity) pairs of each vertex."""
+        return tuple(
+            tuple((w, m) for w, m in enumerate(row) if m) for row in self.mult
+        )
+
     def degree(self, v: int) -> int:
         return sum(self.mult[v])
 
@@ -83,15 +103,12 @@ def color_refinement(graph: Multigraph, initial=None) -> tuple[int, ...]:
     else:
         ranking = {c: i for i, c in enumerate(sorted(set(initial)))}
         colors = [ranking[c] for c in initial]
+    adjacency = graph.adjacency
     while True:
-        sigs = []
-        for v in range(n):
-            profile = sorted(
-                (graph.mult[v][w], colors[w])
-                for w in range(n)
-                if graph.mult[v][w]
-            )
-            sigs.append((colors[v], tuple(profile)))
+        sigs = [
+            (colors[v], tuple(sorted([(m, colors[w]) for w, m in nbrs])))
+            for v, nbrs in enumerate(adjacency)
+        ]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:
@@ -112,13 +129,17 @@ def invert_perm(a) -> tuple[int, ...]:
 
 
 class PermutationGroup:
-    """Permutation group on {0..n-1} held as a stabilizer chain."""
+    """Permutation group on {0..n-1} held as a stabilizer chain: level i
+    maps each point of the orbit of base point b_i under the pointwise
+    stabilizer of b_0..b_{i-1} to an element taking b_i there."""
 
-    __slots__ = ("n", "levels")
+    __slots__ = ("n", "base", "levels", "strong")
 
-    def __init__(self, n: int, levels):
+    def __init__(self, n: int, base, levels, strong):
         self.n = n
+        self.base = base
         self.levels = levels
+        self.strong = strong
 
     def order(self) -> int:
         total = 1
@@ -128,11 +149,9 @@ class PermutationGroup:
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
-        ident = tuple(range(self.n))
-        gens = sorted(
-            {p for level in self.levels for p in level.values()} - {ident}
-        )
-        return tuple(gens) if gens else (ident,)
+        """The strong generators, at most log2 |group| of them; the
+        identity alone for the trivial group."""
+        return tuple(self.strong) or (tuple(range(self.n)),)
 
     def elements(self, cap: int | None = ELEMENT_CAP):
         if cap is not None and self.order() > cap:
@@ -147,80 +166,86 @@ class PermutationGroup:
         return sorted(elems)
 
     def contains(self, perm) -> bool:
-        perm = tuple(perm)
-        if len(perm) != self.n:
+        """Sift `perm` through the base points."""
+        current = tuple(perm)
+        if len(current) != self.n:
             return False
-        current = perm
-        for i, level in enumerate(self.levels):
-            w = current[i]
-            if w not in level:
+        for b, level in zip(self.base, self.levels):
+            if current[b] not in level:
                 return False
-            current = compose_perm(invert_perm(level[w]), current)
+            current = compose_perm(invert_perm(level[current[b]]), current)
         return current == tuple(range(self.n))
 
 
-def _extend_automorphism(graph, colors, forced):
-    """One automorphism consistent with the (vertex -> image) assignments in
-    `forced`, or None.  Vertices are assigned in index order."""
-    n = graph.n
-    images = [-1] * n
-    used = [False] * n
-    for v, u in forced.items():
-        if colors[v] != colors[u]:
-            return None
-        images[v] = u
-        if used[u]:
-            return None
-        used[u] = True
-    for v, u in forced.items():
-        for w in forced:
-            if graph.mult[v][w] != graph.mult[u][images[w]]:
-                return None
-
-    def extend(v: int):
-        if v == n:
-            return True
-        if images[v] >= 0:
-            return extend(v + 1)
-        for u in range(n):
-            if used[u] or colors[u] != colors[v]:
-                continue
-            ok = True
-            for j in range(n):
-                if images[j] >= 0 and graph.mult[v][j] != graph.mult[u][images[j]]:
-                    ok = False
-                    break
-            if ok:
-                images[v] = u
-                used[u] = True
-                if extend(v + 1):
-                    return True
-                images[v] = -1
-                used[u] = False
-        return False
-
-    if extend(0):
-        return tuple(images)
-    return None
-
-
 def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
-    """The full automorphism group, with exact order."""
+    """The full automorphism group, with exact order, from one
+    individualization-refinement search tree (see the module docstring)."""
     n = graph.n
-    colors = color_refinement(graph)
-    levels = []
-    prefix: dict[int, int] = {}
-    for i in range(n):
-        level = {}
-        for w in range(n):
-            if colors[w] != colors[i]:
+    nodes = 0
+
+    def individualize(colors, v):
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUTOMORPHISM_NODE_CAP:
+            raise CapExceeded("automorphism search exceeded the node cap")
+        initial = [2 * c + 1 for c in colors]
+        initial[v] -= 1
+        return color_refinement(graph, initial)
+
+    path = [color_refinement(graph)]
+    base: list[int] = []
+    while max(path[-1], default=0) < n - 1:
+        colors = path[-1]
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        base.append(colors.index(min(c for c in colors if sizes[c] > 1)))
+        path.append(individualize(colors, base[-1]))
+    shapes = [sorted(colors) for colors in path]
+
+    def search(colors, depth, candidates):
+        """An automorphism taking the first path from `depth` on to a path
+        through `colors` and one of `candidates`, or None.  Branches whose
+        colour multiset differs from the first path's are cut."""
+        for x in candidates:
+            child = individualize(colors, x)
+            if sorted(child) != shapes[depth + 1]:
                 continue
-            witness = _extend_automorphism(graph, colors, {**prefix, i: w})
-            if witness is not None:
-                level[w] = witness
+            if depth + 1 == len(base):
+                at = [0] * n
+                for u, c in enumerate(child):
+                    at[c] = u
+                perm = tuple(at[c] for c in path[-1])
+                if graph.relabel(perm) == graph:
+                    return perm
+                continue
+            target = path[depth + 1][base[depth + 1]]
+            cell = [u for u in range(n) if child[u] == target]
+            found = search(child, depth + 1, cell)
+            if found is not None:
+                return found
+        return None
+
+    strong: list[tuple[int, ...]] = []
+    levels: list[dict] = []
+    for depth in reversed(range(len(base))):
+        b, colors = base[depth], path[depth]
+        level = {b: tuple(range(n))}
+        for w in range(n):
+            if w in level or colors[w] != colors[b]:
+                continue
+            found = search(colors, depth, [w])
+            if found is None:
+                continue
+            strong.append(found)
+            orbit = list(level)
+            for x in orbit:
+                for g in strong:
+                    if g[x] not in level:
+                        level[g[x]] = compose_perm(g, level[x])
+                        orbit.append(g[x])
         levels.append(level)
-        prefix[i] = i
-    return PermutationGroup(n, levels)
+    return PermutationGroup(n, tuple(base), levels[::-1], strong)
 
 
 def canonical_certificate(

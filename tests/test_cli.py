@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lines import multigraph
 from k3lines.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -260,6 +261,13 @@ class TestRealCommand:
             "genus mismatch" in c["reason"]
             for c in report["candidates"]
         )
+
+    def test_automorphism_search_cap_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(multigraph, "AUTOMORPHISM_NODE_CAP", 1)
+        code, out, err = run(capsys, "real", str(CORPUS / "cube.json"))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == "error: automorphism search exceeded the node cap\n"
 
     def test_cap_exceeded_exit_code(self, capsys, tmp_path):
         # twelve interchangeable lines with a symmetry-breaking glue

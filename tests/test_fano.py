@@ -575,6 +575,19 @@ class TestPolarizedStabilizer:
             stab.sigma_elements()
         )
 
+    def test_fermat_involution_classes_match_all_elements_conjugation(self):
+        # |Aut| = 6144, kernel-free: 28 classes under the strong generators
+        cfg = read_configuration(
+            Path(__file__).parent / "data" / "fermat48.json"
+        )
+        stab = polarized_stabilizer(cfg)
+        assert stab.sigmas is None and stab.order == 2 * 6144
+        reps = fano._involution_classes_of(stab)
+        assert len(reps) == 28
+        assert reps == all_elements_involution_classes(
+            stab.sigma_elements()
+        )
+
     def test_involution_classes_under_greedy_generators(self):
         # explicit stabilizers: the glued K33, and the lines 0-3 of an
         # edgeless graph tied together by a half-sum

@@ -2,16 +2,26 @@
 
 Frozen automorphism orders and girths are textbook values for the named
 graphs; certificate behaviour is pinned through relabeling properties.
+Automorphism groups and certificate equality are checked against
+`networkx` isomorphisms, with edge multiplicities as edge attributes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+import time
+from itertools import islice, permutations
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from k3lines import multigraph
+from k3lines.configio import read_configuration
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import catalog_graph, catalog_names
 from k3lines.multigraph import (
@@ -35,6 +45,89 @@ def random_graph(rng: random.Random, n: int) -> Multigraph:
         for j in range(i + 1, n):
             mult[i][j] = mult[j][i] = rng.choice((0, 0, 0, 1, 1, 2, 3))
     return Multigraph(tuple(tuple(row) for row in mult))
+
+
+FERMAT = Path(__file__).parent / "data" / "fermat48.json"
+
+# the networkx oracle lists at most this many automorphisms
+ORACLE_LIMIT = 5040
+
+
+@st.composite
+def multigraphs(draw, max_n: int = 9) -> Multigraph:
+    """Relabeled multigraphs of every density, some of them disjoint copies
+    of one graph, so that large automorphism groups are common."""
+    copies = draw(st.integers(1, 3))
+    k = draw(st.integers(0, max_n // copies))
+    zeros = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    values = draw(
+        st.lists(st.sampled_from((0,) * zeros + (1, 1, 2, 3)),
+                 min_size=len(pairs), max_size=len(pairs))
+    )
+    n = k * copies
+    g = Multigraph.from_edges(n, [
+        (c * k + i, c * k + j, m)
+        for c in range(copies)
+        for (i, j), m in zip(pairs, values)
+        if m
+    ])
+    return g.relabel(tuple(draw(st.permutations(range(n)))))
+
+
+def to_networkx(g: Multigraph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(
+        (i, j, {"m": g.mult[i][j]})
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if g.mult[i][j]
+    )
+    return out
+
+
+def same_multiplicity(a, b) -> bool:
+    return a["m"] == b["m"]
+
+
+def networkx_automorphisms(g: Multigraph, limit: int) -> list:
+    """Up to limit + 1 automorphisms, as permutation tuples."""
+    h = to_networkx(g)
+    matcher = GraphMatcher(h, h, edge_match=same_multiplicity)
+    return [
+        tuple(iso[v] for v in range(g.n))
+        for iso in islice(matcher.isomorphisms_iter(), limit + 1)
+    ]
+
+
+def generated_group(gens, n: int) -> set:
+    closure = {tuple(range(n))}
+    frontier = list(closure)
+    for x in frontier:
+        for g in gens:
+            y = compose_perm(g, x)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return closure
+
+
+def regular_pair(rng: random.Random, n: int, k: int) -> Multigraph:
+    """Disjoint union of two random simple k-regular graphs on n vertices
+    each (pairing model with restarts)."""
+    edges: list[tuple[int, int, int]] = []
+    for offset in (0, n):
+        while True:
+            stubs = [v for v in range(n) for _ in range(k)]
+            rng.shuffle(stubs)
+            pairs = {
+                (min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])
+            }
+            if len(pairs) == n * k // 2 and all(a != b for a, b in pairs):
+                break
+        edges += [(offset + a, offset + b, 1) for a, b in sorted(pairs)]
+    return Multigraph.from_edges(2 * n, edges)
 
 
 class TestMultigraphValidation:
@@ -196,6 +289,97 @@ class TestAutomorphismGroups:
             assert set(group.elements(cap=1000)) == brute
             assert group.order() == len(brute)
 
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(multigraph, "AUTOMORPHISM_NODE_CAP", 1)
+        with pytest.raises(CapExceeded, match="automorphism search"):
+            graph_automorphism_group(catalog_graph("cube"))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_against_networkx(self, g, data):
+        group = graph_automorphism_group(g)
+        autos = networkx_automorphisms(g, ORACLE_LIMIT)
+        if len(autos) <= ORACLE_LIMIT:
+            assert group.order() == len(autos)
+            assert group.elements(cap=ORACLE_LIMIT) == sorted(autos)
+        else:
+            assert group.order() > ORACLE_LIMIT
+        assert all(group.contains(p) for p in autos)
+        for p in data.draw(st.lists(st.permutations(range(g.n)), max_size=8)):
+            p = tuple(p)
+            assert group.contains(p) == (g.relabel(p) == g)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(multigraphs())
+    def test_strong_generators(self, g):
+        group = graph_automorphism_group(g)
+        gens = set(group.generators) - {tuple(range(g.n))}
+        # each strong generator at least doubles the group
+        assert 2 ** len(gens) <= group.order()
+        if group.order() <= ORACLE_LIMIT:
+            assert len(generated_group(gens, g.n)) == group.order()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_regular_pairs_against_networkx(self, seed):
+        # colour refinement does not split a regular graph at the root, so
+        # the search reaches leaves whose maps are not automorphisms
+        g = regular_pair(random.Random(seed), 12, 4)
+        group = graph_automorphism_group(g)
+        autos = networkx_automorphisms(g, ORACLE_LIMIT)
+        assert group.order() == len(autos)
+        assert group.elements() == sorted(autos)
+
+    def test_edgeless_sixty_within_budget(self):
+        start = time.process_time()
+        group = graph_automorphism_group(empty_graph(60))
+        assert time.process_time() - start < 3.0
+        assert group.order() == math.factorial(60)
+        assert 2 ** len(group.generators) <= group.order()
+        assert group.contains(tuple(reversed(range(60))))
+
+
+class TestFermatLines:
+    """The 48 lines of the Fermat quartic, |Aut| = 6144."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return read_configuration(FERMAT).graph
+
+    @pytest.fixture(scope="class")
+    def group(self, graph):
+        return graph_automorphism_group(graph)
+
+    def test_fixture(self, graph):
+        assert graph.n == 48
+        edges = [
+            graph.mult[i][j]
+            for i in range(48)
+            for j in range(i + 1, 48)
+            if graph.mult[i][j]
+        ]
+        assert len(edges) == 336 and set(edges) == {1}
+        assert {graph.degree(v) for v in range(48)} == {14}
+
+    def test_order(self, group):
+        assert group.order() == 6144
+        assert 2 ** len(group.generators) <= 6144
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_relabeling(self, graph, group, seed):
+        perm = list(range(48))
+        random.Random(seed).shuffle(perm)
+        perm = tuple(perm)
+        h = graph.relabel(perm)
+        start = time.process_time()
+        moved = graph_automorphism_group(h)
+        assert time.process_time() - start < 0.5
+        assert moved.order() == 6144
+        inverse = invert_perm(perm)
+        assert moved.elements() == sorted(
+            compose_perm(perm, compose_perm(a, inverse))
+            for a in group.elements()
+        )
+
 
 class TestCanonicalCertificate:
     def test_relabel_invariance(self):
@@ -240,6 +424,29 @@ class TestCanonicalCertificate:
     def test_node_cap(self):
         with pytest.raises(CapExceeded):
             canonical_certificate(catalog_graph("cube"), cap=1)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(multigraphs(max_n=8), st.data())
+    def test_equality_agrees_with_networkx(self, g, data):
+        # an isomorphic copy, a copy with one multiplicity changed, or an
+        # unrelated graph, each relabeled
+        kind = data.draw(st.sampled_from(("copy", "edited", "other")))
+        h = g
+        if kind == "other":
+            h = data.draw(multigraphs(max_n=8))
+        elif kind == "edited" and g.n >= 2:
+            i, j = data.draw(st.sampled_from(
+                [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+            ))
+            m = [list(row) for row in g.mult]
+            m[i][j] = m[j][i] = data.draw(st.integers(0, 3))
+            h = Multigraph(tuple(map(tuple, m)))
+        h = h.relabel(tuple(data.draw(st.permutations(range(h.n)))))
+        assert (canonical_certificate(g) == canonical_certificate(h)) == (
+            nx.is_isomorphic(
+                to_networkx(g), to_networkx(h), edge_match=same_multiplicity
+            )
+        )
 
     def test_size_prefix(self):
         assert canonical_certificate(empty_graph(0)) == "0|"
