@@ -19,6 +19,16 @@ from .lattices import Lattice
 from .multigraph import Multigraph
 from .realcrit import Definite2, GenericDiscr, TranscendentalSpec, TwoU
 
+# The largest line count accepted, checked before the n x n multiplicity
+# matrix is built: 100,000 vertices would exhaust memory and 3,000 took 2 s
+# only to load.  The value rests on cost, not on geometry.  The corpus, the
+# tests and the benchmark use at most 48 lines (the Fermat quartic); at 200
+# lines the slowest input measured, an edgeless graph, runs `fragments` in
+# about 25 s and 57 MB on a 2-core host.  Published maxima of line counts per
+# degree are not reproduced or checked in this repository, so none is
+# relied on here.
+MAX_LINES = 200
+
 _TOP_FIELDS = {"degree", "vertices", "edges", "kernel", "transcendental"}
 _KERNEL_FIELDS = {"numerators", "denominator"}
 _DISCR_FIELDS = {"factors", "qvalues", "pairing"}
@@ -154,6 +164,8 @@ def load_configuration(text: str) -> LineConfiguration:
     n = _require_int(doc["vertices"], "vertices")
     if n < 1:
         raise InputError("vertices must be at least 1")
+    if n > MAX_LINES:
+        raise InputError(f"{n} vertices exceed the limit of {MAX_LINES} lines")
     graph = _parse_edges(doc["edges"], n)
     kernel = _parse_kernel(doc["kernel"], n) if "kernel" in doc else ()
     transcendental = (

@@ -304,11 +304,14 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(_catalog_builders())
 
 
-@lru_cache(maxsize=1)
-def _catalog_certificates() -> dict[str, str]:
+@lru_cache(maxsize=None)
+def _catalog_certificates(n: int) -> dict[str, str]:
+    """Certificates of the catalog graphs on n vertices.  A certificate
+    begins with its vertex count, so no graph of another size can match."""
     return {
         canonical_certificate(g): name
         for name, g in _catalog_builders().items()
+        if g.n == n
     }
 
 
@@ -319,7 +322,7 @@ def classify_fragment(sub: Multigraph) -> str:
         if sub.degree(v) != 3:
             raise InputError("fragment subgraph must be 3-regular")
     cert = canonical_certificate(sub)
-    return _catalog_certificates().get(cert, cert)
+    return _catalog_certificates(sub.n).get(cert, cert)
 
 
 # -- graph-level invariants ---------------------------------------------------

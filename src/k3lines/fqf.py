@@ -3,8 +3,11 @@ form and the Q/Z-valued pairing it polarizes.
 
 These arise as dual quotients of even lattices.  The module provides p-parts
 and their length invariants, isometry and anti-isometry search, involution
-conjugacy classes, subgroup and isotropic-quotient forms, local determinant
-square classes, and the Gauss-sum signature residue used for cross-checks.
+conjugacy classes, subgroup and isotropic-quotient forms, and a Jordan
+splitting of each p-part into cyclic blocks and, at p = 2, the rank-two
+blocks u_a and v_a.  The local determinant square classes and the signature
+residue mod 8 (the Brown invariant, summed block by block by the oddity
+formula and used to cross-check signatures) are folds over those blocks.
 
 Conventions: a form is stored on an independent generating set with orders in
 an ascending divisor chain d1 | d2 | ...; quadratic values are reduced to
@@ -23,7 +26,6 @@ from .errors import CapExceeded
 from .intmat import integral_kernel, inverse_unimodular, smith_decompose
 
 ELEMENT_CAP = 10_000
-GAUSS_SUM_CAP = 300_000
 TRIAL_DIVISION_LIMIT = 10**6
 _MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
 
@@ -443,133 +445,30 @@ def ell(form: FiniteQuadraticForm, p: int) -> int:
     return sum(1 for d in form.orders if d % p == 0)
 
 
-# -- Gauss-sum signature residue --------------------------------------------
+# -- signature residue --------------------------------------------------------
 
 
 def brown_invariant(form: FiniteQuadraticForm) -> int:
-    """Signature residue mod 8 of the form, via exact Gauss sums.
+    """Signature residue mod 8 of the form: the sum of fixed per-block terms
+    over a Jordan splitting of each p-part (the oddity formula; Conway and
+    Sloane, *Sphere Packings, Lattices and Groups*, ch. 15).
 
     For a nondegenerate form this is the residue that matches the signature
     of any even lattice inducing the form.  Degenerate input raises
-    ValueError: its Gauss sum never lands on an admissible value.
+    ValueError: it has no such splitting.
     """
     total = 0
     for p, _ in prime_power_factors(form.order()):
-        total += _brown_p(form.p_part(p), p)
+        for a, cs in _jordan_blocks(form.p_part(p), p):
+            if len(cs) == 2:  # q = 2x, 2z over 2**a; 4a for v_a (x * z odd)
+                total += a * (cs[0] * cs[1] % 8)
+            elif p == 2:  # q = c / 2**a, c odd
+                c = cs[0]
+                total += c + a * (c * c - 1) // 2
+            elif a % 2:  # q = 2w / p**a; Euler's criterion on w
+                nonsquare = pow(cs[0] // 2, (p - 1) // 2, p) != 1
+                total += 2 * (p % 4 == 3) + 4 * nonsquare
     return total % 8
-
-
-def _brown_p(part: FiniteQuadraticForm, p: int) -> int:
-    if part.is_trivial():
-        return 0
-    if part.order() > GAUSS_SUM_CAP:
-        raise CapExceeded(
-            f"Gauss sum over {part.order()} elements exceeds the cap"
-        )
-    amax = 0
-    kexp = 0
-    for d in part.orders:
-        a = 0
-        while d % p == 0:
-            d //= p
-            a += 1
-        amax = max(amax, a)
-        kexp += a
-    if p == 2:
-        return _brown_two(part, amax, kexp)
-    return _brown_odd(part, p, amax, kexp)
-
-
-def _brown_odd(part: FiniteQuadraticForm, p: int, amax: int, kexp: int) -> int:
-    # Work in Z[x]/(cyclotomic at p^amax): exponents mod p^amax, then fold
-    # the relation x^((p-1)p^(amax-1)) = -(sum of lower p^(amax-1) shifts).
-    modulus = p**amax
-    step = p ** (amax - 1)
-    cut = (p - 1) * step
-
-    def reduce_poly(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
-        red: dict[int, int] = {}
-        for e, c in poly.items():
-            red[e % modulus] = red.get(e % modulus, 0) + c
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(red):
-                if e >= cut and red[e]:
-                    c = red.pop(e)
-                    base = e - cut
-                    for j in range(p - 1):
-                        t = base + j * step
-                        red[t % modulus] = red.get(t % modulus, 0) - c
-                    changed = True
-                    break
-        return tuple(sorted((e, c) for e, c in red.items() if c))
-
-    hist: dict[int, int] = {}
-    for el in part.elements(cap=GAUSS_SUM_CAP):
-        t = part._qn(el) // 2  # the exponent is `modulus`, so q = 2t / modulus
-        hist[t] = hist.get(t, 0) + 1
-    target = reduce_poly(hist)
-
-    gauss: dict[int, int] = {}
-    for t in range(p):
-        e = (t * t * step) % modulus
-        gauss[e] = gauss.get(e, 0) + 1
-    candidates: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    if kexp % 2 == 0:
-        scale = p ** (kexp // 2)
-        candidates.append((0, reduce_poly({0: scale})))
-        candidates.append((4, reduce_poly({0: -scale})))
-    else:
-        scale = p ** ((kexp - 1) // 2)
-        plus = reduce_poly({e: c * scale for e, c in gauss.items()})
-        minus = reduce_poly({e: -c * scale for e, c in gauss.items()})
-        if p % 4 == 1:
-            candidates += [(0, plus), (4, minus)]
-        else:
-            candidates += [(2, plus), (6, minus)]
-    for sig, poly in candidates:
-        if poly == target:
-            return sig
-    raise ValueError("degenerate form: Gauss sum matches no signature")
-
-
-def _brown_two(part: FiniteQuadraticForm, amax: int, kexp: int) -> int:
-    # Work in Z[x]/(x^(Q/2) + 1) with Q a multiple of 8, so x represents a
-    # primitive Q-th root of unity and x^(Q/8) an eighth root.
-    qq = 2 ** max(amax + 1, 3)
-    half = qq // 2
-
-    def reduce_poly(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
-        red: dict[int, int] = {}
-        for e, c in poly.items():
-            e %= qq
-            if e >= half:
-                e -= half
-                c = -c
-            red[e] = red.get(e, 0) + c
-        return tuple(sorted((e, c) for e, c in red.items() if c))
-
-    hist: dict[int, int] = {}
-    unit = qq // 2 ** (amax + 1)
-    for el in part.elements(cap=GAUSS_SUM_CAP):
-        e = (part._qn(el) * unit) % qq  # the exponent is 2**amax
-        hist[e] = hist.get(e, 0) + 1
-    target = reduce_poly(hist)
-
-    eighth = qq // 8
-    for sig in range(8):
-        if kexp % 2 == 0:
-            scale = 2 ** (kexp // 2)
-            poly = {sig * eighth: scale}
-        else:
-            scale = 2 ** ((kexp - 1) // 2)
-            poly = {}
-            for e in ((sig + 1) * eighth, (sig - 1) * eighth):
-                poly[e % qq] = poly.get(e % qq, 0) + scale
-        if reduce_poly(poly) == target:
-            return sig
-    raise ValueError("degenerate form: Gauss sum matches no signature")
 
 
 # -- isometries and anti-isometries -----------------------------------------
@@ -823,41 +722,46 @@ def _require_primary(part: FiniteQuadraticForm, p: int):
             raise ValueError(f"form is not {p}-primary")
 
 
+def _jordan_blocks(part: FiniteQuadraticForm, p: int):
+    """Yield (a, cs) for each block of an orthogonal splitting of the
+    p-primary form `part` into blocks of order p**a (Nikulin, Math. USSR Izv.
+    14, 1980, section 1.8): cs holds p**a * q on the block's generators,
+    one value for a cyclic block and two for an even rank-two block, which
+    occurs only at p = 2.
+
+    Each block is split off at the top order and the rest is its orthogonal
+    complement.  Degenerate input raises ValueError."""
+    _require_primary(part, p)
+    form = part
+    while not form.is_trivial():
+        n, k = form._n, form.rank()
+        basis = _basis(k)
+        top = [i for i in range(k) if form.orders[i] == n]
+        units = [i for i in top if form._q[i] % p]
+        if units:
+            block, skip = [basis[units[-1]]], (units[-1],)
+        else:
+            # no top generator has a unit square: pair one with a partner
+            pair = next(
+                ((i, j) for i in reversed(top) for j in range(k) if form._b[i][j] % p),
+                None,
+            )
+            if pair is None:
+                raise ValueError(f"degenerate {p}-part: no unit block found")
+            if p == 2:
+                block, skip = [basis[i] for i in pair], pair
+            else:  # q(e_i + e_j) = 2 b(e_i, e_j) is a unit
+                block, skip = [tuple(int(s in pair) for s in range(k))], ()
+        yield _pval(n, p), tuple(form._qn(g) for g in block)
+        form = _complement(form, block, skip)
+
+
 def odd_p_det_class(part: FiniteQuadraticForm, p: int) -> int:
     """A representative of the determinant square class (p odd) of any
     p-adic lattice of rank len(part.orders) inducing `part`."""
-    _require_primary(part, p)
     det = 1
-    form = part
-    while not form.is_trivial():
-        k = form.rank()
-        dmax = form.exponent()
-        g = None
-        for i in range(k - 1, -1, -1):
-            if form.orders[i] == dmax and form.qvalues[i].denominator == dmax:
-                g, skip = _basis(k)[i], (i,)
-                break
-        if g is None:
-            # No generator of maximal order has a unit square; adding another
-            # maximal-order generator with unit pairing fixes that.
-            fixed = None
-            for i in range(k - 1, -1, -1):
-                if form.orders[i] != dmax:
-                    continue
-                for j in range(k):
-                    if j != i and form.pairing[i][j].denominator == dmax:
-                        fixed = (i, j)
-                        break
-                if fixed:
-                    break
-            if fixed is None:
-                raise ValueError("degenerate p-part: no unit block found")
-            g, skip = tuple(int(s in fixed) for s in range(k)), ()
-        qg = form.q_of(g)
-        if qg.denominator != dmax:
-            raise ValueError("degenerate p-part: no unit block found")
-        det *= int(qg * dmax) * dmax
-        form = _complement(form, [g], skip)
+    for a, (c,) in _jordan_blocks(part, p):
+        det *= c * p**a
     return det
 
 
@@ -888,68 +792,22 @@ def two_adic_det_classes(part: FiniteQuadraticForm) -> list[int]:
     """Representatives of every determinant square class (p = 2) compatible
     with `part` for 2-adic lattices of rank len(part.orders).
 
-    Order-2 generators of odd square leave the unit of their block ambiguous
-    mod 8, so the result can hold several classes.
+    Order-2 blocks of odd square leave their unit ambiguous mod 8, so the
+    result can hold several classes; one per class is kept as the blocks
+    are folded in.
     """
-    _require_primary(part, 2)
-    branches = [(1, part)]
-    finished: list[int] = []
-    while branches:
-        det, form = branches.pop()
-        if form.is_trivial():
-            finished.append(det)
-            continue
-        k = form.rank()
-        dmax = form.exponent()
-        pick = None
-        for i in range(k - 1, -1, -1):
-            if form.orders[i] == dmax and form.qvalues[i].denominator == dmax:
-                pick = i
-                break
-        if pick is not None:
-            c = int(form.qvalues[pick] * dmax)  # odd
-            nxt = _complement(form, [_basis(k)[pick]], (pick,))
-            if dmax == 2:
-                branches.append((det * 2 * c, nxt))
-                branches.append((det * 2 * (c + 4), nxt))
-            else:
-                branches.append((det * c * dmax, nxt))
-            continue
-        # Even type at the top order: split off a two-generator block.
-        gi = None
-        for i in range(k - 1, -1, -1):
-            if form.orders[i] == dmax:
-                gi = i
-                break
-        hj = None
-        for j in range(k):
-            if j != gi and form.pairing[gi][j].denominator == dmax:
-                hj = j
-                break
-        if gi is None or hj is None:
-            raise ValueError("degenerate 2-part: no unit block found")
-        g = tuple(1 if s == gi else 0 for s in range(k))
-        h = tuple(1 if s == hj else 0 for s in range(k))
-        block = subgroup_form(form, [g, h])[0]
-        a = _pval(dmax, 2)
-        hyper = _two_block(a, hyperbolic=True)
-        if fqf_isometries(block, hyper):
-            factor = -(4**a)
+    classes = [1]
+    for a, cs in _jordan_blocks(part, 2):
+        if len(cs) == 2:  # 2**a [[2x, u], [u, 2z]], det 4**a (4xz - u*u)
+            factors = [3 * 4**a if cs[0] * cs[1] % 8 else -(4**a)]
+        elif a == 1:
+            factors = [2 * cs[0], 2 * (cs[0] + 4)]
         else:
-            skew = _two_block(a, hyperbolic=False)
-            if not fqf_isometries(block, skew):
-                raise ValueError("unrecognized rank-two 2-adic block")
-            factor = 3 * 4**a
-        branches.append((det * factor, _complement(form, [g, h], (gi, hj))))
-    out: dict[tuple[int, int], int] = {}
-    for det in finished:
-        v = _pval(abs(det), 2)
-        out.setdefault((v, det // 2**v % 8), det)
-    return sorted(out.values(), key=lambda n: (abs(n), n))
-
-
-def _two_block(a: int, hyperbolic: bool) -> FiniteQuadraticForm:
-    d = 2**a
-    q = Fraction(0) if hyperbolic else Fraction(2, d) % 2
-    pair = [[q % 1, Fraction(1, d)], [Fraction(1, d), q % 1]]
-    return finite_quadratic_form((d, d), (q, q), pair)
+            factors = [cs[0] * 2**a]
+        out: dict[tuple[int, int], int] = {}
+        dets = [d * f for d in classes for f in factors]
+        for det in sorted(dets, key=lambda n: (abs(n), n)):
+            v = _pval(abs(det), 2)
+            out.setdefault((v, det // 2**v % 8), det)
+        classes = list(out.values())
+    return classes

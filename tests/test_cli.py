@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from k3lines import multigraph
+from k3lines.configio import MAX_LINES
 from k3lines.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -120,11 +121,20 @@ class TestLatticeCommand:
 
     def test_determinant_with_one_large_prime_factor_is_factored(self, capsys):
         # 2 x (2**61 - 1): the cofactor is past the trial division but
-        # proven prime, so the Gauss sum over its part is the stage that stops
-        code, out, err = run(capsys, "lattice", f"[{2 * (2**61 - 1)}]")
-        assert code == EXIT_CAP
-        assert out == ""
-        assert err.startswith(f"error: Gauss sum over {2**61 - 1} elements")
+        # proven prime, and its part is one cyclic block
+        code, out, _ = run(capsys, "lattice", f"[{2 * (2**61 - 1)}]", "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["brown"] == 1
+        assert report["milgram"] == "ok"
+
+    def test_large_elementary_two_group_is_not_capped(self, capsys):
+        # (Z/2)**20: 2**20 elements, twenty blocks
+        code, out, _ = run(capsys, "lattice", "20[2]", "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["brown"] == 4
+        assert report["milgram"] == "ok"
 
     def test_human_output_mentions_milgram(self, capsys):
         code, out, _ = run(capsys, "lattice", "[8,4,8]")
@@ -206,6 +216,22 @@ class TestFragmentsCommand:
         code, _, err = run(capsys, "fragments", str(bad))
         assert code == EXIT_INPUT
         assert "surprise" in err
+
+    def test_line_count_above_the_limit_fails_before_matrix_work(self, tmp_path):
+        # a 100,000 x 100,000 multiplicity matrix would exhaust memory
+        big = tmp_path / "big.json"
+        big.write_text('{"degree": 4, "vertices": 100000, "edges": []}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lines.cli", "fragments", str(big)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: 100000 vertices exceed the limit of {MAX_LINES} lines\n"
+        )
 
 
 class TestRealCommand:

@@ -1,6 +1,7 @@
 """Pins the CLI output on the corpus: the sha256 of stdout and the exit code
 of `fragments --list-fragments`, `real` and `totally-real` (text and --json)
-on every `corpus/*.json`, and of `lattice` on every `corpus/*.lattice`.
+on every `corpus/*.json`, and of `lattice` on every `corpus/*.lattice` and on
+the expressions in `LATTICE_EXPRESSIONS`.
 
 The digests in `cli_digests.json` are the reference output.  A change meant
 to keep output byte-identical must leave them as they are; a change meant
@@ -29,6 +30,12 @@ from k3lines.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
 
+# The benchmark's lattice expressions and U(5)+A4(5): discriminant forms with
+# large 3- and 5-parts, so they pin the Brown invariant beyond the corpus.
+LATTICE_EXPRESSIONS = (
+    "3A2(3)", "2U(3)+A2(3)", "E6(3)", "D4(3)", "A4(5)", "U(5)+A4(5)",
+)
+
 
 def _calls() -> list[tuple[str, ...]]:
     calls = []
@@ -41,6 +48,9 @@ def _calls() -> list[tuple[str, ...]]:
         rel = f"corpus/{path.name}"
         calls.append(("lattice", rel))
         calls.append(("lattice", rel, "--json"))
+    for expr in LATTICE_EXPRESSIONS:
+        calls.append(("lattice", expr))
+        calls.append(("lattice", expr, "--json"))
     return calls
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from k3lines.configio import (
+    MAX_LINES,
     load_configuration,
     parse_fraction,
     read_configuration,
@@ -89,6 +90,12 @@ class TestSchema:
     def test_rejects_zero_vertices(self):
         with pytest.raises(InputError):
             load_configuration(doc(vertices=0, edges=[]))
+
+    def test_line_count_limit(self):
+        cfg = load_configuration(doc(vertices=MAX_LINES, edges=[]))
+        assert cfg.line_count == MAX_LINES
+        with pytest.raises(InputError, match=f"exceed the limit of {MAX_LINES}"):
+            load_configuration(doc(vertices=MAX_LINES + 1, edges=[]))
 
     def test_rejects_unordered_edge(self):
         with pytest.raises(InputError, match="smaller vertex first"):

@@ -479,6 +479,17 @@ class TestClassifyFragment:
         assert label.startswith("10|")
         assert label not in catalog_names()
 
+    def test_certifies_only_catalog_graphs_of_the_fragment_size(self):
+        fano._catalog_certificates.cache_clear()
+        assert classify_fragment(catalog_graph("K4")) == "K4"
+        assert sorted(fano._catalog_certificates(4).values()) == ["K4"]
+        assert fano._catalog_certificates.cache_info().currsize == 1
+        for name in catalog_names():
+            assert classify_fragment(catalog_graph(name)) == name
+        assert sorted(fano._catalog_certificates(8).values()) == [
+            "K3+K32", "cube", "wagner"
+        ]
+
 
 class TestGraphInvariants:
     EXPECTED = {

@@ -1,8 +1,10 @@
-"""Finite quadratic form machinery: construction, Gauss sums, isometries,
-subquotients, local determinant classes."""
+"""Finite quadratic form machinery: construction, the Brown invariant against
+Gauss sums, isometries, subquotients, local determinant classes."""
 
+import cmath
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -393,12 +395,33 @@ def test_two_adic_det_classes_property():
         ), spec
 
 
-def test_gauss_sum_cap():
+def test_brown_invariant_of_twenty_halves_is_fast():
+    # 2**20 elements: the budget fails any method that sums over the group
     big = cyclic(2, F(1, 2))
     for _ in range(19):
         big = big.direct_sum(cyclic(2, F(1, 2)))
-    with pytest.raises(CapExceeded):
-        brown_invariant(big)
+    start = time.process_time()
+    assert brown_invariant(big) == 4
+    assert time.process_time() - start < 2.0
+
+
+@pytest.mark.parametrize("a", range(1, 11))
+def test_milgram_identity_on_two_adic_rank_two_blocks(a):
+    # U(2**a) induces u_a, A2(-2**a) induces v_a at 2 (and a 3-part)
+    for spec in (f"U({2**a})", f"A2({-(2**a)})"):
+        lat = build_lattice(spec)
+        plus, minus, _ = lat.signature
+        assert brown_invariant(discriminant_form(lat)) == (plus - minus) % 8, spec
+
+
+def test_two_adic_det_classes_of_large_rank_two_blocks():
+    for spec in ("U(128)", "A2(-128)"):
+        lat = build_lattice(spec)
+        part = discriminant_form(lat).p_part(2)
+        assert part.orders == (128, 128)
+        classes = two_adic_det_classes(part)
+        assert len(classes) == 1, spec
+        assert square_class_equal(classes[0], lat.determinant, 2), spec
 
 
 def test_prime_power_factors_accepts_one_large_prime_cofactor():
@@ -483,6 +506,57 @@ def test_property_normalization_is_idempotent(a, b):
     form = discriminant_form(a).direct_sum(discriminant_form(b))
     assert finite_quadratic_form(form.orders, form.qvalues, form.pairing) == form
     assert form.direct_sum(TRIVIAL_FORM) == form
+
+
+def gauss_sum_brown(form):
+    """Brown invariant from the Gauss sum S = sum of exp(pi i q(x)) over the
+    group, or None for a degenerate form: the form is nondegenerate exactly
+    when |S|**2 = |D|, and then S = sqrt|D| exp(2 pi i Brown / 8)."""
+    total = sum(cmath.exp(1j * cmath.pi * form.q_of(x)) for x in form.elements())
+    if abs(abs(total) ** 2 - form.order()) > 1e-6 * form.order():
+        return None
+    return round(cmath.phase(total) / (cmath.pi / 4)) % 8
+
+
+def skew_two(a=1):
+    """v_a: (Z/2**a)**2 with q = 2/2**a on both generators."""
+    d = 2**a
+    q = F(2, d) % 2
+    return finite_quadratic_form(
+        (d, d), (q, q), [[q % 1, F(1, d)], [F(1, d), q % 1]]
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    even_lattices(max_rank=4),
+    st.sampled_from((1, 2, 3, 4)),
+    st.sampled_from((0, 1, 2, 3)),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_property_brown_invariant_matches_gauss_sum_on_subgroups(
+    lat, scale, a, skew, rng
+):
+    # rescaling raises the block orders; a summand u_a or v_a makes sure
+    # the rank-two 2-adic blocks occur
+    form = discriminant_form(Lattice(tuple(
+        tuple(scale * x for x in row) for row in lat.gram
+    )))
+    if a:
+        form = form.direct_sum(skew_two(a) if skew else hyperbolic_two(a))
+    assume(form.order() <= 5000)
+    gens = [
+        tuple(rng.randrange(d) for d in form.orders)
+        for _ in range(rng.randrange(1, form.rank() + 2))
+    ]
+    sub, _ = subgroup_form(form, gens)
+    expected = gauss_sum_brown(sub)
+    if expected is None:
+        with pytest.raises(ValueError):
+            brown_invariant(sub)
+    else:
+        assert brown_invariant(sub) == expected
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
