@@ -53,6 +53,12 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _check_fields(obj: dict, allowed: set, what: str) -> None:
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be an object")
@@ -119,6 +125,8 @@ def _parse_transcendental(raw) -> TranscendentalSpec:
         if not (isinstance(entries, list) and len(entries) == 3):
             raise InputError("definite2 takes [a, b, c]")
         a, b, c = (_require_int(x, "definite2 entry") for x in entries)
+        if a % 2 or c % 2:
+            raise InputError("definite2 diagonal entries must be even")
         return Definite2(Lattice(((a, b), (b, c))))
     if keys == {"twoU"}:
         return TwoU(_require_int(raw["twoU"], "twoU scale"))
@@ -129,12 +137,15 @@ def _parse_transcendental(raw) -> TranscendentalSpec:
             raise InputError(
                 "discr block needs factors, qvalues, and pairing"
             )
-        factors = [
-            _require_int(x, "discr factor") for x in block["factors"]
-        ]
-        qvalues = [parse_fraction(x) for x in block["qvalues"]]
+        factors, qvalues, pairing = (
+            _require_list(block[key], f"discr {key}")
+            for key in ("factors", "qvalues", "pairing")
+        )
+        factors = [_require_int(x, "discr factor") for x in factors]
+        qvalues = [parse_fraction(x) for x in qvalues]
         pairing = [
-            [parse_fraction(x) for x in row] for row in block["pairing"]
+            [parse_fraction(x) for x in _require_list(row, "discr pairing row")]
+            for row in pairing
         ]
         if len(qvalues) != len(factors) or any(
             len(row) != len(factors) for row in pairing

@@ -42,6 +42,7 @@ from .fqf import (
     greedy_generators,
     isotropic_quotient,
     minus_identity_isometry,
+    orbits,
     solve_mod,
     subgroup_form,
 )
@@ -417,31 +418,20 @@ def _involution_classes_of(
     involutions (identity included) in the sigma part of the stabilizer, in
     increasing order.
 
-    Each class is the conjugation orbit of its least involution under the
-    stabilizer's generators, the orbit algorithm of Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, section 4.1: in a finite
-    group an orbit closed under the generators is closed under the group,
-    so a class costs |class| x |generators| conjugations, not |group|."""
+    Each class is the orbit (`fqf.orbits`) of its least involution under
+    conjugation by the stabilizer's generators, so a class costs |class| x
+    |generators| conjugations, not |group|."""
     ident = tuple(range(stabilizer.group.n))
     invs = sorted(
         g for g in stabilizer.sigma_elements() if compose_perm(g, g) == ident
     )
-    gens = [(a, invert_perm(a)) for a in stabilizer.generators]
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for g in invs:
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.add(g)
-        orbit = [g]
-        for x in orbit:
-            for a, a_inv in gens:
-                y = tuple(a[x[i]] for i in a_inv)  # a x a^-1 in one pass
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-    return reps
+
+    def by(a):
+        a_inv = invert_perm(a)
+        return lambda x: tuple(a[x[i]] for i in a_inv)  # a x a^-1
+
+    moves = [by(a) for a in stabilizer.generators]
+    return [orbit[0] for orbit in orbits(invs, moves)]
 
 
 # -- the analysis of one configuration ------------------------------------------
@@ -587,18 +577,16 @@ class Analysis:
 
     @cached_property
     def _kernel_subgroup(self) -> frozenset[tuple[int, ...]]:
-        """Every element of the subgroup the kernel classes generate."""
+        """Every element of the subgroup the kernel classes generate: the
+        orbit of zero under translation by each class."""
         form = self.data.form
-        zero = (0,) * len(form.orders)
-        elements = {zero}
-        frontier = [zero]
-        for x in frontier:
-            for k in self.kernel_classes:
-                y = form.reduce(map(operator.add, x, k))
-                if y not in elements:
-                    elements.add(y)
-                    frontier.append(y)
-        return frozenset(elements)
+
+        def by(k):
+            return lambda x: form.reduce(map(operator.add, x, k))
+
+        moves = [by(k) for k in self.kernel_classes]
+        (subgroup,) = orbits([form.zero()], moves)
+        return frozenset(subgroup)
 
     def _preserves_kernel(self, perm) -> bool:
         # A graph automorphism acts on the discriminant group injectively,
@@ -654,7 +642,7 @@ class Analysis:
             raise InputError("sigma is not a permutation of the vertices")
         if compose_perm(sigma, sigma) != tuple(range(graph.n)):
             raise InputError("sigma is not an involution")
-        if graph.relabel(sigma) != graph:
+        if not graph.is_automorphism(sigma):
             raise InputError("sigma does not preserve the multigraph")
         num_r = 0
         num_rr = 0

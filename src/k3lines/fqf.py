@@ -622,42 +622,74 @@ def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:
     """Conjugacy classes of self-inverse automorphisms, the identity and the
     negation map included.  Sorted by (class size, representative).
 
-    Each class is the conjugation orbit of its least involution under a
-    generating set of the group (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.1), so a class costs
-    |class| x |generators| conjugations, not |group|."""
-    group = [g.columns for g in automorphism_group(form)]
+    Each class is the orbit of its least involution under `conjugations`,
+    so a class costs |class| x |generators| conjugations, not |group|."""
+    mul = _column_product(form)
+    ident = identity_isometry(form).columns
+    group = [g.columns for g in automorphism_group(form)]  # sorted
+    involutions = [s for s in group if mul(s, s) == ident]
+    classes = [
+        InvolutionClass(
+            FqfIsometry(form, form, orbit[0], anti=False),
+            len(orbit),
+            frozenset(orbit),
+        )
+        for orbit in orbits(involutions, conjugations(form))
+    ]
+    classes.sort(key=lambda c: (c.size, c.representative.columns))
+    return classes
+
+
+def _column_product(form: FiniteQuadraticForm):
+    """a after b, for endomorphisms of `form` given by their columns."""
     orders = form.orders
 
-    def mul(a, b):  # a after b, both given by columns
+    def mul(a, b):
         rows = tuple(zip(*a))
         return tuple(
             tuple(sum(map(operator.mul, row, col)) % d for row, d in zip(rows, orders))
             for col in b
         )
 
+    return mul
+
+
+def conjugations(form: FiniteQuadraticForm) -> list:
+    """The maps x -> a x a^-1 on columns, one for each of a generating set
+    of Aut(form): under them, `orbits` are conjugacy classes."""
+    mul = _column_product(form)
     ident = identity_isometry(form).columns
-    gens = [
-        (a, FqfIsometry(form, form, a).inverse().columns)
-        for a in greedy_generators(group, mul, ident)
-    ]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    classes = []
-    for s in group:  # sorted, so s is the least member of its class
-        if s in seen or mul(s, s) != ident:
+    group = [g.columns for g in automorphism_group(form)]
+
+    def by(a):
+        a_inv = FqfIsometry(form, form, a).inverse().columns
+        return lambda x: mul(a, mul(x, a_inv))
+
+    return [by(a) for a in greedy_generators(group, mul, ident)]
+
+
+def orbits(seeds, moves) -> list[list]:
+    """The orbit of each seed under the maps `moves`, skipping seeds that an
+    earlier orbit covers.  Each orbit starts with its seed.  When the moves
+    act as a generating set of a finite group, an orbit closed under them is
+    closed under the group (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 4.1), so an orbit costs
+    |orbit| x |moves| steps, not |group|."""
+    seen: set = set()
+    out = []
+    for seed in seeds:
+        if seed in seen:
             continue
-        seen.add(s)
-        orbit = [s]
+        seen.add(seed)
+        orbit = [seed]
         for x in orbit:
-            for a, a_inv in gens:
-                y = mul(a, mul(x, a_inv))
+            for move in moves:
+                y = move(x)
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        rep = FqfIsometry(form, form, s, anti=False)
-        classes.append(InvolutionClass(rep, len(orbit), frozenset(orbit)))
-    classes.sort(key=lambda c: (c.size, c.representative.columns))
-    return classes
+        out.append(orbit)
+    return out
 
 
 def greedy_generators(group, mul, ident) -> list:

@@ -86,28 +86,6 @@ def det(m: Mat) -> int:
     return sign * work[n - 1][n - 1]
 
 
-def det_fraction(m) -> Fraction:
-    """Determinant of a matrix with rational entries."""
-    n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    out = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            out = -out
-        out *= work[k][k]
-        inv = 1 / work[k][k]
-        for i in range(k + 1, n):
-            if work[i][k] != 0:
-                f = work[i][k] * inv
-                for j in range(k, n):
-                    work[i][j] -= f * work[k][j]
-    return out
-
-
 def smith_decompose(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form: returns (S, U, V) with U·m·V = S.
 
@@ -230,119 +208,63 @@ def inverse_unimodular(m: Mat) -> Mat:
 
 def inertia(m) -> tuple[int, int, int]:
     """Counts of positive, negative, and zero eigenvalues of a symmetric
-    matrix, computed exactly by rational congruence reduction.
-
-    Zero diagonal pivots are handled by splitting off a 2x2 block with zero
-    diagonal, which contributes one positive and one negative direction.
-    """
-    if not is_symmetric(m):
-        raise ValueError("inertia requires a symmetric matrix")
-    n = len(m)
-    work = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    idx = list(range(n))
-    pos = neg = zero = 0
-    while idx:
-        di = next((i for i in idx if work[i][i] != 0), None)
-        if di is not None:
-            d = work[di][di]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in idx if i != di]
-            col = {a: work[a][di] for a in rest}
-            for a in rest:
-                if col[a] == 0:
-                    continue
-                f = col[a] / d
-                for b in rest:
-                    work[a][b] -= f * work[di][b]
-            for a in rest:
-                work[a][di] = Fraction(0)
-                work[di][a] = Fraction(0)
-            idx = rest
-            continue
-        pij = None
-        for ai in range(len(idx)):
-            for bi in range(ai + 1, len(idx)):
-                if work[idx[ai]][idx[bi]] != 0:
-                    pij = (idx[ai], idx[bi])
-                    break
-            if pij:
-                break
-        if pij is None:
-            zero += len(idx)
-            break
-        i, j = pij
-        bval = work[i][j]
-        pos += 1
-        neg += 1
-        rest = [k for k in idx if k != i and k != j]
-        ci = {a: work[a][i] for a in rest}
-        cj = {a: work[a][j] for a in rest}
-        for a in rest:
-            for b in rest:
-                work[a][b] -= (ci[a] * cj[b] + cj[a] * ci[b]) / bval
-        idx = rest
-    return pos, neg, zero
+    matrix, computed exactly by rational congruence reduction."""
+    norms = [d for _, d in _diagonal_basis(m, vectors=False)]
+    return (
+        sum(d > 0 for d in norms),
+        sum(d < 0 for d in norms),
+        sum(d == 0 for d in norms),
+    )
 
 
 def positive_basis(m) -> list[list[Fraction]]:
     """Rational basis of a maximal positive definite subspace of a symmetric
-    form, produced by the same congruence reduction as `inertia`."""
+    form, from the same congruence reduction as `inertia`."""
+    return [v for v, d in _diagonal_basis(m, vectors=True) if d > 0]
+
+
+def _diagonal_basis(m, vectors: bool) -> list[tuple[list | None, Fraction]]:
+    """A basis of Q^n orthogonal for the symmetric form m, as (vector,
+    norm) pairs, by rational congruence reduction.  A vector of nonzero
+    norm is split off, and the others are made orthogonal to it.  When
+    every remaining vector is isotropic, one of a pair x, y with x·y != 0
+    is replaced by x + y, of norm 2 x·y.  The vectors left when no pair
+    pairs span the radical.  Without `vectors` only the norms are kept,
+    and each vector is None."""
     if not is_symmetric(m):
-        raise ValueError("positive_basis requires a symmetric matrix")
+        raise ValueError("congruence reduction requires a symmetric matrix")
     n = len(m)
-    gram = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-
-    def pair(x, y):
-        total = Fraction(0)
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = gram[i]
-                total += xi * sum(row[j] * y[j] for j in range(n) if y[j])
-        return total
-
-    active = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    found: list[list[Fraction]] = []
-    while active:
-        di = next((k for k, vv in enumerate(active) if pair(vv, vv) != 0), None)
-        if di is not None:
-            v = active.pop(di)
-            nv = pair(v, v)
-            if nv > 0:
-                found.append(v)
-            active = [
-                [w[i] - (pair(w, v) / nv) * v[i] for i in range(n)] for w in active
-            ]
+    gram = [[Fraction(x) for x in row] for row in m]
+    vecs = [
+        [Fraction(int(i == j)) for j in range(n)] if vectors else None
+        for i in range(n)
+    ]
+    idx = list(range(n))
+    out = []
+    while idx:
+        k = next((i for i in idx if gram[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in idx for j in idx if gram[i][j] != 0), None
+            )
+            if pair is None:
+                return out + [(vecs[i], Fraction(0)) for i in idx]
+            i, j = pair
+            if vectors:
+                vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
+            for r in idx:
+                gram[r][i] += gram[r][j]
+            for c in idx:
+                gram[i][c] += gram[j][c]
             continue
-        pij = None
-        for a in range(len(active)):
-            for b in range(a + 1, len(active)):
-                if pair(active[a], active[b]) != 0:
-                    pij = (a, b)
-                    break
-            if pij:
-                break
-        if pij is None:
-            break
-        a, b = pij
-        va, vb = active[a], active[b]
-        plus = [va[i] + vb[i] for i in range(n)]
-        minus = [va[i] - vb[i] for i in range(n)]
-        if pair(plus, plus) > 0:
-            good, bad = plus, minus
-        else:
-            good, bad = minus, plus
-        found.append(good)
-        rest = [active[k] for k in range(len(active)) if k not in (a, b)]
-        ng, nb = pair(good, good), pair(bad, bad)
-        active = [
-            [
-                w[i] - (pair(w, good) / ng) * good[i] - (pair(w, bad) / nb) * bad[i]
-                for i in range(n)
-            ]
-            for w in rest
-        ]
-    return found
+        d = gram[k][k]
+        out.append((vecs[k], d))
+        idx.remove(k)
+        for a in idx:
+            f = gram[a][k] / d
+            if f:
+                if vectors:
+                    vecs[a] = [x - f * y for x, y in zip(vecs[a], vecs[k])]
+                for b in idx:
+                    gram[a][b] -= f * gram[k][b]
+    return out

@@ -14,18 +14,18 @@ convert.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm, prod
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .fqf import FiniteQuadraticForm, FqfIsometry, fqf_isometries
 from .intmat import (
     block_diag,
     det,
-    det_fraction,
     identity,
     inertia,
     integral_kernel,
@@ -93,11 +93,7 @@ class Lattice:
         return self.rescaled(-1)
 
     def norm(self, vec) -> int:
-        return sum(
-            vec[i] * self.gram[i][j] * vec[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return self.pairing(vec, vec)
 
     def pairing(self, x, y) -> int:
         return sum(
@@ -427,22 +423,28 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
 # -- orthogonal groups of small definite lattices ----------------------------
 
 
+# Largest box of integer vectors `orthogonal_group_definite` may walk for
+# one norm.  Coordinate i ranges over |x_i| <= isqrt(norm·cof_ii / det), so
+# the box grows with the square root of the Gram entries: [10^12, 3, 6]
+# gives 2.4 million points (5.4 s on a 2-core host) and [10^16, 3, 6]
+# 2.4 x 10^8.  The shipped inputs need at most a few dozen points.
+MAX_NORM_BOX = 100_000
+
+
 def _vectors_of_norm(gram_pos, bound_rows, norm: int) -> list[tuple[int, ...]]:
+    """The vectors x with x·G·x = norm, searched in the box x_i^2 <=
+    bound_rows[i] * norm.  A box of more than `MAX_NORM_BOX` points raises
+    CapExceeded before any is tested."""
     n = len(gram_pos)
+    bounds = [isqrt(int(row * norm)) for row in bound_rows]
+    box = prod(2 * b + 1 for b in bounds)
+    if box > MAX_NORM_BOX:
+        raise CapExceeded(
+            f"orthogonal group of a definite lattice: {box} vectors to test "
+            f"for norm {norm} exceed the cap of {MAX_NORM_BOX}"
+        )
     out = []
-    ranges = []
-    for i in range(n):
-        limit = bound_rows[i] * norm
-        b = isqrt(limit.numerator // limit.denominator) if limit > 0 else 0
-        ranges.append(range(-b, b + 1))
-    stack = [()]
-    for i in range(n):
-        nxt = []
-        for partial in stack:
-            for x in ranges[i]:
-                nxt.append(partial + (x,))
-        stack = nxt
-    for vec in stack:
+    for vec in itertools.product(*(range(-b, b + 1) for b in bounds)):
         val = sum(
             vec[i] * gram_pos[i][j] * vec[j] for i in range(n) for j in range(n)
         )
@@ -466,17 +468,13 @@ def orthogonal_group_definite(lattice: Lattice) -> list[Isometry]:
     gpos = [
         [x if plus else -x for x in row] for row in lattice.gram
     ]
-    # Coordinate bound: x_i^2 <= (G^-1)_ii * norm for positive definite G.
-    det_g = det_fraction([[Fraction(x) for x in row] for row in gpos])
+    # Coordinate bound: x_i^2 <= (G^-1)_ii * norm for positive definite G,
+    # with (G^-1)_ii the integer cofactor over det G.
+    det_g = det(gpos)
     ginv_diag = []
     for i in range(n):
-        minor = [
-            [Fraction(gpos[r][c]) for c in range(n) if c != i]
-            for r in range(n)
-            if r != i
-        ]
-        cof = det_fraction(minor) if n > 1 else Fraction(1)
-        ginv_diag.append(cof / det_g)
+        minor = [[gpos[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        ginv_diag.append(Fraction(det(minor), det_g))
     norms = [gpos[i][i] for i in range(n)]
     candidates = {
         m: _vectors_of_norm(gpos, ginv_diag, m) for m in sorted(set(norms))
@@ -487,25 +485,13 @@ def orthogonal_group_definite(lattice: Lattice) -> list[Isometry]:
 
     def extend(i: int):
         if i == n:
-            cols = images[:]
-            mat = tuple(
-                tuple(cols[j][r] for j in range(n)) for r in range(n)
-            )
-            results.append(mat)
+            results.append(tuple(zip(*images)))  # the images are columns
             return
         for vec in candidates[norms[i]]:
-            ok = True
-            for j in range(i):
-                want = gpos[i][j]
-                got = sum(
-                    vec[a] * gpos[a][b] * images[j][b]
-                    for a in range(n)
-                    for b in range(n)
-                )
-                if got != want:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                lattice.pairing(vec, images[j]) == lattice.gram[i][j]
+                for j in range(i)
+            ):
                 images.append(vec)
                 extend(i + 1)
                 images.pop()
@@ -523,25 +509,16 @@ def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
     definite subspace, -1 if it reverses it."""
     if not lattice.is_nondegenerate():
         raise ValueError("sign structure needs a nondegenerate lattice")
-    basis = positive_basis([list(r) for r in lattice.gram])
+    # Scaling a basis vector by a positive integer keeps the orientation,
+    # so each is cleared of denominators and the pairing matrix is integral.
+    basis = [
+        [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+        for vec in positive_basis([list(r) for r in lattice.gram])
+    ]
     if not basis:
         return 1
-    n = lattice.rank
-    g = lattice.gram
-    w = isometry.matrix
-    imgs = [mat_vec(w, vec) for vec in basis]
-    mat = [
-        [
-            sum(
-                basis[a][i] * g[i][j] * imgs[b][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            for b in range(len(basis))
-        ]
-        for a in range(len(basis))
-    ]
-    value = det_fraction(mat)
+    images = [mat_vec(isometry.matrix, vec) for vec in basis]
+    value = det([[lattice.pairing(u, w) for w in images] for u in basis])
     if value == 0:
         raise ValueError("isometry degenerates the positive subspace pairing")
     return 1 if value > 0 else -1
@@ -560,14 +537,7 @@ def invariant_sublattice(
         for i in range(n)
     ]
     basis = integral_kernel(diff)
-    g = lattice.gram
-    sub = [
-        [
-            sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
-            for y in basis
-        ]
-        for x in basis
-    ]
+    sub = [[lattice.pairing(x, y) for y in basis] for x in basis]
     return Lattice.from_rows(sub), [list(v) for v in basis]
 
 

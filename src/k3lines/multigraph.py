@@ -87,6 +87,17 @@ class Multigraph:
                 out[perm[i]][perm[j]] = self.mult[i][j]
         return Multigraph(tuple(tuple(row) for row in out))
 
+    def is_automorphism(self, perm) -> bool:
+        """Whether the vertex permutation `perm` takes every edge to an edge
+        of the same multiplicity.  A bijection that does so maps the edge
+        set onto itself, so non-edges go to non-edges as well."""
+        mult = self.mult
+        return all(
+            mult[perm[v]][perm[w]] == m
+            for v, nbrs in enumerate(self.adjacency)
+            for w, m in nbrs
+        )
+
     def induced(self, vertices) -> "Multigraph":
         vs = list(vertices)
         return Multigraph(
@@ -216,7 +227,7 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
                 for u, c in enumerate(child):
                     at[c] = u
                 perm = tuple(at[c] for c in path[-1])
-                if graph.relabel(perm) == graph:
+                if graph.is_automorphism(perm):
                     return perm
                 continue
             target = path[depth + 1][base[depth + 1]]

@@ -20,16 +20,18 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 from .fqf import (
     FiniteQuadraticForm,
     FqfIsometry,
+    conjugations,
     fqf_isometries,
-    involution_classes,
     odd_p_det_class,
+    orbits,
     orthogonal_subgroup,
     square_class_equal,
     subgroup_form,
@@ -340,20 +342,42 @@ def two_u_involutions() -> tuple[tuple[str, Isometry], ...]:
 
 @dataclass(frozen=True)
 class TSideClasses:
-    """Involution images on the transcendental discriminant form that honest
+    """Involutions on the transcendental discriminant form that honest
     representatives realize.
 
-    When conjugation_closed is set, members is a union of full conjugacy
-    classes of Aut(form), so one anti-isometry suffices for matching; when
-    not, members is the exact image set and matching must try every
-    anti-isometry.
+    `images` holds the realizable involutions pushed to the form.
+    `members`, their closure under conjugation by Aut(form), and
+    `class_count`, the number of conjugacy classes it meets, are computed
+    on first use.  `outside` is the reason given for an involution that
+    lands outside `members`.
     """
 
     form: FiniteQuadraticForm
-    members: frozenset
-    conjugation_closed: bool
-    class_count: int | None
-    note: str
+    images: frozenset
+    outside: str
+    _antis: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @cached_property
+    def _classes(self) -> list[list]:
+        return orbits(sorted(self.images), conjugations(self.form))
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(x for cls in self._classes for x in cls)
+
+    @property
+    def class_count(self) -> int:
+        return len(self._classes)
+
+    def anti_isometry(self, source: FiniteQuadraticForm) -> FqfIsometry | None:
+        """One anti-isometry from `source` to the form, or None when there
+        is none; searched once per source form."""
+        if source not in self._antis:
+            antis = fqf_isometries(source, self.form, anti=True)
+            self._antis[source] = antis[0] if antis else None
+        return self._antis[source]
 
 
 def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
@@ -364,37 +388,29 @@ def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
     if isinstance(spec, Definite2):
         lat = spec.lattice
         data = discriminant_data(lat)
-        members = set()
-        for g in orthogonal_group_definite(lat):
-            if g.is_involution() and sign_structure_action(lat, g) == -1:
-                members.add(data.act(g).columns)
+        images = frozenset(
+            data.act(g).columns
+            for g in orthogonal_group_definite(lat)
+            if g.is_involution() and sign_structure_action(lat, g) == -1
+        )
         return TSideClasses(
             data.form,
-            frozenset(members),
-            conjugation_closed=False,
-            class_count=None,
-            note="positive definite rank-2 enumeration",
+            images,
+            "no anti-isometry carries the induced involution to a "
+            "realizable image",
         )
     if isinstance(spec, TwoU):
         lat = build_lattice(f"2U({spec.scale})")
         data = discriminant_data(lat)
-        images = []
-        for _, g in two_u_involutions():
-            scaled = Isometry(lat, g.matrix)
-            images.append(data.act(scaled).columns)
-        classes = involution_classes(data.form)
-        members: set = set()
-        count = 0
-        for cls in classes:
-            if any(img in cls.members for img in images):
-                members |= cls.members
-                count += 1
+        images = frozenset(
+            data.act(Isometry(lat, g.matrix)).columns
+            for _, g in two_u_involutions()
+        )
         return TSideClasses(
             data.form,
-            frozenset(members),
-            conjugation_closed=True,
-            class_count=count,
-            note="hyperbolic-pair construction pushed to the rescaled form",
+            images,
+            "the induced involution lands outside every realizable "
+            "conjugacy class",
         )
     raise InputError(f"unsupported transcendental data {spec!r}")
 
@@ -404,33 +420,26 @@ def match_real_structure(
 ) -> tuple[str, str]:
     """Glue test for a candidate real structure: the induced involution on
     the line-side discriminant form must be carried to a realizable
-    transcendental-side involution by some anti-isometry.
+    transcendental-side involution by some anti-isometry phi.
+
+    Any other anti-isometry is g.phi with g in Aut(discr T), and
+    `tside.members` is closed under conjugation by Aut(discr T), so one phi
+    decides.  Nothing on the transcendental side beyond the images is
+    computed when no anti-isometry exists.
 
     Returns (admissibility, reason)."""
     if tside is None:
         return (UNKNOWN, "no usable transcendental representative")
-    antis = fqf_isometries(tau_n.source, tside.form, anti=True)
-    if not antis:
+    phi = tside.anti_isometry(tau_n.source)
+    if phi is None:
         return (
             INADMISSIBLE,
             "no anti-isometry between the discriminant forms (genus mismatch)",
         )
-    chosen = antis[:1] if tside.conjugation_closed else antis
-    for phi in chosen:
-        conj = phi.compose(tau_n).compose(phi.inverse())
-        if conj.columns in tside.members:
-            return (
-                ADMISSIBLE,
-                "a compatible transcendental involution exists",
-            )
-    if tside.conjugation_closed:
+    conj = phi.compose(tau_n).compose(phi.inverse())
+    if conj.columns in tside.members:
         return (
-            INADMISSIBLE,
-            "the induced involution lands outside every realizable "
-            "conjugacy class",
+            ADMISSIBLE,
+            "a compatible transcendental involution exists",
         )
-    return (
-        INADMISSIBLE,
-        "no anti-isometry carries the induced involution to a realizable "
-        "image",
-    )
+    return (INADMISSIBLE, tside.outside)

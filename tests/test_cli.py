@@ -3,13 +3,18 @@ byte determinism of machine output."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from k3lines import multigraph
 from k3lines.configio import MAX_LINES
@@ -316,6 +321,44 @@ class TestRealCommand:
         assert "error:" in err
 
 
+    def test_genus_mismatch_with_large_scale_is_fast(self, capsys, tmp_path):
+        # discr 2U(7) has 2401 elements and an automorphism group of about
+        # 2 x 10^5; no anti-isometry reaches it from K33's D_N, so neither
+        # is needed (61.6 s before the gluing searched once per call)
+        doc = json.loads((CORPUS / "k33.json").read_text())
+        doc["transcendental"] = {"twoU": 7}
+        path = tmp_path / "k33_twou7.json"
+        path.write_text(json.dumps(doc))
+        start = time.process_time()
+        code, out, _ = run(capsys, "real", str(path), "--json")
+        assert time.process_time() - start < 2
+        assert code == EXIT_OK
+        assert all(
+            "genus mismatch" in c["reason"]
+            for c in json.loads(out)["candidates"]
+        )
+
+    def test_huge_definite_entry_hits_the_box_cap(self, tmp_path):
+        # the orthogonal group search would walk 2.4 x 10^8 vectors
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "degree": 6, "vertices": 6, "edges": [],
+            "transcendental": {"definite2": [10**16, 3, 6]},
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lines.cli", "real", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_CAP
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "error: orthogonal group of a definite lattice: 244948977 "
+            "vectors to test for norm 10000000000000000 exceed the cap of "
+        )
+
+
 class TestTotallyRealCommand:
     def test_k33_verdict(self, capsys):
         code, out, _ = run(
@@ -348,6 +391,138 @@ class TestTotallyRealCommand:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["det_n"] == -20
+
+
+def with_transcendental(tmp_path, transcendental) -> str:
+    doc = json.loads((CORPUS / "k33.json").read_text())
+    doc["transcendental"] = transcendental
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+DISCR = {"factors": [3], "qvalues": ["2/3"], "pairing": [["1/3"]]}
+
+
+class TestMalformedTranscendental:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("factors", 2, "discr factors must be a list, got 2"),
+            ("qvalues", "2/3", "discr qvalues must be a list, got '2/3'"),
+            ("pairing", None, "discr pairing must be a list, got None"),
+            ("pairing", ["1/3"], "discr pairing row must be a list, got '1/3'"),
+        ],
+    )
+    def test_discr_lists_are_checked(self, capsys, tmp_path, field, value, message):
+        block = dict(DISCR, **{field: value})
+        path = with_transcendental(tmp_path, {"discr": block, "rank": 4})
+        for cmd in ("fragments", "real", "totally-real"):
+            code, out, err = run(capsys, cmd, path)
+            assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("entries", [[-1, 3, 6], [2, 1, 3]])
+    def test_definite2_diagonal_must_be_even(self, capsys, tmp_path, entries):
+        path = with_transcendental(tmp_path, {"definite2": entries})
+        code, out, err = run(capsys, "real", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: definite2 diagonal entries must be even\n"
+
+
+# -- mutated corpus documents ---------------------------------------------------
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([10**6, 10**12, 2**61 - 1, -(10**9)]),
+    st.sampled_from(["1/2", "2/3", "1/0", "x", "", "-1/4", "3"]),
+    st.floats(allow_nan=True),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["degree", "twoU", "discr", "rank"]), inner, max_size=2
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+def document_paths(node, at=()):
+    """Every path into a JSON document; of a list only the first two
+    entries, so that long edge lists do not crowd out the other fields."""
+    yield at
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from document_paths(value, at + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node[:2]):
+            yield from document_paths(value, at + (i,))
+
+
+def nearby(node):
+    """Replacements close to `node`: another small integer for an
+    integer, the first entry or nothing for a list."""
+    if isinstance(node, bool):
+        return st.booleans()
+    if isinstance(node, int):
+        return st.one_of(st.integers(-3, 12), SCALARS)
+    if isinstance(node, list):
+        return st.one_of(st.sampled_from(node[:1] or [None]), st.just([]), SCALARS)
+    if isinstance(node, dict):
+        return st.one_of(st.just({}), SCALARS)
+    return SCALARS
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one or two nodes deleted or replaced."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(document_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else doc
+        kind = draw(st.integers(0, 3))
+        if path and kind == 0:
+            del parent[path[-1]]
+            continue
+        new = draw(nearby(node) if kind < 3 else VALUES)
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+class TestMutatedCorpus:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+    @settings(
+        derandomize=True,
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutations_exit_cleanly(self, tmp_path, name, data):
+        # a bad document exits 1, a search cap exits 3; anything else
+        # escaping main() is a traceback and fails here
+        doc = data.draw(mutated(json.loads((CORPUS / name).read_text())))
+        cmd = data.draw(st.sampled_from(["fragments", "real", "totally-real"]))
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cmd, str(path), "--json"])
+        assert time.process_time() - start < 5
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAP)
+        if code != EXIT_OK:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestDeterminism:

@@ -29,6 +29,7 @@ from k3lines.fqf import (
     involution_classes,
     isotropic_quotient,
     odd_p_det_class,
+    orbits,
     orthogonal_subgroup,
     prime_power_factors,
     solve_mod,
@@ -320,6 +321,16 @@ def test_involution_classes_partition():
         assert not (covered & c.members)
         covered |= c.members
     assert covered == {g.columns for g in brute}
+
+
+def test_orbits_skip_covered_seeds():
+    # translation by 2 and by 3 on Z/12 has one orbit; by 4 alone, four
+    assert orbits([0, 5], [lambda x: (x + 2) % 12, lambda x: (x + 3) % 12]) == [
+        [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1]
+    ]
+    by_four = orbits([3, 7, 0, 2, 1], [lambda x: (x + 4) % 12])
+    assert by_four == [[3, 7, 11], [0, 4, 8], [2, 6, 10], [1, 5, 9]]
+    assert orbits([(1,), (1,), (2,)], []) == [[(1,)], [(2,)]]
 
 
 def test_square_class_frozen():

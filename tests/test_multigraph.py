@@ -176,6 +176,15 @@ class TestMultigraphValidation:
         assert h.mult[0][2] == 2
         assert h.mult[0][1] == 0
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_is_automorphism_agrees_with_relabeling(self, g, data):
+        for p in data.draw(st.lists(st.permutations(range(g.n)), max_size=8)):
+            p = tuple(p)
+            assert g.is_automorphism(p) == (g.relabel(p) == g)
+        for p in graph_automorphism_group(g).generators:
+            assert g.is_automorphism(p)
+
     def test_induced_subgraph(self):
         g = catalog_graph("prism")
         sub = g.induced((0, 1, 2))
@@ -336,6 +345,21 @@ class TestAutomorphismGroups:
         assert group.order() == math.factorial(60)
         assert 2 ** len(group.generators) <= group.order()
         assert group.contains(tuple(reversed(range(60))))
+
+    def test_leaves_are_tested_without_building_graphs(self, monkeypatch):
+        # each leaf map is checked edge by edge; building the relabeled
+        # 60 x 60 matrix at every leaf cost 59 validated graphs here
+        g = empty_graph(60)
+        built = []
+        validate = Multigraph.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            validate(self)
+
+        monkeypatch.setattr(Multigraph, "__post_init__", counted)
+        graph_automorphism_group(g)
+        assert built == []
 
 
 class TestFermatLines:

@@ -1,12 +1,17 @@
 """Totally-real decision rules, the five standard involutions of the rank-4
 hyperbolic sum, and transcendental-side involution classes."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from k3lines import realcrit
+from k3lines.configio import load_configuration, read_configuration
 from k3lines.errors import InputError
+from k3lines.fano import Analysis, _involution_classes_of
 from k3lines.fqf import (
     TRIVIAL_FORM,
     finite_quadratic_form,
@@ -21,6 +26,7 @@ from k3lines.lattices import (
     discriminant_form,
     invariant_sublattice,
     invariants_match,
+    orthogonal_group_definite,
     sign_structure_action,
     _vectors_of_norm,
 )
@@ -266,13 +272,11 @@ def test_t_side_for_unscaled_two_u_is_trivial():
     tside = t_side_involution_classes(TwoU(1))
     assert tside.form.is_trivial()
     assert tside.members == frozenset({()})
-    assert tside.conjugation_closed
     assert tside.class_count == 1
 
 
 def test_t_side_for_scaled_two_u_hits_three_classes():
     tside = t_side_involution_classes(TwoU(3))
-    assert tside.conjugation_closed
     assert tside.class_count == 3
     classes = involution_classes(tside.form)
     hit = [c for c in classes if c.members & tside.members]
@@ -285,7 +289,6 @@ def test_t_side_for_scaled_two_u_hits_three_classes():
 
 def test_t_side_for_definite_rank_two():
     tside = t_side_involution_classes(Definite2(build_lattice("[8,4,8]")))
-    assert not tside.conjugation_closed
     assert tside.members
     square = t_side_involution_classes(Definite2(build_lattice("[2,0,2]")))
     assert square.members
@@ -329,3 +332,139 @@ def test_match_admits_a_glued_involution():
     tau = data.act(swap)
     status, _ = match_real_structure(tau, t_side_involution_classes(TwoU(3)))
     assert status == ADMISSIBLE
+
+
+# -- one anti-isometry against every anti-isometry ----------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+FERMAT = Path(__file__).resolve().parent / "data" / "fermat48.json"
+
+
+def every_anti_isometry_verdict(tau, tside) -> str:
+    """The gluing verdict by the route that needs no closure: try every
+    anti-isometry phi and look phi tau phi^-1 up among the realizable
+    images themselves."""
+    if tside is None:
+        return UNKNOWN
+    antis = fqf_isometries(tau.source, tside.form, anti=True)
+    for phi in antis:
+        if phi.compose(tau).compose(phi.inverse()).columns in tside.images:
+            return ADMISSIBLE
+    return INADMISSIBLE
+
+
+def candidate_actions(cfg):
+    analysis = Analysis(cfg)
+    return [
+        analysis.candidate_action(sigma)
+        for sigma in _involution_classes_of(analysis.stabilizer)
+    ]
+
+
+def with_transcendental(path, transcendental):
+    doc = json.loads(path.read_text())
+    doc["transcendental"] = transcendental
+    return load_configuration(json.dumps(doc))
+
+
+def fermat_with_definite2():
+    return with_transcendental(FERMAT, {"definite2": [8, 0, 8]})
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        p.name
+        for p in CORPUS.glob("*.json")
+        if "transcendental" in json.loads(p.read_text())
+    ),
+)
+def test_one_anti_isometry_agrees_with_every_one_on_the_corpus(name):
+    cfg = read_configuration(CORPUS / name)
+    tside = t_side_involution_classes(cfg.transcendental)
+    for tau in candidate_actions(cfg):
+        status, _ = match_real_structure(tau, tside)
+        assert status == every_anti_isometry_verdict(tau, tside)
+
+
+def test_one_anti_isometry_agrees_with_every_one_on_the_fermat_lines():
+    cfg = fermat_with_definite2()
+    tside = t_side_involution_classes(cfg.transcendental)
+    statuses = []
+    for tau in candidate_actions(cfg):
+        status, _ = match_real_structure(tau, tside)
+        assert status == every_anti_isometry_verdict(tau, tside)
+        statuses.append(status)
+    assert statuses.count(ADMISSIBLE) == 7
+    assert statuses.count(INADMISSIBLE) == 21
+
+
+def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
+    # N = T(-1), so D_N and D_T are anti-isometric; tau runs over the
+    # involutions of O(N) pushed to D_N
+    rng = random.Random(424242)
+    seen = {ADMISSIBLE: 0, INADMISSIBLE: 0}
+    outside_images = 0
+    for _ in range(40):
+        a = 2 * rng.randint(1, 6)
+        c = 2 * rng.randint(1, 6)
+        b = rng.randint(-2, 2)
+        if a * c - b * b <= 0:
+            continue
+        t = Lattice(((a, b), (b, c)))
+        n = t.negated()
+        data = discriminant_data(n)
+        tside = t_side_involution_classes(Definite2(t))
+        phi = tside.anti_isometry(data.form)
+        for g in orthogonal_group_definite(n):
+            if not g.is_involution():
+                continue
+            tau = data.act(g)
+            status, reason = match_real_structure(tau, tside)
+            assert status == every_anti_isometry_verdict(tau, tside)
+            seen[status] += 1
+            if status == ADMISSIBLE:
+                image = phi.compose(tau).compose(phi.inverse()).columns
+                outside_images += image not in tside.images
+            else:
+                assert reason == tside.outside
+    assert seen[ADMISSIBLE] and seen[INADMISSIBLE]
+    # some verdicts need the closure: phi carries tau outside the images
+    assert outside_images
+
+
+def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
+    calls = []
+
+    def counted(source, target, anti=False):
+        calls.append(anti)
+        return fqf_isometries(source, target, anti=anti)
+
+    monkeypatch.setattr(realcrit, "fqf_isometries", counted)
+    candidates = Analysis(fermat_with_definite2()).real_structure_candidates()
+    assert len(candidates) == 28
+    assert calls == [True]
+
+
+def test_genus_mismatch_computes_no_closure(monkeypatch):
+    def refused(form):
+        raise AssertionError("Aut(D_T) computed for a genus mismatch")
+
+    monkeypatch.setattr(realcrit, "conjugations", refused)
+    for cfg in (
+        read_configuration(CORPUS / "k33_twou3.json"),
+        with_transcendental(CORPUS / "k33.json", {"twoU": 7}),
+    ):
+        candidates = Analysis(cfg).real_structure_candidates()
+        assert candidates
+        assert all("genus mismatch" in c.reason for c in candidates)
+
+
+def test_inadmissible_reasons_keep_their_wording():
+    definite = t_side_involution_classes(Definite2(build_lattice("[8,0,8]")))
+    assert definite.outside == (
+        "no anti-isometry carries the induced involution to a realizable image"
+    )
+    assert t_side_involution_classes(TwoU(3)).outside == (
+        "the induced involution lands outside every realizable conjugacy class"
+    )
