@@ -7,121 +7,78 @@ whether the arithmetic existence criteria for totally real configurations
 hold.  Everything is computed over exact integers and rationals.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .configio import load_configuration, read_configuration
-from .errors import CapExceeded, InputError
-from .fano import (
-    Analysis,
-    Fragment,
-    LineConfiguration,
-    PolarizedIsometry,
-    PolarizedStabilizer,
-    RealCandidate,
-    catalog_graph,
-    catalog_names,
-    class_sum_in_radical,
-    classify_fragment,
-    count_fragments_under,
-    enumerate_fragments,
-    graph_automorphisms,
-    graph_invariants,
-    polarized_stabilizer,
-    real_structure_candidates,
-)
-from .fqf import (
-    FiniteQuadraticForm,
-    FqfIsometry,
-    brown_invariant,
-    ell,
-    finite_quadratic_form,
-    fqf_isometries,
-    involution_classes,
-    isotropic_quotient,
-)
-from .lattices import (
-    DiscriminantData,
-    Isometry,
-    Lattice,
-    build_lattice,
-    discriminant_data,
-    invariant_sublattice,
-    invariants_match,
-    orthogonal_group_definite,
-)
-from .multigraph import (
-    Multigraph,
-    PermutationGroup,
-    canonical_certificate,
-    girth,
-    graph_automorphism_group,
-)
-from .realcrit import (
-    ADMISSIBLE,
-    INADMISSIBLE,
-    UNKNOWN,
-    Definite2,
-    GenericDiscr,
-    TwoU,
-    Verdict,
-    match_real_structure,
-    t_side_involution_classes,
-    totally_real_criterion,
-    two_u_involutions,
-)
+# Each public name and the module that defines it.  A name is imported on
+# first access (PEP 562), so `import k3lines` loads no submodule and a
+# command pays only for the modules it runs.
+_MODULE_OF = {
+    "load_configuration": "configio",
+    "read_configuration": "configio",
+    "CapExceeded": "errors",
+    "InputError": "errors",
+    "Analysis": "fano",
+    "Fragment": "fano",
+    "LineConfiguration": "fano",
+    "PolarizedIsometry": "fano",
+    "PolarizedStabilizer": "fano",
+    "RealCandidate": "fano",
+    "catalog_graph": "fano",
+    "catalog_names": "fano",
+    "class_sum_in_radical": "fano",
+    "classify_fragment": "fano",
+    "count_fragments_under": "fano",
+    "enumerate_fragments": "fano",
+    "graph_automorphisms": "fano",
+    "graph_invariants": "fano",
+    "polarized_stabilizer": "fano",
+    "real_structure_candidates": "fano",
+    "FiniteQuadraticForm": "fqf",
+    "FqfIsometry": "fqf",
+    "brown_invariant": "fqf",
+    "ell": "fqf",
+    "finite_quadratic_form": "fqf",
+    "fqf_isometries": "fqf",
+    "involution_classes": "fqf",
+    "isotropic_quotient": "fqf",
+    "DiscriminantData": "lattices",
+    "Isometry": "lattices",
+    "Lattice": "lattices",
+    "build_lattice": "lattices",
+    "discriminant_data": "lattices",
+    "invariant_sublattice": "lattices",
+    "invariants_match": "lattices",
+    "orthogonal_group_definite": "lattices",
+    "Multigraph": "multigraph",
+    "PermutationGroup": "multigraph",
+    "canonical_certificate": "multigraph",
+    "girth": "multigraph",
+    "graph_automorphism_group": "multigraph",
+    "ADMISSIBLE": "realcrit",
+    "INADMISSIBLE": "realcrit",
+    "UNKNOWN": "realcrit",
+    "Definite2": "realcrit",
+    "GenericDiscr": "realcrit",
+    "TwoU": "realcrit",
+    "Verdict": "realcrit",
+    "match_real_structure": "realcrit",
+    "t_side_involution_classes": "realcrit",
+    "totally_real_criterion": "realcrit",
+    "two_u_involutions": "realcrit",
+}
 
-__all__ = [
-    "ADMISSIBLE",
-    "Analysis",
-    "CapExceeded",
-    "Definite2",
-    "DiscriminantData",
-    "FiniteQuadraticForm",
-    "FqfIsometry",
-    "Fragment",
-    "GenericDiscr",
-    "INADMISSIBLE",
-    "InputError",
-    "Isometry",
-    "Lattice",
-    "LineConfiguration",
-    "Multigraph",
-    "PermutationGroup",
-    "PolarizedIsometry",
-    "PolarizedStabilizer",
-    "RealCandidate",
-    "TwoU",
-    "UNKNOWN",
-    "Verdict",
-    "brown_invariant",
-    "build_lattice",
-    "canonical_certificate",
-    "catalog_graph",
-    "catalog_names",
-    "class_sum_in_radical",
-    "classify_fragment",
-    "count_fragments_under",
-    "discriminant_data",
-    "ell",
-    "enumerate_fragments",
-    "finite_quadratic_form",
-    "fqf_isometries",
-    "girth",
-    "graph_automorphism_group",
-    "graph_automorphisms",
-    "graph_invariants",
-    "invariant_sublattice",
-    "invariants_match",
-    "involution_classes",
-    "isotropic_quotient",
-    "load_configuration",
-    "match_real_structure",
-    "orthogonal_group_definite",
-    "polarized_stabilizer",
-    "read_configuration",
-    "real_structure_candidates",
-    "t_side_involution_classes",
-    "totally_real_criterion",
-    "two_u_involutions",
-    "__version__",
-]
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

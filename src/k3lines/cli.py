@@ -9,6 +9,10 @@ output (--json) is schema-stable and byte-identical from run to run.
 
 Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
 3 internal enumeration cap exceeded.
+
+Each command imports the library modules it runs inside its own function,
+so a fresh process loads only those: `--help` none, `lattice` no
+configuration machinery.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .configio import read_configuration
 from .errors import CapExceeded, InputError
-from .fano import Analysis, graph_invariants
-from .fqf import brown_invariant, ell, prime_power_factors
-from .lattices import build_lattice, discriminant_data
-from .realcrit import UNKNOWN, totally_real_criterion
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -65,6 +64,9 @@ def _read_source(arg: str) -> tuple[str, str]:
 
 
 def cmd_lattice(args) -> int:
+    from .fqf import brown_invariant, ell, prime_power_factors
+    from .lattices import build_lattice, discriminant_data
+
     expr, digest = _read_source(args.spec)
     lattice = build_lattice(expr)
     data = discriminant_data(lattice)
@@ -114,6 +116,8 @@ def cmd_lattice(args) -> int:
 
 
 def _load(args):
+    from .configio import read_configuration
+
     if args.threads is not None and args.threads < 1:
         raise InputError("--threads must be at least 1")
     path = Path(args.file)
@@ -124,6 +128,8 @@ def _load(args):
 
 
 def cmd_fragments(args) -> int:
+    from .fano import Analysis, graph_invariants
+
     cfg, digest = _load(args)
     analysis = Analysis(cfg)
     warnings = analysis.warnings
@@ -171,6 +177,9 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
+    from .fano import Analysis
+    from .realcrit import UNKNOWN
+
     cfg, digest = _load(args)
     candidates = Analysis(cfg).real_structure_candidates()
     report = {
@@ -209,6 +218,9 @@ def cmd_real(args) -> int:
 
 
 def cmd_totally_real(args) -> int:
+    from .fano import Analysis
+    from .realcrit import UNKNOWN, totally_real_criterion
+
     cfg, digest = _load(args)
     analysis = Analysis(cfg)
     r = analysis.r

@@ -14,10 +14,8 @@ from pathlib import Path
 
 from .errors import InputError
 from .fano import LineConfiguration
-from .fqf import finite_quadratic_form
 from .lattices import Lattice
 from .multigraph import Multigraph
-from .realcrit import Definite2, GenericDiscr, TranscendentalSpec, TwoU
 
 # The largest line count accepted, checked before the n x n multiplicity
 # matrix is built: 100,000 vertices would exhaust memory and 3,000 took 2 s
@@ -117,6 +115,11 @@ def _parse_kernel(raw, n: int):
 
 
 def _parse_transcendental(raw) -> TranscendentalSpec:
+    # Loaded here: a configuration without a transcendental block, the
+    # fragment census's usual input, needs neither module.
+    from .fqf import finite_quadratic_form
+    from .realcrit import Definite2, GenericDiscr, TwoU
+
     if not isinstance(raw, dict):
         raise InputError("transcendental must be an object")
     keys = set(raw)

@@ -32,20 +32,10 @@ once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InputError
-from .fqf import (
-    FqfIsometry,
-    greedy_generators,
-    isotropic_quotient,
-    minus_identity_isometry,
-    orbits,
-    solve_mod,
-    subgroup_form,
-)
 from .intmat import (
     integral_kernel_with_complement,
     mat_mul,
@@ -63,23 +53,16 @@ from .multigraph import (
     graph_automorphism_group,
     invert_perm,
 )
-from .realcrit import (
-    ADMISSIBLE,
-    INADMISSIBLE,
-    UNKNOWN,
-    TranscendentalSpec,
-    Verdict,
-    match_real_structure,
-    t_side_involution_classes,
-    totally_real_criterion,
-)
+from .records import Record
+
+# `fqf` and `realcrit` are imported inside the methods that use them: the
+# fragment census needs neither, and a fresh process would pay to load them.
 
 K3_RANK = 22
 MAX_MULTIPLICITY = 3
 
 
-@dataclass(frozen=True)
-class LineConfiguration:
+class LineConfiguration(Record):
     """A polarized line multigraph with optional lattice-extension data.
 
     kernel entries are rational coordinate vectors of length n+1 on the basis
@@ -89,29 +72,32 @@ class LineConfiguration:
     those integer pairings with (lines..., h), one row per kernel vector.
     """
 
-    degree: int
-    graph: Multigraph
-    kernel: tuple[tuple[Fraction, ...], ...] = ()
-    transcendental: TranscendentalSpec | None = None
-    kernel_pairings: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    _fields = ("degree", "graph", "kernel", "transcendental")
 
-    def __post_init__(self):
-        if self.degree < 2 or self.degree % 2:
+    def __init__(
+        self,
+        degree: int,
+        graph: Multigraph,
+        kernel: tuple[tuple[Fraction, ...], ...] = (),
+        transcendental: TranscendentalSpec | None = None,
+    ):
+        if degree < 2 or degree % 2:
             raise InputError("polarization degree must be an even integer >= 2")
-        for row in self.graph.mult:
+        for row in graph.mult:
             for m in row:
                 if m > MAX_MULTIPLICITY:
                     raise InputError(
                         f"line intersection multiplicity {m} exceeds "
                         f"{MAX_MULTIPLICITY}"
                     )
-        kernel = tuple(
-            tuple(Fraction(x) for x in vec) for vec in self.kernel
+        kernel = tuple(tuple(Fraction(x) for x in vec) for vec in kernel)
+        vars(self).update(
+            degree=degree,
+            graph=graph,
+            kernel=kernel,
+            transcendental=transcendental,
         )
-        object.__setattr__(self, "kernel", kernel)
-        n = self.graph.n
+        n = graph.n
         gram = _fano_gram(self)
         pairings = []
         for vec in kernel:
@@ -135,9 +121,9 @@ class LineConfiguration:
                     raise InputError(
                         "kernel vectors with fractional mutual pairing"
                     )
-        object.__setattr__(self, "kernel_pairings", tuple(
+        vars(self)["kernel_pairings"] = tuple(
             tuple(int(x) for x in pair) for pair in pairings
-        ))
+        )
 
     @property
     def line_count(self) -> int:
@@ -171,10 +157,11 @@ def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
 # -- fragments ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fragment:
-    vertices: tuple[int, ...]
-    type_label: str
+class Fragment(Record):
+    _fields = ("vertices", "type_label")
+
+    def __init__(self, vertices: tuple[int, ...], type_label: str):
+        vars(self).update(vertices=vertices, type_label=type_label)
 
 
 def enumerate_fragments(cfg: LineConfiguration) -> list[Fragment]:
@@ -348,20 +335,18 @@ def graph_invariants(cfg) -> tuple[int, int | None, int]:
 # -- the polarized stabilizer -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolarizedIsometry:
-    permutation: tuple[int, ...]
-    sign: int
+class PolarizedIsometry(Record):
+    _fields = ("permutation", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, permutation: tuple[int, ...], sign: int):
+        if sign not in (1, -1):
             raise InputError("sign must be +1 or -1")
-        if sorted(self.permutation) != list(range(len(self.permutation))):
+        if sorted(permutation) != list(range(len(permutation))):
             raise InputError("not a permutation")
+        vars(self).update(permutation=permutation, sign=sign)
 
 
-@dataclass(frozen=True)
-class PolarizedStabilizer:
+class PolarizedStabilizer(Record):
     """Subgroup of Aut(graph) x {+-1} preserving the extension kernel.
 
     The sign factor acts freely (negation preserves every subgroup), so the
@@ -370,9 +355,15 @@ class PolarizedStabilizer:
     automorphism group qualifies without enumeration.
     """
 
-    group: PermutationGroup
-    sigmas: tuple[tuple[int, ...], ...] | None
-    order: int
+    _fields = ("group", "sigmas", "order")
+
+    def __init__(
+        self,
+        group: PermutationGroup,
+        sigmas: tuple[tuple[int, ...], ...] | None,
+        order: int,
+    ):
+        vars(self).update(group=group, sigmas=sigmas, order=order)
 
     def sigma_elements(self):
         if self.sigmas is None:
@@ -391,24 +382,45 @@ class PolarizedStabilizer:
         generate, so there are at most log2 |sigmas| of them."""
         if self.sigmas is None:
             return self.group.generators
+        from .fqf import greedy_generators
+
         ident = tuple(range(self.group.n))
         picks = greedy_generators(self.sigmas, compose_perm, ident)
         return tuple(picks) or (ident,)
 
 
-@dataclass(frozen=True)
-class RealCandidate:
-    isometry: PolarizedIsometry
-    num_r: int
-    num_rr: int
-    admissibility: str
-    reason: str
-    verdict: Verdict | None = None
-    notes: tuple[str, ...] = ()
+class RealCandidate(Record):
+    _fields = (
+        "isometry",
+        "num_r",
+        "num_rr",
+        "admissibility",
+        "reason",
+        "verdict",
+        "notes",
+    )
 
-    def __post_init__(self):
-        if not (0 <= self.num_rr <= self.num_r):
+    def __init__(
+        self,
+        isometry: PolarizedIsometry,
+        num_r: int,
+        num_rr: int,
+        admissibility: str,
+        reason: str,
+        verdict: Verdict | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        if not (0 <= num_rr <= num_r):
             raise ValueError("fragment counts violate num_rr <= num_r")
+        vars(self).update(
+            isometry=isometry,
+            num_r=num_r,
+            num_rr=num_rr,
+            admissibility=admissibility,
+            reason=reason,
+            verdict=verdict,
+            notes=notes,
+        )
 
 
 def _involution_classes_of(
@@ -421,6 +433,8 @@ def _involution_classes_of(
     Each class is the orbit (`fqf.orbits`) of its least involution under
     conjugation by the stabilizer's generators, so a class costs |class| x
     |generators| conjugations, not |group|."""
+    from .fqf import orbits
+
     ident = tuple(range(stabilizer.group.n))
     invs = sorted(
         g for g in stabilizer.sigma_elements() if compose_perm(g, g) == ident
@@ -512,6 +526,8 @@ class Analysis:
 
     @cached_property
     def _extension(self):
+        from .fqf import isotropic_quotient
+
         return isotropic_quotient(self.data.form, list(self.kernel_classes))
 
     @property
@@ -527,6 +543,8 @@ class Analysis:
 
     @cached_property
     def kernel_order(self) -> int:
+        from .fqf import subgroup_form
+
         sub, _ = subgroup_form(self.data.form, list(self.kernel_classes))
         return sub.order()
 
@@ -579,6 +597,8 @@ class Analysis:
     def _kernel_subgroup(self) -> frozenset[tuple[int, ...]]:
         """Every element of the subgroup the kernel classes generate: the
         orbit of zero under translation by each class."""
+        from .fqf import orbits
+
         form = self.data.form
 
         def by(k):
@@ -613,6 +633,8 @@ class Analysis:
 
     def candidate_action(self, perm) -> FqfIsometry:
         """Action of (perm, sign -1) on the discriminant form of N."""
+        from .fqf import FqfIsometry, minus_identity_isometry, solve_mod
+
         orders = list(self.data.form.orders)
         columns = list(self.reps) + list(self.kernel_classes)
         cols = []
@@ -658,6 +680,15 @@ class Analysis:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
         increasing order of sigma, each with its fragment counts and gluing
         admissibility."""
+        from .realcrit import (
+            ADMISSIBLE,
+            INADMISSIBLE,
+            UNKNOWN,
+            match_real_structure,
+            t_side_involution_classes,
+            totally_real_criterion,
+        )
+
         r = self.r
         det_n = self.det_n
         notes = list(self.warnings)

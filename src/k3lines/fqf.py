@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CapExceeded
 from .intmat import integral_kernel, inverse_unimodular, smith_decompose
+from .records import Record
 
 ELEMENT_CAP = 10_000
 TRIAL_DIVISION_LIMIT = 10**6
@@ -102,8 +102,7 @@ def _b_scaled(bs, x, y) -> int:
     return sum(xi * sum(map(operator.mul, bs[i], y)) for i, xi in enumerate(x) if xi)
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Record):
     """Invariant factors with quadratic values on generators and their
     pairing matrix.  Build instances through `finite_quadratic_form`, which
     normalizes arbitrary independent generators into this shape.
@@ -113,24 +112,24 @@ class FiniteQuadraticForm:
     Both are derived from the Fraction fields, so they take no part in
     equality, hashing or repr."""
 
-    orders: tuple[int, ...]
-    qvalues: tuple[Fraction, ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
-    _n: int = field(init=False, compare=False, repr=False)
-    _q: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _b: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _fields = ("orders", "qvalues", "pairing")
 
-    def __post_init__(self):
-        k = len(self.orders)
-        if len(self.qvalues) != k or len(self.pairing) != k:
+    def __init__(
+        self,
+        orders: tuple[int, ...],
+        qvalues: tuple[Fraction, ...],
+        pairing: tuple[tuple[Fraction, ...], ...],
+    ):
+        k = len(orders)
+        if len(qvalues) != k or len(pairing) != k:
             raise ValueError("inconsistent generator data")
-        for a, b in zip(self.orders, self.orders[1:]):
+        for a, b in zip(orders, orders[1:]):
             if b % a != 0:
                 raise ValueError("orders must form a divisor chain")
-        for i, d in enumerate(self.orders):
+        for i, d in enumerate(orders):
             if d < 2:
                 raise ValueError("orders must exceed 1")
-            q = self.qvalues[i]
+            q = qvalues[i]
             if not 0 <= q < 2:
                 raise ValueError("quadratic values must be reduced mod 2")
             if d % 2 == 1:
@@ -138,23 +137,24 @@ class FiniteQuadraticForm:
                     raise ValueError("odd-order generator with invalid square")
             elif (q * d * d) % 2 != 0:
                 raise ValueError("generator square incompatible with its order")
-            if q % 1 != self.pairing[i][i]:
+            if q % 1 != pairing[i][i]:
                 raise ValueError("pairing diagonal must equal the square mod 1")
             for j in range(k):
-                bij = self.pairing[i][j]
+                bij = pairing[i][j]
                 if not 0 <= bij < 1:
                     raise ValueError("pairing must be reduced mod 1")
-                if bij != self.pairing[j][i]:
+                if bij != pairing[j][i]:
                     raise ValueError("pairing must be symmetric")
                 if (bij * d) % 1 != 0:
                     raise ValueError("pairing denominator must divide the order")
+        vars(self).update(orders=orders, qvalues=qvalues, pairing=pairing)
         # Every denominator divides its generator's order, hence n.
         n = self.exponent()
-        object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_q", tuple(_scaled(q, n) for q in self.qvalues))
-        object.__setattr__(self, "_b", tuple(
-            tuple(_scaled(x, n) for x in row) for row in self.pairing
-        ))
+        vars(self).update(
+            _n=n,
+            _q=tuple(_scaled(q, n) for q in qvalues),
+            _b=tuple(tuple(_scaled(x, n) for x in row) for row in pairing),
+        )
 
     # -- basic queries ---------------------------------------------------
 
@@ -474,16 +474,23 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
 # -- isometries and anti-isometries -----------------------------------------
 
 
-@dataclass(frozen=True)
-class FqfIsometry:
+class FqfIsometry(Record):
     """Group isomorphism between two forms, with q(image) = q or q(image) =
     -q according to `anti`.  Columns hold target coordinates of the source
     generators."""
 
-    source: FiniteQuadraticForm
-    target: FiniteQuadraticForm
-    columns: tuple[tuple[int, ...], ...]
-    anti: bool = False
+    _fields = ("source", "target", "columns", "anti")
+
+    def __init__(
+        self,
+        source: FiniteQuadraticForm,
+        target: FiniteQuadraticForm,
+        columns: tuple[tuple[int, ...], ...],
+        anti: bool = False,
+    ):
+        vars(self).update(
+            source=source, target=target, columns=columns, anti=anti
+        )
 
     def apply(self, coords) -> tuple[int, ...]:
         k = self.target.rank()
@@ -608,11 +615,18 @@ def automorphism_group(form: FiniteQuadraticForm):
     return _AUT_CACHE[form]
 
 
-@dataclass(frozen=True)
-class InvolutionClass:
-    representative: FqfIsometry
-    size: int
-    members: frozenset[tuple[tuple[int, ...], ...]]
+class InvolutionClass(Record):
+    _fields = ("representative", "size", "members")
+
+    def __init__(
+        self,
+        representative: FqfIsometry,
+        size: int,
+        members: frozenset[tuple[tuple[int, ...], ...]],
+    ):
+        vars(self).update(
+            representative=representative, size=size, members=members
+        )
 
     def contains(self, g: FqfIsometry) -> bool:
         return g.columns in self.members

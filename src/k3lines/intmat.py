@@ -8,7 +8,7 @@ forms are exact objects and rounding would be unrecoverable.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 Mat = list[list[int]]
 Vec = list[int]
@@ -208,7 +208,7 @@ def inverse_unimodular(m: Mat) -> Mat:
 
 def inertia(m) -> tuple[int, int, int]:
     """Counts of positive, negative, and zero eigenvalues of a symmetric
-    matrix, computed exactly by rational congruence reduction."""
+    integer matrix, computed exactly by congruence reduction."""
     norms = [d for _, d in _diagonal_basis(m, vectors=False)]
     return (
         sum(d > 0 for d in norms),
@@ -217,54 +217,67 @@ def inertia(m) -> tuple[int, int, int]:
     )
 
 
-def positive_basis(m) -> list[list[Fraction]]:
-    """Rational basis of a maximal positive definite subspace of a symmetric
-    form, from the same congruence reduction as `inertia`."""
+def positive_basis(m) -> list[list[int]]:
+    """Integer basis of a maximal positive definite subspace of a symmetric
+    integer form, from the same congruence reduction as `inertia`."""
     return [v for v, d in _diagonal_basis(m, vectors=True) if d > 0]
 
 
-def _diagonal_basis(m, vectors: bool) -> list[tuple[list | None, Fraction]]:
-    """A basis of Q^n orthogonal for the symmetric form m, as (vector,
-    norm) pairs, by rational congruence reduction.  A vector of nonzero
-    norm is split off, and the others are made orthogonal to it.  When
-    every remaining vector is isotropic, one of a pair x, y with x·y != 0
-    is replaced by x + y, of norm 2 x·y.  The vectors left when no pair
-    pairs span the radical.  Without `vectors` only the norms are kept,
-    and each vector is None."""
+def _diagonal_basis(m, vectors: bool) -> list[tuple[list[int] | None, int]]:
+    """A basis of Q^n orthogonal for the symmetric integer form m, as pairs
+    of an integer vector and a positive multiple of its norm, by
+    fraction-free congruence reduction.
+
+    A vector e_k of nonzero norm d is split off, and every other vector e_a
+    is replaced by |d|·e_a - sign(d)·g_ak·e_k, which is orthogonal to it.
+    The Gram block of the remaining vectors is then |d| times the integer
+    block |d|·g_ab - sign(d)·g_ak·g_bk; only that second factor is kept,
+    divided further by its positive content.  So the kept block is always a
+    positive multiple of the true Gram matrix of the remaining vectors:
+    every norm has the sign of the true one, and the entries stay as small
+    as the minors that fraction-free elimination divides out.  When every
+    remaining vector is isotropic, one of a pair x, y with x·y != 0 is
+    replaced by x + y, of norm 2 x·y.  The vectors left when no pair pairs
+    span the radical.  Without `vectors` only the norms are kept, and each
+    vector is None."""
     if not is_symmetric(m):
         raise ValueError("congruence reduction requires a symmetric matrix")
     n = len(m)
-    gram = [[Fraction(x) for x in row] for row in m]
-    vecs = [
-        [Fraction(int(i == j)) for j in range(n)] if vectors else None
-        for i in range(n)
-    ]
-    idx = list(range(n))
+    # The remaining block and its vectors; a split-off vector is removed.
+    gram = copy_mat(m)
+    vecs = identity(n) if vectors else [None] * n
     out = []
-    while idx:
-        k = next((i for i in idx if gram[i][i] != 0), None)
+    while gram:
+        k = next((i for i, row in enumerate(gram) if row[i]), None)
         if k is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if gram[i][j] != 0), None
+            nonzero = (
+                (i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x
             )
+            pair = next(nonzero, None)
             if pair is None:
-                return out + [(vecs[i], Fraction(0)) for i in idx]
+                return out + [(v, 0) for v in vecs]
             i, j = pair
             if vectors:
                 vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
-            for r in idx:
-                gram[r][i] += gram[r][j]
-            for c in idx:
-                gram[i][c] += gram[j][c]
+            for row in gram:
+                row[i] += row[j]
+            gram[i] = [x + y for x, y in zip(gram[i], gram[j])]
             continue
-        d = gram[k][k]
-        out.append((vecs[k], d))
-        idx.remove(k)
-        for a in idx:
-            f = gram[a][k] / d
-            if f:
-                if vectors:
-                    vecs[a] = [x - f * y for x, y in zip(vecs[a], vecs[k])]
-                for b in idx:
-                    gram[a][b] -= f * gram[k][b]
+        krow = gram.pop(k)
+        vk = vecs.pop(k)
+        d = krow.pop(k)
+        out.append((vk, d))
+        scale, sign = abs(d), (1 if d > 0 else -1)
+        for a, row in enumerate(gram):
+            f = sign * row.pop(k)
+            gram[a] = [scale * x - f * y for x, y in zip(row, krow)]
+            if vectors:
+                vecs[a] = [scale * x - f * y for x, y in zip(vecs[a], vk)]
+        content = 0
+        for row in gram:
+            content = gcd(content, *row)
+            if content == 1:
+                break
+        if content > 1:
+            gram = [[x // content for x in row] for row in gram]
     return out

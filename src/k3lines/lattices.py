@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 from .errors import CapExceeded, InputError
-from .fqf import FiniteQuadraticForm, FqfIsometry, fqf_isometries
 from .intmat import (
     block_diag,
     det,
@@ -36,24 +34,28 @@ from .intmat import (
     smith_decompose,
     transpose,
 )
+from .records import Record
+
+# `fqf` is imported inside the functions that build discriminant forms, so
+# that a lattice used only for its signature does not load it.
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Even lattice given by the Gram matrix of an integer basis."""
 
-    gram: tuple[tuple[int, ...], ...]
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        n = len(self.gram)
-        for i, row in enumerate(self.gram):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+        n = len(gram)
+        for i, row in enumerate(gram):
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
             if row[i] % 2 != 0:
                 raise ValueError("Gram diagonal must be even")
             for j in range(n):
-                if row[j] != self.gram[j][i]:
+                if row[j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        vars(self)["gram"] = gram
 
     @staticmethod
     def from_rows(rows) -> "Lattice":
@@ -103,18 +105,17 @@ class Lattice:
         )
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Self-map of a lattice preserving the form: matrixᵀ·G·matrix = G."""
 
-    lattice: Lattice
-    matrix: tuple[tuple[int, ...], ...]
+    _fields = ("lattice", "matrix")
 
-    def __post_init__(self):
-        w = [list(r) for r in self.matrix]
-        g = [list(r) for r in self.lattice.gram]
+    def __init__(self, lattice: Lattice, matrix: tuple[tuple[int, ...], ...]):
+        w = [list(r) for r in matrix]
+        g = [list(r) for r in lattice.gram]
         if mat_mul(mat_mul(transpose(w), g), w) != g:
             raise ValueError("matrix does not preserve the Gram form")
+        vars(self).update(lattice=lattice, matrix=matrix)
 
     def compose(self, inner: "Isometry") -> "Isometry":
         """self after inner."""
@@ -323,8 +324,7 @@ BUILTIN_SPECS: tuple[str, ...] = (
 # -- discriminant forms ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(Record):
     """Discriminant form of a nondegenerate even lattice L, with the integer
     map that names its elements.
 
@@ -335,10 +335,18 @@ class DiscriminantData:
     V[:, i] / d_i.  Rational dual vectors (`coordinates`) and isometries of
     the lattice (`act`) enter through this one map."""
 
-    lattice: Lattice
-    form: FiniteQuadraticForm
-    smith_u: tuple[tuple[int, ...], ...]  # the rows of U at each d_i > 1
-    smith_v: tuple[tuple[int, ...], ...]  # the columns of V at each d_i > 1
+    _fields = ("lattice", "form", "smith_u", "smith_v")
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        form: FiniteQuadraticForm,
+        smith_u: tuple[tuple[int, ...], ...],  # the rows of U at each d_i > 1
+        smith_v: tuple[tuple[int, ...], ...],  # the columns of V at each d_i > 1
+    ):
+        vars(self).update(
+            lattice=lattice, form=form, smith_u=smith_u, smith_v=smith_v
+        )
 
     @property
     def dual_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -373,6 +381,8 @@ class DiscriminantData:
 
     def act(self, isometry: Isometry) -> FqfIsometry:
         """Induced automorphism of the discriminant form."""
+        from .fqf import FqfIsometry
+
         if isometry.lattice != self.lattice:
             raise ValueError("isometry acts on a different lattice")
         gw = mat_mul([list(r) for r in self.lattice.gram], isometry.matrix)
@@ -388,6 +398,8 @@ def _pushed(matrix, columns, orders) -> list[list[int]]:
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
+    from .fqf import FiniteQuadraticForm
+
     if not lattice.is_nondegenerate():
         raise InputError("degenerate lattice has no discriminant form")
     n = lattice.rank
@@ -509,12 +521,7 @@ def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
     definite subspace, -1 if it reverses it."""
     if not lattice.is_nondegenerate():
         raise ValueError("sign structure needs a nondegenerate lattice")
-    # Scaling a basis vector by a positive integer keeps the orientation,
-    # so each is cleared of denominators and the pairing matrix is integral.
-    basis = [
-        [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
-        for vec in positive_basis([list(r) for r in lattice.gram])
-    ]
+    basis = positive_basis([list(r) for r in lattice.gram])
     if not basis:
         return 1
     images = [mat_vec(isometry.matrix, vec) for vec in basis]
@@ -545,6 +552,8 @@ def invariants_match(a: Lattice, b: Lattice) -> bool:
     """Rank, signature, determinant and discriminant-form isometry class all
     agree.  For the small lattices this package compares (rank <= 3, or any
     indefinite rank where the genus has one class) this decides isometry."""
+    from .fqf import fqf_isometries
+
     if a.rank != b.rank or a.signature != b.signature:
         return False
     if a.determinant != b.determinant:

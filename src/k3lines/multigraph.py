@@ -25,32 +25,32 @@ upper-triangle encoding of the multiplicity matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, InputError
+from .records import Record
 
 ELEMENT_CAP = 10_000
 CERTIFICATE_NODE_CAP = 2_000_000
 AUTOMORPHISM_NODE_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    mult: tuple[tuple[int, ...], ...]
+class Multigraph(Record):
+    _fields = ("mult",)
 
-    def __post_init__(self):
-        n = len(self.mult)
-        for i, row in enumerate(self.mult):
+    def __init__(self, mult: tuple[tuple[int, ...], ...]):
+        n = len(mult)
+        for i, row in enumerate(mult):
             if len(row) != n:
                 raise InputError("multiplicity matrix must be square")
             for j, m in enumerate(row):
                 if not isinstance(m, int) or m < 0:
                     raise InputError("multiplicities must be nonnegative integers")
-                if m != self.mult[j][i]:
+                if m != mult[j][i]:
                     raise InputError("multiplicity matrix must be symmetric")
             if row[i] != 0:
                 raise InputError("multiplicity matrix must have zero diagonal")
+        vars(self)["mult"] = mult
 
     @property
     def n(self) -> int:

@@ -20,7 +20,6 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,6 +46,7 @@ from .lattices import (
     orthogonal_group_definite,
     sign_structure_action,
 )
+from .records import Record
 
 VERDICT_YES_2 = "YES_CONTAINS_2"
 VERDICT_YES_U2 = "YES_CONTAINS_U2"
@@ -59,14 +59,13 @@ INADMISSIBLE = "INADMISSIBLE"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    reasons: tuple[str, ...]
+class Verdict(Record):
+    _fields = ("kind", "reasons")
 
-    def __post_init__(self):
-        if self.kind not in VERDICT_KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
+    def __init__(self, kind: str, reasons: tuple[str, ...]):
+        if kind not in VERDICT_KINDS:
+            raise ValueError(f"unknown verdict kind {kind!r}")
+        vars(self).update(kind=kind, reasons=reasons)
 
 
 def totally_real_criterion(
@@ -246,52 +245,51 @@ def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
 # -- transcendental-side representations -------------------------------------
 
 
-@dataclass(frozen=True)
-class Definite2:
+class Definite2(Record):
     """Explicit positive definite rank-2 transcendental lattice."""
 
-    lattice: Lattice
+    _fields = ("lattice",)
 
-    def __post_init__(self):
-        if self.lattice.rank != 2 or self.lattice.signature != (2, 0, 0):
+    def __init__(self, lattice: Lattice):
+        if lattice.rank != 2 or lattice.signature != (2, 0, 0):
             raise InputError(
                 "transcendental lattice must be positive definite of rank 2"
             )
+        vars(self)["lattice"] = lattice
 
     def rank(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
-class TwoU:
+class TwoU(Record):
     """Transcendental lattice 2U(scale): two hyperbolic planes rescaled."""
 
-    scale: int = 1
+    _fields = ("scale",)
 
-    def __post_init__(self):
-        if self.scale < 1:
+    def __init__(self, scale: int = 1):
+        if scale < 1:
             raise InputError("scale must be a positive integer")
+        vars(self)["scale"] = scale
 
     def rank(self) -> int:
         return 4
 
 
-@dataclass(frozen=True)
-class GenericDiscr:
+class GenericDiscr(Record):
     """Transcendental side known only through its discriminant form and rank.
     No involution data can be derived from this; matching reports UNKNOWN."""
 
-    form: FiniteQuadraticForm
-    rank_: int
+    _fields = ("form", "rank_")
 
-    def __post_init__(self):
-        if self.rank_ < 1:
+    def __init__(self, form: FiniteQuadraticForm, rank_: int):
+        if rank_ < 1:
             raise InputError("rank must be positive")
-        for p, _ in prime_power_factors(self.form.order()):
-            if ell(self.form, p) > self.rank_:
+        for p, _ in prime_power_factors(form.order()):
+            if ell(form, p) > rank_:
                 raise InputError(
-                    f"rank {self.rank_} is below the {p}-length of the form"
+                    f"rank {rank_} is below the {p}-length of the form"
                 )
+        vars(self).update(form=form, rank_=rank_)
 
     def rank(self) -> int:
         return self.rank_
@@ -340,8 +338,7 @@ def two_u_involutions() -> tuple[tuple[str, Isometry], ...]:
     )
 
 
-@dataclass(frozen=True)
-class TSideClasses:
+class TSideClasses(Record):
     """Involutions on the transcendental discriminant form that honest
     representatives realize.
 
@@ -352,12 +349,12 @@ class TSideClasses:
     lands outside `members`.
     """
 
-    form: FiniteQuadraticForm
-    images: frozenset
-    outside: str
-    _antis: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _fields = ("form", "images", "outside")
+
+    def __init__(
+        self, form: FiniteQuadraticForm, images: frozenset, outside: str
+    ):
+        vars(self).update(form=form, images=images, outside=outside, _antis={})
 
     @cached_property
     def _classes(self) -> list[list]:

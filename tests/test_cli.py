@@ -525,6 +525,73 @@ class TestMutatedCorpus:
             assert err.getvalue().startswith("error: ")
 
 
+# Run in a fresh interpreter: the CLI on the arguments, then the exit code
+# and the name of every module the interpreter has loaded.
+LOADED_MODULES = """
+import contextlib, io, sys
+from k3lines.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # argparse exits after --help
+        code = exc.code
+print(code)
+print(*sorted(sys.modules))
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        check=True,
+    )
+    code, modules = proc.stdout.splitlines()
+    assert int(code) == EXIT_OK
+    return set(modules.split())
+
+
+class TestStartUp:
+    """A fresh process loads only the modules its command runs."""
+
+    def test_help_loads_only_the_front_end(self):
+        modules = loaded_modules("--help")
+        assert {m for m in modules if m.startswith("k3lines.")} == {
+            "k3lines.cli",
+            "k3lines.errors",
+        }
+
+    def test_lattice_loads_no_configuration_module(self):
+        modules = loaded_modules("lattice", "E6(3)")
+        assert "k3lines.lattices" in modules
+        assert not modules & {
+            "k3lines.fano",
+            "k3lines.multigraph",
+            "k3lines.realcrit",
+            "k3lines.configio",
+        }
+
+    def test_fragments_loads_no_discriminant_form_module(self):
+        modules = loaded_modules("fragments", str(CORPUS / "k4.json"))
+        assert "k3lines.fano" in modules
+        assert not modules & {"k3lines.fqf", "k3lines.realcrit"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--help",),
+            ("lattice", "[8,4,8]"),
+            ("fragments", str(CORPUS / "k33_twou3.json")),
+            ("real", str(CORPUS / "k33_twou3.json")),
+            ("totally-real", str(CORPUS / "k33_generic.json")),
+        ],
+    )
+    def test_no_command_loads_dataclasses(self, argv):
+        assert "dataclasses" not in loaded_modules(*argv)
+
+
 class TestDeterminism:
     def test_reports_reparse(self, capsys):
         for name, cmd in (

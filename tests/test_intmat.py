@@ -1,8 +1,14 @@
 import random
+import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from k3lines.configio import MAX_LINES
+from k3lines.fano import Analysis, LineConfiguration
 from k3lines.intmat import (
     block_diag,
     det,
@@ -19,6 +25,7 @@ from k3lines.intmat import (
     smith_diagonal,
     transpose,
 )
+from k3lines.multigraph import Multigraph
 
 
 def random_matrix(rng, rows, cols, bound=20):
@@ -191,6 +198,103 @@ def test_positive_basis_spans_positive_part():
                 vb = basis[b]
                 cross = sum(va[i] * g[i][j] * vb[j] for i in range(n) for j in range(n))
                 assert cross == 0
+
+
+def fraction_diagonal_basis(m):
+    """Test-only oracle: rational congruence reduction, as (vector, norm)
+    pairs.  A vector of nonzero norm is split off and the others are made
+    orthogonal to it; when every remaining vector is isotropic, one of a
+    pair x, y with x·y != 0 becomes x + y."""
+    n = len(m)
+    gram = [[Fraction(x) for x in row] for row in m]
+    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    idx = list(range(n))
+    out = []
+    while idx:
+        k = next((i for i in idx if gram[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in idx for j in idx if gram[i][j] != 0), None
+            )
+            if pair is None:
+                return out + [(vecs[i], Fraction(0)) for i in idx]
+            i, j = pair
+            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
+            for r in idx:
+                gram[r][i] += gram[r][j]
+            for c in idx:
+                gram[i][c] += gram[j][c]
+            continue
+        d = gram[k][k]
+        out.append((vecs[k], d))
+        idx.remove(k)
+        for a in idx:
+            f = gram[a][k] / d
+            if f:
+                vecs[a] = [x - f * y for x, y in zip(vecs[a], vecs[k])]
+                for b in idx:
+                    gram[a][b] -= f * gram[k][b]
+    return out
+
+
+U_PLUS_U = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    entries = st.integers(min_value=-6, max_value=6)
+    shape = draw(st.sampled_from(["any", "zero diagonal", "congruent"]))
+    if shape == "congruent":
+        # P^T D P: singular whenever D has a zero entry or P is singular
+        p = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        d = [
+            [draw(entries) if i == j else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        return mat_mul(mat_mul(transpose(p), d), p)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or shape != "zero diagonal":
+                m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example(U_PLUS_U)
+@example(block_diag(U_PLUS_U, [[0]]))
+@example([[0, 0], [0, 0]])
+def test_integer_reduction_matches_the_fraction_oracle(m):
+    expected = fraction_diagonal_basis(m)
+    norms = [d for _, d in expected]
+    assert inertia(m) == (
+        sum(d > 0 for d in norms),
+        sum(d < 0 for d in norms),
+        sum(d == 0 for d in norms),
+    )
+    # the same pivots in the same order: each integer vector is a positive
+    # multiple of the rational one, so orientations agree
+    basis = positive_basis(m)
+    assert len(basis) == sum(d > 0 for d in norms)
+    for vec, want in zip(basis, (v for v, d in expected if d > 0)):
+        assert all(isinstance(x, int) for x in vec)
+        lead = next(i for i, x in enumerate(want) if x)
+        ratio = vec[lead] / want[lead]
+        assert ratio > 0
+        assert [Fraction(x) for x in vec] == [ratio * x for x in want]
+
+
+def test_inertia_of_the_largest_edgeless_quotient_within_budget():
+    # the 201 x 201 Fano quotient that `Analysis.warnings` reduces for the
+    # edgeless configuration at the line limit: 8.8 s in Fraction
+    # arithmetic, 0.35 s fraction-free on a 2-core host
+    cfg = LineConfiguration(4, Multigraph.from_edges(MAX_LINES, []))
+    gram = [list(row) for row in Analysis(cfg).qlattice.gram]
+    start = time.process_time()
+    assert inertia(gram) == (1, MAX_LINES, 0)
+    assert time.process_time() - start < 3.0
 
 
 def test_det_matches_permutation_expansion():

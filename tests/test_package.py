@@ -1,0 +1,136 @@
+"""The lazily resolved package namespace and the immutable value records."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from importlib import import_module
+
+import pytest
+
+import k3lines
+from k3lines.fano import (
+    Fragment,
+    LineConfiguration,
+    PolarizedIsometry,
+    PolarizedStabilizer,
+    RealCandidate,
+    catalog_graph,
+)
+from k3lines.fqf import (
+    finite_quadratic_form,
+    identity_isometry,
+    involution_classes,
+)
+from k3lines.lattices import (
+    build_lattice,
+    discriminant_data,
+    identity_isometry_of,
+)
+from k3lines.multigraph import Multigraph, graph_automorphism_group
+from k3lines.realcrit import (
+    Definite2,
+    GenericDiscr,
+    TwoU,
+    Verdict,
+    t_side_involution_classes,
+)
+
+
+def test_every_export_resolves():
+    for name in k3lines.__all__:
+        value = getattr(k3lines, name)
+        module = getattr(value, "__module__", None)
+        if module is not None and module.startswith("k3lines."):
+            assert getattr(import_module(module), name) is value
+    assert set(k3lines.__all__) <= set(dir(k3lines))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from k3lines import *", namespace)
+    assert set(k3lines.__all__) <= set(namespace)
+    assert namespace["Lattice"] is build_lattice("U").__class__
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'Latice'"):
+        k3lines.Latice
+
+
+def _form():
+    return finite_quadratic_form((3,), (Fraction(2, 3),), [[Fraction(2, 3)]])
+
+
+# One builder per record class: each call constructs a new, equal instance.
+RECORDS = {
+    "Multigraph": lambda: Multigraph(((0, 1), (1, 0))),
+    "LineConfiguration": lambda: LineConfiguration(
+        4, catalog_graph("K4"), kernel=((0, 0, 0, 0, 0),)
+    ),
+    "Fragment": lambda: Fragment((0, 1, 2, 3), "K4"),
+    "PolarizedIsometry": lambda: PolarizedIsometry((1, 0), -1),
+    "PolarizedStabilizer": lambda: PolarizedStabilizer(
+        _K4_GROUP, None, 2 * _K4_GROUP.order()
+    ),
+    "RealCandidate": lambda: RealCandidate(
+        PolarizedIsometry((0, 1), -1), 1, 0, "UNKNOWN", "no data"
+    ),
+    "FiniteQuadraticForm": _form,
+    "FqfIsometry": lambda: identity_isometry(_form()),
+    "InvolutionClass": lambda: involution_classes(_form())[0],
+    "Lattice": lambda: build_lattice("A2"),
+    "Isometry": lambda: identity_isometry_of(build_lattice("A2")),
+    "DiscriminantData": lambda: discriminant_data(build_lattice("A2")),
+    "Verdict": lambda: Verdict("NO", ("a reason",)),
+    "Definite2": lambda: Definite2(build_lattice("[2,1,2]")),
+    "TwoU": lambda: TwoU(3),
+    "GenericDiscr": lambda: GenericDiscr(_form(), 2),
+    "TSideClasses": lambda: t_side_involution_classes(TwoU(1)),
+}
+_K4_GROUP = graph_automorphism_group(catalog_graph("K4"))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_and_hash_by_value(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: name}[b] == name
+    assert a != object()
+    fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in a._fields)
+    assert repr(a) == f"{name}({fields})"
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_fields_cannot_be_assigned(name):
+    record = RECORDS[name]()
+    for field in record._fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, field)
+        assert getattr(record, field) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_derived_attributes_take_no_part_in_identity():
+    cfg = RECORDS["LineConfiguration"]()
+    assert cfg.kernel_pairings == ((0, 0, 0, 0, 0),)
+    assert "kernel_pairings" not in repr(cfg)
+    tside = RECORDS["TSideClasses"]()
+    tside.anti_isometry(tside.form)  # fills the per-instance cache
+    assert tside == RECORDS["TSideClasses"]()
+    assert "_antis" not in repr(tside)
+
+
+def test_cached_properties_work_on_records():
+    lattice = build_lattice("A2")
+    assert lattice.signature == (0, 2, 0)
+    assert vars(lattice)["signature"] == (0, 2, 0)
+    assert lattice == build_lattice("A2")
+    graph = Multigraph(((0, 1), (1, 0)))
+    assert graph.adjacency == (((1, 1),), ((0, 1),))
