@@ -11,19 +11,20 @@ Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
 3 internal enumeration cap exceeded.
 
 Each command imports the library modules it runs inside its own function,
-so a fresh process loads only those: `--help` none, `lattice` no
-configuration machinery.
+so a fresh process loads only those: `--help` none (nor `json` or
+`hashlib`), `lattice` no configuration machinery.  The argument parser is
+built once per process.  Input files are read once, as UTF-8; the digest in
+each report is that of the bytes read.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import functools
 import sys
 from pathlib import Path
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, read_utf8
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,6 +33,8 @@ EXIT_CAP = 3
 
 
 def _digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -43,6 +46,8 @@ def _fraction_str(f) -> str:
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
+        import json
+
         sys.stdout.write(
             json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
@@ -58,8 +63,8 @@ def _read_source(arg: str) -> tuple[str, str]:
     except OSError:  # e.g. an expression too long to be a file name
         is_file = False
     if is_file:
-        data = path.read_bytes()
-        return data.decode().strip(), _digest(data)
+        data, text = read_utf8(path)
+        return text.strip(), _digest(data)
     return arg.strip(), _digest(arg.strip().encode())
 
 
@@ -116,15 +121,15 @@ def cmd_lattice(args) -> int:
 
 
 def _load(args):
-    from .configio import read_configuration
+    from .configio import load_configuration
 
     if args.threads is not None and args.threads < 1:
         raise InputError("--threads must be at least 1")
     path = Path(args.file)
     if not path.is_file():
         raise InputError(f"no such file: {args.file}")
-    data = path.read_bytes()
-    return read_configuration(path), _digest(data)
+    data, text = read_utf8(path)
+    return load_configuration(text), _digest(data)
 
 
 def cmd_fragments(args) -> int:
@@ -252,7 +257,10 @@ def cmd_totally_real(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="k3lines",
         description=(

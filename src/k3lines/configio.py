@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, read_utf8
 from .fano import LineConfiguration
 from .lattices import Lattice
 from .multigraph import Multigraph
@@ -193,9 +192,5 @@ def load_configuration(text: str) -> LineConfiguration:
 
 
 def read_configuration(path) -> LineConfiguration:
-    """Load a configuration from a file path."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return load_configuration(text)
+    """Load a configuration from a UTF-8 file."""
+    return load_configuration(read_utf8(path)[1])

@@ -18,9 +18,16 @@ orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
 order 60!) never require element enumeration; `elements` stays available,
 capped.
 
-Canonical certificates come from color refinement plus branch-and-bound over
-the orderings that respect the refined classes, minimizing the column-major
-upper-triangle encoding of the multiplicity matrix.
+The canonical certificate is the least column-major upper-triangle encoding
+of the multiplicity matrix over the vertex orderings that respect the colour
+classes of the refinement, class by class.  Position p of every ordering
+contributes one column of exactly p entries, the multiplicities between the
+vertex placed there and the p placed before it, so encodings compare column
+by column.  Hence a least-column search is exact: at each node only the
+unused vertices of the slot's class whose column is least can lead to the
+minimum, one of each pair of twins is tried (swapping them is an
+automorphism), and a node whose least column exceeds the best encoding's
+column there, after an equal prefix, is cut.
 """
 
 from __future__ import annotations
@@ -263,10 +270,14 @@ def canonical_certificate(
     graph: Multigraph, cap: int = CERTIFICATE_NODE_CAP
 ) -> str:
     """Isomorphism-invariant certificate: two multigraphs get equal strings
-    exactly when they are isomorphic."""
+    exactly when they are isomorphic.  It is the least encoding over the
+    orderings that respect the refined colour classes, found by the
+    least-column search of the module docstring; more than `cap` nodes
+    raise CapExceeded."""
     n = graph.n
     if n == 0:
         return "0|"
+    mult = graph.mult
     colors = color_refinement(graph)
     classes: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
@@ -282,46 +293,53 @@ def canonical_certificate(
     def twins(u: int, v: int) -> bool:
         # the transposition (u v) is an automorphism, so only one of the
         # pair needs to be tried at any position
-        row_u, row_v = graph.mult[u], graph.mult[v]
+        row_u, row_v = mult[u], mult[v]
         return all(
             row_u[w] == row_v[w] for w in range(n) if w != u and w != v
         )
 
-    def extend(pos: int, tight: bool):
+    def extend(pos: int):
         nonlocal best, nodes
         if pos == n:
-            if best is None or enc < best:
-                best = enc.copy()
+            # every node on the path kept enc <= best, so this leaf is the
+            # least encoding found so far
+            best = enc.copy()
             return
-        tried: list[int] = []
+        least: list[int] | None = None
+        candidates: list[int] = []
         for v in classes[slots[pos]]:
             if used[v]:
                 continue
+            row = mult[v]
+            col = [row[u] for u in chosen]
+            if least is None or col < least:
+                least, candidates = col, [v]
+            elif col == least:
+                candidates.append(v)
+        base = len(enc)
+        if (
+            best is not None
+            and best[:base] == enc
+            and least > best[base : base + pos]
+        ):
+            return
+        enc.extend(least)
+        tried: list[int] = []
+        for v in candidates:
             if any(twins(u, v) for u in tried):
                 continue
             tried.append(v)
             nodes += 1
             if nodes > cap:
                 raise CapExceeded("certificate search exceeded the node cap")
-            col = [graph.mult[u][v] for u in chosen]
-            branch_tight = tight
-            if best is not None and tight:
-                base = len(enc)
-                ref = best[base : base + len(col)]
-                if col > ref:
-                    continue
-                if col < ref:
-                    branch_tight = False
-            enc.extend(col)
             chosen.append(v)
             used[v] = True
-            extend(pos + 1, branch_tight)
+            extend(pos + 1)
             used[v] = False
             chosen.pop()
-            del enc[len(enc) - len(col) :]
+        del enc[base:]
 
-    extend(0, True)
-    assert best is not None
+    extend(0)
     return f"{n}|" + ",".join(str(x) for x in best)
 
 

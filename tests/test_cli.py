@@ -4,6 +4,7 @@ byte determinism of machine output."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from k3lines.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_STRICT,
+    build_parser,
     main,
 )
 
@@ -141,6 +143,14 @@ class TestLatticeCommand:
         assert report["brown"] == 4
         assert report["milgram"] == "ok"
 
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.lattice"
+        bad.write_bytes(b"[8,4,\xff]")
+        code, out, err = run(capsys, "lattice", str(bad))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {bad} is not UTF-8 text (byte 5)\n"
+
     def test_human_output_mentions_milgram(self, capsys):
         code, out, _ = run(capsys, "lattice", "[8,4,8]")
         assert code == EXIT_OK
@@ -221,6 +231,35 @@ class TestFragmentsCommand:
         code, _, err = run(capsys, "fragments", str(bad))
         assert code == EXIT_INPUT
         assert "surprise" in err
+
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"degree": 4, \xff}')
+        for cmd in ("fragments", "real", "totally-real"):
+            code, out, err = run(capsys, cmd, str(bad))
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == f"error: {bad} is not UTF-8 text (byte 14)\n"
+
+    def test_file_is_read_once(self, capsys, monkeypatch):
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        monkeypatch.setattr(Path, "read_text", None)
+        code, out, _ = run(
+            capsys, "fragments", str(CORPUS / "k33.json"), "--json"
+        )
+        assert code == EXIT_OK
+        assert reads == [CORPUS / "k33.json"]
+        report = json.loads(out)
+        assert report["input_sha256"] == hashlib.sha256(
+            read_bytes(CORPUS / "k33.json")
+        ).hexdigest()
 
     def test_line_count_above_the_limit_fails_before_matrix_work(self, tmp_path):
         # a 100,000 x 100,000 multiplicity matrix would exhaust memory
@@ -562,6 +601,7 @@ class TestStartUp:
             "k3lines.cli",
             "k3lines.errors",
         }
+        assert not modules & {"json", "hashlib"}
 
     def test_lattice_loads_no_configuration_module(self):
         modules = loaded_modules("lattice", "E6(3)")
@@ -592,7 +632,39 @@ class TestStartUp:
         assert "dataclasses" not in loaded_modules(*argv)
 
 
+MAIN_TWICE = """
+import sys
+from k3lines.cli import main
+main(sys.argv[1:4])
+main(sys.argv[4:])
+"""
+
+
 class TestDeterminism:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_separate_processes(self):
+        first = ("lattice", "2U(3)", "--json")
+        second = ("fragments", str(CORPUS / "cube.json"), "--json")
+        together = subprocess.run(
+            [sys.executable, "-c", MAIN_TWICE, *first, *second],
+            capture_output=True,
+            check=True,
+            timeout=30,
+        ).stdout
+        apart = b"".join(
+            subprocess.run(
+                [sys.executable, "-m", "k3lines.cli", *argv],
+                capture_output=True,
+                check=True,
+                timeout=30,
+            ).stdout
+            for argv in (first, second)
+        )
+        assert together == apart
+        assert together.count(b'"command"') == 2
+
     def test_reports_reparse(self, capsys):
         for name, cmd in (
             ("k33.json", "fragments"),

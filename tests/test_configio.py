@@ -258,6 +258,18 @@ class TestCorpus:
         with pytest.raises(InputError, match="cannot read"):
             read_configuration(CORPUS / "no_such_file.json")
 
+    def test_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"degree": 4, \xff}')
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            read_configuration(bad)
+
+    def test_does_not_decode_with_the_locale(self, tmp_path, monkeypatch):
+        path = tmp_path / "k33.json"
+        path.write_bytes((CORPUS / "k33.json").read_bytes())
+        monkeypatch.setattr(Path, "read_text", None)
+        assert read_configuration(path).graph == catalog_graph("K33")
+
     def test_catalog_file_matches_builtin(self):
         cfg = read_configuration(CORPUS / "k33.json")
         assert cfg.graph == catalog_graph("K33")

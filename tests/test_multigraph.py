@@ -1,7 +1,8 @@
 """Tests for multigraphs, automorphism groups, canonical certificates, girth.
 
 Frozen automorphism orders and girths are textbook values for the named
-graphs; certificate behaviour is pinned through relabeling properties.
+graphs; certificate behaviour is pinned through relabeling properties, a
+brute-force least encoding for small graphs and the literal Petersen string.
 Automorphism groups and certificate equality are checked against
 `networkx` isomorphisms, with edge multiplicities as edge attributes.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import networkx as nx
@@ -45,6 +46,49 @@ def random_graph(rng: random.Random, n: int) -> Multigraph:
         for j in range(i + 1, n):
             mult[i][j] = mult[j][i] = rng.choice((0, 0, 0, 1, 1, 2, 3))
     return Multigraph(tuple(tuple(row) for row in mult))
+
+
+def random_cubic(rng: random.Random, n: int) -> Multigraph:
+    """A random 3-regular multigraph on n vertices (n even): three
+    half-edges per vertex, paired at random, pairings with a loop
+    rejected."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        if all(a != b for a, b in pairs):
+            break
+    mult = [[0] * n for _ in range(n)]
+    for a, b in pairs:
+        mult[a][b] += 1
+        mult[b][a] += 1
+    return Multigraph(tuple(tuple(row) for row in mult))
+
+
+def petersen() -> Multigraph:
+    edges = [(i, (i + 1) % 5, 1) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]
+    edges += [(i, i + 5, 1) for i in range(5)]
+    return Multigraph.from_edges(10, edges)
+
+
+def brute_force_certificate(g: Multigraph) -> str:
+    """The least column-major upper-triangle encoding over every ordering
+    that lists the refined colour classes in order, each class in every
+    order of its own."""
+    n = g.n
+    colors = color_refinement(g)
+    classes = [
+        [v for v in range(n) if colors[v] == c] for c in sorted(set(colors))
+    ]
+    best = min(
+        [g.mult[order[i]][order[j]] for j in range(n) for i in range(j)]
+        for order in (
+            [v for part in parts for v in part]
+            for parts in product(*(permutations(cls) for cls in classes))
+        )
+    )
+    return f"{n}|" + ",".join(str(x) for x in best)
 
 
 FERMAT = Path(__file__).parent / "data" / "fermat48.json"
@@ -475,6 +519,32 @@ class TestCanonicalCertificate:
     def test_size_prefix(self):
         assert canonical_certificate(empty_graph(0)) == "0|"
         assert canonical_certificate(empty_graph(1)) == "1|"
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(multigraphs(max_n=7))
+    def test_least_encoding_agrees_with_brute_force(self, g):
+        assert canonical_certificate(g) == brute_force_certificate(g)
+
+    def test_cubic_least_encoding_agrees_with_brute_force(self):
+        rng = random.Random(3)
+        for n in (2, 4, 6) * 10:
+            g = random_cubic(rng, n)
+            assert canonical_certificate(g) == brute_force_certificate(g)
+
+    def test_petersen_certificate(self):
+        # the label a Petersen fragment gets, since it is not in the catalog
+        assert canonical_certificate(petersen()) == (
+            "10|0,0,0,0,0,0,0,0,1,1,0,1,0,1,0,0,1,1,0,0,0,1,0,0,1,0,0,1,1,0,"
+            "1,0,0,1,0,0,1,1,0,0,1,0,0,0,0"
+        )
+
+    def test_vertex_transitive_cubic_graphs_fit_a_small_budget(self):
+        # refinement leaves one class in each, so the budget bounds the
+        # search itself
+        g = random_cubic(random.Random(15), 12)
+        for h in (petersen(), g):
+            assert set(color_refinement(h)) == {0}
+            assert canonical_certificate(h, cap=5_000).startswith(f"{h.n}|")
 
 
 class TestGirth:
