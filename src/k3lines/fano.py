@@ -4,17 +4,21 @@ A configuration is a multigraph of lines (each line v has v**2 = -2 and
 v.h = 1, two lines pair by their edge multiplicity, h**2 = the polarization
 degree 2d) together with optional finite-index extension data: rational
 vectors in the span of the lines and h whose classes generate an isotropic
-subgroup of the discriminant form.  The extension data pins down the actual
-line lattice N inside the K3 lattice.
+subgroup of the discriminant form.  The line lattice N is generated by the
+lines, h and these kernel vectors.  `Analysis` builds it as one lattice,
+the Gram matrix of those generators modulo its radical, and reads D_N,
+det N, the polarized stabilizer (the graph automorphisms that map N onto
+itself) and the candidate actions on D_N from its discriminant data.
 
 A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
 3, and that combinatorial condition is what the enumeration uses; the class
-sum test against the radical is available separately and implies 3-regularity
-on every input.  The enumeration is a deficit-driven connected-subgraph
-search (Wernicke, *Efficient detection of network motifs*, IEEE/ACM TCBB
-2006): it grows the fragment one 3-regular component at a time and branches
-only where some chosen line is still short of valency 3.
+sum test against the radical of the Fano form is available separately and
+implies 3-regularity on every input.  The enumeration is a deficit-driven
+connected-subgraph search (Wernicke, *Efficient detection of network
+motifs*, IEEE/ACM TCBB 2006): it grows the fragment one 3-regular component
+at a time and branches only where some chosen line is still short of
+valency 3.
 
 Real-structure candidates pair a graph involution with the global sign -1, so
 real lines are the fixed vertices.  They are taken one per conjugacy class of
@@ -69,7 +73,8 @@ class LineConfiguration(Record):
     (lines..., h).  Each must pair integrally with every line and with h, have
     even self-pairing, and pair integrally with the other kernel vectors, so
     that adjoining them yields an even lattice.  `kernel_pairings` keeps
-    those integer pairings with (lines..., h), one row per kernel vector.
+    those integer pairings with (lines..., h), one row per kernel vector, and
+    `kernel_gram` the pairings among the kernel vectors.
     """
 
     _fields = ("degree", "graph", "kernel", "transcendental")
@@ -111,19 +116,18 @@ class LineConfiguration(Record):
                     "kernel vector does not pair integrally with the lines and h"
                 )
             pairings.append(pair)
-        for a, veca in enumerate(kernel):
-            self_pair = sum(x * y for x, y in zip(pairings[a], veca))
-            if self_pair.denominator != 1 or int(self_pair) % 2:
+        kgram = [
+            [sum(map(operator.mul, t, vec)) for vec in kernel] for t in pairings
+        ]
+        for a, row in enumerate(kgram):
+            if row[a].denominator != 1 or row[a] % 2:
                 raise InputError("kernel vector with odd or fractional square")
-            for b in range(a):
-                cross = sum(x * y for x, y in zip(pairings[a], kernel[b]))
-                if cross.denominator != 1:
-                    raise InputError(
-                        "kernel vectors with fractional mutual pairing"
-                    )
+            if any(x.denominator != 1 for x in row[:a]):
+                raise InputError("kernel vectors with fractional mutual pairing")
         vars(self)["kernel_pairings"] = tuple(
             tuple(int(x) for x in pair) for pair in pairings
         )
+        vars(self)["kernel_gram"] = tuple(tuple(map(int, row)) for row in kgram)
 
     @property
     def line_count(self) -> int:
@@ -144,14 +148,14 @@ def _fano_gram(cfg: LineConfiguration) -> list[list[int]]:
 
 
 def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
-    """Whether sum(v in S) - h lies in the radical of the Fano form."""
-    radical = Analysis(cfg).radical
+    """Whether sum(v in S) - h lies in the radical of the Fano form, i.e.
+    pairs to zero with every line and with h."""
     n = cfg.graph.n
-    x = [1 if v in set(vertices) else 0 for v in range(n)] + [-1]
-    if not radical:
-        return all(c == 0 for c in x)
-    stacked = list(radical) + [x]
-    return matrix_rank(stacked) == matrix_rank(radical)
+    chosen = set(vertices)
+    if not chosen <= set(range(n)):
+        raise InputError(f"vertices outside 0..{n - 1}")
+    x = [1 if v in chosen else 0 for v in range(n)] + [-1]
+    return not any(mat_vec(_fano_gram(cfg), x))
 
 
 # -- fragments ----------------------------------------------------------------
@@ -347,10 +351,10 @@ class PolarizedIsometry(Record):
 
 
 class PolarizedStabilizer(Record):
-    """Subgroup of Aut(graph) x {+-1} preserving the extension kernel.
+    """Subgroup of Aut(graph) x {+-1} mapping the line lattice N onto itself.
 
-    The sign factor acts freely (negation preserves every subgroup), so the
-    group is (sigma part) x {+-1} and only the permutation part is stored.
+    The sign factor acts freely (negation maps every lattice onto itself), so
+    the group is (sigma part) x {+-1} and only the permutation part is stored.
     `sigmas` is None exactly when the kernel is empty and the whole
     automorphism group qualifies without enumeration.
     """
@@ -453,26 +457,30 @@ def _involution_classes_of(
 
 class Analysis:
     """Everything the package derives from one configuration, each item
-    computed on first use and then kept.
-
-    The Fano form lives on (lines..., h).  Its radical is split off once;
-    the quotient lattice carries the discriminant data, the kernel classes
-    inside its discriminant form, and the discriminant form D_N of the
-    extension N.  The graph automorphism group, the polarized stabilizer and
-    the fragment list are kept as well, so counting fragments under every
+    computed on first use and then kept: the line lattice N as one
+    `Lattice`, the Gram matrix of its generators modulo its radical, whose
+    discriminant data give D_N, det N, the stabilizer test and the
+    candidate actions; the graph automorphism group, the polarized
+    stabilizer and the fragment list, so counting fragments under every
     candidate involution reuses one search.
     """
 
     def __init__(self, cfg: LineConfiguration):
         self.cfg = cfg
 
-    # -- the Fano lattice and its quotient ----------------------------------
+    # -- the line lattice N -------------------------------------------------
 
     # Matrices are kept as tuples of rows: every caller shares them.
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _fano_gram(self.cfg)))
+        """Gram matrix of the generators (lines..., h, kernel vectors...)
+        of N; without a kernel, the Fano Gram matrix."""
+        fano = _fano_gram(self.cfg)
+        pairings = self.cfg.kernel_pairings
+        rows = [row + [t[i] for t in pairings] for i, row in enumerate(fano)]
+        rows += [t + k for t, k in zip(pairings, self.cfg.kernel_gram)]
+        return tuple(map(tuple, rows))
 
     @cached_property
     def _split(self):
@@ -481,25 +489,28 @@ class Analysis:
 
     @property
     def radical(self) -> tuple[tuple[int, ...], ...]:
-        """Saturated basis of the radical of the Fano form."""
+        """Saturated basis of the relations among the generators, the
+        radical of `gram`."""
         return self._split[0]
 
     @property
     def complement(self) -> tuple[tuple[int, ...], ...]:
-        """Vectors completing the radical to a basis of Z^(n+1)."""
+        """Vectors completing the radical to a basis of Z^generators; they
+        give the basis of N."""
         return self._split[1]
 
     @cached_property
-    def qlattice(self) -> Lattice:
-        """The Fano form restricted to the complement, i.e. modulo the
-        radical."""
+    def lattice(self) -> Lattice:
+        """N: the generators' form restricted to the complement, i.e.
+        modulo the radical."""
         c = self.complement
-        qgram = mat_mul(mat_mul(c, self.gram), transpose(c))
-        return Lattice(tuple(tuple(row) for row in qgram))
+        gram = mat_mul(mat_mul(c, self.gram), transpose(c))
+        return Lattice(tuple(map(tuple, gram)))
 
     @property
     def quotient_signature(self) -> tuple[int, int]:
-        pos, neg, _ = self.qlattice.signature
+        """Signature of N, which is that of the Fano form."""
+        pos, neg, _ = self.lattice.signature
         return pos, neg
 
     @cached_property
@@ -507,57 +518,29 @@ class Analysis:
         """A non-hyperbolic quotient is flagged with a warning, not an
         error."""
         pos, neg = self.quotient_signature
-        if (pos, neg) == (1, self.qlattice.rank - 1):
+        if (pos, neg) == (1, self.rank_n - 1):
             return ()
         return (
             f"quotient signature ({pos},{neg}) is not hyperbolic; no "
             "polarized K3 surface realizes this configuration",
         )
 
-    # -- the extension N ----------------------------------------------------
-
     @cached_property
     def data(self):
-        return discriminant_data(self.qlattice)
-
-    @cached_property
-    def kernel_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._class_of(t) for t in self.cfg.kernel_pairings)
-
-    @cached_property
-    def _extension(self):
-        from .fqf import isotropic_quotient
-
-        return isotropic_quotient(self.data.form, list(self.kernel_classes))
+        return discriminant_data(self.lattice)
 
     @property
     def dn(self):
         """The discriminant form of N."""
-        return self._extension[0]
-
-    @property
-    def reps(self):
-        """One coordinate tuple in the quotient's form per generator of
-        `dn`."""
-        return self._extension[1]
-
-    @cached_property
-    def kernel_order(self) -> int:
-        from .fqf import subgroup_form
-
-        sub, _ = subgroup_form(self.data.form, list(self.kernel_classes))
-        return sub.order()
+        return self.data.form
 
     @property
     def rank_n(self) -> int:
-        return self.qlattice.rank
+        return self.lattice.rank
 
-    @cached_property
+    @property
     def det_n(self) -> int:
-        det, rem = divmod(self.qlattice.determinant, self.kernel_order**2)
-        if rem:
-            raise ValueError("kernel order squared does not divide det")
-        return det
+        return self.lattice.determinant
 
     @cached_property
     def r(self) -> int:
@@ -570,10 +553,18 @@ class Analysis:
             )
         return r
 
-    def _class_of(self, pairings) -> tuple[int, ...]:
-        """The class in the quotient's discriminant form of a vector whose
-        pairings with (lines..., h) are the integers `pairings`."""
-        return self.data.class_of(mat_vec(self.complement, pairings))
+    def _class_of(self, pairings) -> tuple[int, ...] | None:
+        """The class in D_N of the vector of N⊗Q whose pairings with
+        (lines..., h) are the integers `pairings`, or None when a kernel
+        vector pairs with it fractionally, so that it lies outside the
+        dual of N."""
+        full = list(pairings)
+        for vec in self.cfg.kernel:
+            x = sum(map(operator.mul, vec, pairings))
+            if x.denominator != 1:
+                return None
+            full.append(int(x))
+        return self.data.class_of(mat_vec(self.complement, full))
 
     # -- symmetries ---------------------------------------------------------
 
@@ -583,71 +574,43 @@ class Analysis:
 
     @cached_property
     def stabilizer(self) -> PolarizedStabilizer:
-        """The subgroup of Aut(graph) x {+-1} whose induced discriminant
-        action preserves the subgroup generated by the kernel classes."""
+        """The subgroup of Aut(graph) x {+-1} that maps N onto itself."""
         group = self.automorphisms
         if not self.cfg.kernel:
             return PolarizedStabilizer(group, None, 2 * group.order())
-        kept = tuple(
-            perm for perm in group.elements() if self._preserves_kernel(perm)
-        )
+        kept = tuple(perm for perm in group.elements() if self._preserves(perm))
         return PolarizedStabilizer(group, kept, 2 * len(kept))
 
-    @cached_property
-    def _kernel_subgroup(self) -> frozenset[tuple[int, ...]]:
-        """Every element of the subgroup the kernel classes generate: the
-        orbit of zero under translation by each class."""
-        from .fqf import orbits
-
-        form = self.data.form
-
-        def by(k):
-            return lambda x: form.reduce(map(operator.add, x, k))
-
-        moves = [by(k) for k in self.kernel_classes]
-        (subgroup,) = orbits([form.zero()], moves)
-        return frozenset(subgroup)
-
-    def _preserves_kernel(self, perm) -> bool:
-        # A graph automorphism acts on the discriminant group injectively,
-        # so once it maps the kernel classes into the finite kernel
-        # subgroup it maps that subgroup onto itself: the reverse
-        # containment needs no test.
+    def _preserves(self, perm) -> bool:
+        # A graph automorphism fixes the lines and h as a set, so it maps N
+        # into N once every moved kernel vector has class 0 in D_N; the
+        # image has the determinant of N, so it is N.
+        zero = self.dn.zero()
         return all(
-            self._class_of(_moved(perm, t)) in self._kernel_subgroup
+            self._class_of(_moved(perm, t)) == zero
             for t in self.cfg.kernel_pairings
         )
 
     @cached_property
-    def _rep_pairings(self) -> tuple[tuple[int, ...], ...]:
-        """Pairings with (lines..., h) of one lift of each `reps` entry.
-        Generator i of the quotient's form lifts to C^T·V[:, i] / d_i, with
-        C the complement rows; its pairings are G·C^T·V[:, i] / d_i."""
-        lifts = self.data.generator_pairings(
-            mat_mul(self.gram, transpose(self.complement))
-        )
-        return tuple(
-            tuple(sum(map(operator.mul, rep, col)) for col in zip(*lifts))
-            for rep in self.reps
-        )
+    def _generator_pairings(self) -> list[list[int]]:
+        """Pairings with (lines..., h) of one lift of each generator of
+        D_N.  Generator i is V[:, i] / d_i on the basis of N, so C^T·V[:, i]
+        / d_i on the generators of N (C the complement rows); its pairings
+        are the first n+1 entries of gram·C^T·V[:, i] / d_i."""
+        top = mat_mul(self.gram[: self.cfg.graph.n + 1], transpose(self.complement))
+        return self.data.generator_pairings(top)
 
     def candidate_action(self, perm) -> FqfIsometry:
-        """Action of (perm, sign -1) on the discriminant form of N."""
-        from .fqf import FqfIsometry, minus_identity_isometry, solve_mod
+        """Action of (perm, sign -1) on D_N, for a graph automorphism perm.
+        One that does not map N onto itself raises ValueError."""
+        from .fqf import FqfIsometry, minus_identity_isometry
 
-        orders = list(self.data.form.orders)
-        columns = list(self.reps) + list(self.kernel_classes)
-        cols = []
-        for lift in self._rep_pairings:
-            image = self._class_of(_moved(perm, lift))
-            sol = solve_mod(columns, list(image), orders)
-            if sol is None:
-                raise ValueError(
-                    "discriminant action does not preserve the kernel"
-                )
-            cols.append(self.dn.reduce(sol[: len(self.reps)]))
-        descended = FqfIsometry(self.dn, self.dn, tuple(cols), anti=False)
-        return minus_identity_isometry(self.dn).compose(descended)
+        if not self._preserves(perm):
+            raise ValueError("permutation does not map N onto itself")
+        images = (_moved(perm, t) for t in self._generator_pairings)
+        cols = tuple(map(self._class_of, images))
+        action = FqfIsometry(self.dn, self.dn, cols)
+        return minus_identity_isometry(self.dn).compose(action)
 
     # -- fragments and real structures ---------------------------------------
 

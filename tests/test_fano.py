@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lines import fano
@@ -39,12 +39,17 @@ from k3lines.fano import (
 from k3lines.fqf import (
     FqfIsometry,
     fqf_isometries,
+    isotropic_quotient,
     minus_identity_isometry,
     solve_mod,
+    subgroup_form,
 )
 from k3lines.intmat import (
+    integral_kernel_with_complement,
     inverse_unimodular,
+    mat_mul,
     mat_vec,
+    matrix_rank,
     smith_decompose,
     transpose,
 )
@@ -266,6 +271,41 @@ class TestClassSumInRadical:
         # sum pairs nontrivially with the other component
         cfg = LineConfiguration(6, two_prisms())
         assert not class_sum_in_radical(cfg, range(6))
+
+    def test_rejects_vertices_outside_the_lines(self):
+        cfg = LineConfiguration(6, catalog_graph("K33"))
+        for bad in ((0, 6), (-1, 2), (0, 1, 2, 3, 4, 5, 6)):
+            with pytest.raises(InputError, match="outside 0..5"):
+                class_sum_in_radical(cfg, bad)
+
+    def test_matches_the_rank_of_the_stacked_radical(self):
+        # the radical of the Fano form by Smith reduction, and x in it
+        # exactly when stacking x on it leaves the rank unchanged
+        rng = random.Random(98)
+        configs = [
+            LineConfiguration(degree, catalog_graph(name))
+            for name, degree in TestFragmentEnumeration.HOME.items()
+        ]
+        for _ in range(40):
+            n = rng.randrange(2, 8)
+            mult = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    mult[i][j] = mult[j][i] = rng.choice((0, 1, 1, 2))
+            configs.append(LineConfiguration(
+                rng.choice((2, 4, 6)), Multigraph(tuple(map(tuple, mult)))
+            ))
+        seen = {True: 0, False: 0}
+        for cfg in configs:
+            n = cfg.graph.n
+            radical, _ = integral_kernel_with_complement(fano_gram(cfg))
+            for size in range(n + 1):
+                for subset in combinations(range(n), size):
+                    x = [int(v in subset) for v in range(n)] + [-1]
+                    want = matrix_rank(radical + [x]) == matrix_rank(radical)
+                    assert class_sum_in_radical(cfg, subset) == want
+                    seen[want] += 1
+        assert seen[True] >= 3
 
     def test_sum_condition_forces_a_fragment(self):
         rng = random.Random(97)
@@ -791,41 +831,167 @@ class TestRealStructureCandidates:
             real_structure_candidates(cfg)
 
 
-def rational_candidate_action(analysis, perm):
-    """`candidate_action` by the rational route: the permutation descended to
-    an isometry of the quotient lattice through the inverse of the
-    (complement, radical) basis, pushed to the quotient's discriminant form
-    on Fraction dual vectors, then descended to D_N and negated."""
-    m = len(analysis.gram)
-    full = list(perm) + [m - 1]
-    k = len(analysis.complement)
-    inv = inverse_unimodular(
-        transpose(list(analysis.complement) + list(analysis.radical))
-    )
-    cols = []
-    for row in analysis.complement:
-        permuted = [0] * m
-        for i in range(m):
-            permuted[full[i]] = row[i]
-        cols.append(mat_vec(inv, permuted)[:k])
-    w = Isometry(
-        analysis.qlattice,
-        tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)),
-    )
-    data = analysis.data
-    tau_q = FqfIsometry(
-        data.form,
-        data.form,
-        tuple(data.coordinates(mat_vec(w.matrix, v)) for v in data.dual_vectors),
-    )
-    columns = list(analysis.reps) + list(analysis.kernel_classes)
-    images = []
-    for rep in analysis.reps:
-        sol = solve_mod(columns, list(tau_q.apply(rep)), list(data.form.orders))
-        images.append(analysis.dn.reduce(sol[: len(analysis.reps)]))
-    dn = analysis.dn
-    descended = FqfIsometry(dn, dn, tuple(images))
-    return minus_identity_isometry(dn).compose(descended)
+def fano_gram(cfg) -> list[list[int]]:
+    n = cfg.graph.n
+    mult = cfg.graph.mult
+    rows = [[mult[i][j] if i != j else -2 for j in range(n)] for i in range(n)]
+    return [row + [1] for row in rows] + [[1] * n + [cfg.degree]]
+
+
+def moved(perm, vec) -> list:
+    """Coordinates on (lines..., h) of the image of a vector under the
+    line permutation perm, which fixes h."""
+    out = list(vec)
+    for i, p in enumerate(perm):
+        out[p] = vec[i]
+    return out
+
+
+class DescentRoute:
+    """The line lattice N by descent from the Fano quotient Q, the route
+    `Analysis` took before it built N as one lattice, kept as a reference.
+
+    The kernel vectors name classes of D_Q, and D_N is perp(K)/K for the
+    subgroup K they generate (`isotropic_quotient`).  A graph automorphism
+    is descended to an isometry of Q through the inverse of the
+    (complement, radical) basis and pushed to D_Q.  The stabilizer keeps
+    the automorphisms that map K into K, moving each kernel vector by its
+    coordinates; a candidate action solves for each image modulo K
+    (`solve_mod`)."""
+
+    def __init__(self, cfg: LineConfiguration):
+        self.cfg = cfg
+        self.gram = gram = fano_gram(cfg)
+        radical, self.complement = integral_kernel_with_complement(gram)
+        self.q = Lattice.from_rows(
+            mat_mul(mat_mul(self.complement, gram), transpose(self.complement))
+        )
+        self.back = inverse_unimodular(transpose(self.complement + radical))
+        self.data = discriminant_data(self.q)
+        form = self.data.form
+        self.kernel = [
+            self.data.class_of(mat_vec(self.complement, t))
+            for t in cfg.kernel_pairings
+        ]
+        self.dn, self.reps = isotropic_quotient(form, self.kernel)
+        self.subgroup = {form.zero()}
+        frontier = [form.zero()]
+        for x in frontier:
+            for k in self.kernel:
+                y = form.reduce([a + b for a, b in zip(x, k)])
+                if y not in self.subgroup:
+                    self.subgroup.add(y)
+                    frontier.append(y)
+
+    def q_action(self, perm) -> FqfIsometry:
+        """The action of a graph automorphism on D_Q."""
+        k = len(self.complement)
+        cols = [mat_vec(self.back, moved(perm, row))[:k] for row in self.complement]
+        w = Isometry(
+            self.q, tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        )
+        return self.data.act(w)
+
+    def stabilizer(self) -> set[tuple[int, ...]]:
+        # the class in D_Q of a moved kernel vector, from its coordinates
+        def image(perm, vec):
+            t = mat_vec(self.gram, moved(perm, vec))
+            return self.data.class_of(mat_vec(self.complement, [int(x) for x in t]))
+
+        return {
+            g
+            for g in graph_automorphisms(self.cfg).elements()
+            if all(image(g, vec) in self.subgroup for vec in self.cfg.kernel)
+        }
+
+    def descend(self, cls) -> tuple[int, ...]:
+        """The element of D_N = perp(K)/K that a class of perp(K) names."""
+        columns = list(self.reps) + list(self.kernel)
+        sol = solve_mod(columns, list(cls), list(self.data.form.orders))
+        return self.dn.reduce(sol[: len(self.reps)])
+
+    def candidate_action(self, perm) -> FqfIsometry:
+        tau_q = self.q_action(perm)
+        images = tuple(self.descend(tau_q.apply(rep)) for rep in self.reps)
+        descended = FqfIsometry(self.dn, self.dn, images)
+        return minus_identity_isometry(self.dn).compose(descended)
+
+
+def assert_isometry(phi: FqfIsometry):
+    """phi is a well-defined bijective homomorphism that preserves q."""
+    src, dst = phi.source, phi.target
+    assert src.order() == dst.order()
+    k = src.rank()
+    for i, (d, col) in enumerate(zip(src.orders, phi.columns)):
+        assert dst.reduce([d * x for x in col]) == dst.zero()
+        e_i = tuple(int(t == i) for t in range(k))
+        assert dst.q_of(col) == src.q_of(e_i)
+        for j, other in enumerate(phi.columns):
+            e_j = tuple(int(t == j) for t in range(k))
+            assert dst.b_of(col, other) == src.b_of(e_i, e_j)
+    assert subgroup_form(dst, list(phi.columns))[0].order() == dst.order()
+
+
+def assert_routes_agree(cfg):
+    """`Analysis` and `DescentRoute` give the same stabilizer and |D_N|,
+    and reading each generator of `Analysis.dn` off its pairing vector
+    with (lines..., h) into the descent's D_N is an isometry that
+    intertwines the two candidate actions."""
+    analysis = Analysis(cfg)
+    ref = DescentRoute(cfg)
+    elems = analysis.stabilizer.sigma_elements()
+    assert set(elems) == ref.stabilizer()
+    assert analysis.dn.order() == ref.dn.order()
+    assert ref.q.determinant == analysis.det_n * len(ref.subgroup) ** 2
+    # generator i of D_N is V[:, i] / d_i on the basis of N, the rows of
+    # the complement over the generators (lines..., h, kernel vectors...)
+    lift = mat_mul(analysis.gram[: cfg.graph.n + 1], transpose(analysis.complement))
+    columns = []
+    for w in analysis.data.dual_vectors:
+        t = mat_vec(lift, w)
+        assert all(x.denominator == 1 for x in t)
+        cls = ref.data.class_of(mat_vec(ref.complement, [int(x) for x in t]))
+        columns.append(ref.descend(cls))
+    phi = FqfIsometry(analysis.dn, ref.dn, tuple(columns))
+    assert_isometry(phi)
+    for g in elems:
+        ours = analysis.candidate_action(g)
+        assert phi.compose(ours) == ref.candidate_action(g).compose(phi)
+
+
+@st.composite
+def half_kernel_configurations(draw):
+    """A random multigraph on at most six lines with one kernel vector whose
+    coordinates on (lines..., h) lie in {0, 1/2}, or two when a second one
+    pairs integrally with the first."""
+    n = draw(st.integers(2, 6))
+    mult = [[0] * n for _ in range(n)]
+    # few edges, so that many graphs have symmetries that move the kernel
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+        mult[i][j] = mult[j][i] = draw(st.integers(1, 2))
+    graph = Multigraph(tuple(map(tuple, mult)))
+    degree = draw(st.sampled_from((2, 4, 6)))
+
+    def config(kernel):
+        try:
+            return LineConfiguration(degree, graph, kernel=kernel)
+        except InputError:
+            return None
+
+    halves = [
+        vec
+        for bits in product((0, 1), repeat=n + 1)
+        if any(bits)
+        for vec in [tuple(Fraction(b, 2) for b in bits)]
+        if config((vec,)) is not None
+    ]
+    assume(halves)
+    first = draw(st.sampled_from(halves))
+    pairs = [(first, v) for v in halves if v != first and config((first, v))]
+    if pairs:  # rare enough that every chance is taken
+        return config(draw(st.sampled_from(pairs)))
+    return config((first,))
 
 
 class TestExtensionContext:
@@ -841,17 +1007,36 @@ class TestExtensionContext:
             for name in ("k33_glued.json", "k33_twou3.json")
         ]
         for cfg in configs:
+            assert_routes_agree(cfg)
             analysis = Analysis(cfg)
             elems = analysis.stabilizer.sigma_elements()
             acts = {g: analysis.candidate_action(g) for g in elems}
             minus = minus_identity_isometry(analysis.dn)
-            for g in elems:
-                assert acts[g] == rational_candidate_action(analysis, g)
             # sigma -> -candidate_action(sigma) is a homomorphism
             plus = {g: minus.compose(act) for g, act in acts.items()}
             for g in elems:
                 for h in elems:
                     assert plus[compose_perm(g, h)] == plus[g].compose(plus[h])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(half_kernel_configurations())
+    def test_descent_route_agrees_on_random_kernels(self, cfg):
+        assert_routes_agree(cfg)
+
+    def test_candidate_action_rejects_automorphisms_outside_the_stabilizer(
+        self,
+    ):
+        # the glued K33: 8 of the 72 graph automorphisms map N onto itself
+        cfg = read_configuration(
+            Path(__file__).parent.parent / "corpus" / "k33_glued.json"
+        )
+        analysis = Analysis(cfg)
+        kept = set(analysis.stabilizer.sigma_elements())
+        outside = [g for g in analysis.automorphisms.elements() if g not in kept]
+        assert len(kept) == 8 and len(outside) == 64
+        for g in outside:
+            with pytest.raises(ValueError, match="does not map N onto itself"):
+                analysis.candidate_action(g)
 
     def test_determinant_of_triangle_extension(self):
         analysis = Analysis(LineConfiguration(6, TRIANGLE))
@@ -866,7 +1051,6 @@ class TestExtensionContext:
             )
         )
         assert plain.det_n == -80
-        assert glued.kernel_order == 2
         assert glued.det_n == -20
 
     def test_discriminant_of_glued_extension_exists(self):
@@ -880,7 +1064,7 @@ class TestExtensionContext:
         negated = discriminant_data(
             Lattice(
                 tuple(
-                    tuple(-x for x in row) for row in glued.qlattice.gram
+                    tuple(-x for x in row) for row in glued.lattice.gram
                 )
             )
         )

@@ -291,7 +291,7 @@ def test_inertia_of_the_largest_edgeless_quotient_within_budget():
     # edgeless configuration at the line limit: 8.8 s in Fraction
     # arithmetic, 0.35 s fraction-free on a 2-core host
     cfg = LineConfiguration(4, Multigraph.from_edges(MAX_LINES, []))
-    gram = [list(row) for row in Analysis(cfg).qlattice.gram]
+    gram = [list(row) for row in Analysis(cfg).lattice.gram]
     start = time.process_time()
     assert inertia(gram) == (1, MAX_LINES, 0)
     assert time.process_time() - start < 3.0

@@ -4,6 +4,7 @@ hyperbolic sum, and transcendental-side involution classes."""
 import json
 import random
 from fractions import Fraction as F
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,45 @@ def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
     assert seen[ADMISSIBLE] and seen[INADMISSIBLE]
     # some verdicts need the closure: phi carries tau outside the images
     assert outside_images
+
+
+def test_fermat_totally_real_no_by_binary_forms():
+    # The 48 Fermat lines have rank N = 20, so T would be an even positive
+    # definite binary lattice of determinant |det N| = 64 with D_T
+    # anti-isometric to D_N.  Enumerate every reduced form [a, b, c],
+    # 2|b| <= a <= c: then a^2 <= ac = 64 + b^2 <= 64 + a^2 / 4, so a <= 9.
+    # The genus must come out as diag(8, 8) alone, with no vector of
+    # norm 2 (and, being definite, no U(2)), so NO is the right verdict.
+    analysis = Analysis(read_configuration(FERMAT))
+    assert (analysis.rank_n, analysis.r, analysis.det_n) == (20, 2, -64)
+    verdict = totally_real_criterion(analysis.dn, analysis.r, analysis.det_n)
+    assert verdict.kind == "NO"
+    reduced = []
+    for a in range(2, 10, 2):
+        for b in range(-(a // 2), a // 2 + 1):
+            c, rem = divmod(64 + b * b, a)
+            if rem == 0 and c % 2 == 0 and c >= a:
+                reduced.append((a, b, c))
+    assert reduced == [(2, 0, 32), (4, 0, 16), (8, -4, 10), (8, 0, 8), (8, 4, 10)]
+    genus = [
+        (a, b, c)
+        for a, b, c in reduced
+        if fqf_isometries(
+            analysis.dn, discriminant_form(Lattice(((a, b), (b, c)))), anti=True
+        )
+    ]
+    assert genus == [(8, 0, 8)]
+    for a, b, c in genus:
+        # a x^2 + 2b xy + c y^2 = ((a x + b y)^2 + 64 y^2) / a, and the
+        # same with x and y swapped: norm 2 needs 64 y^2 <= 2a, 64 x^2 <= 2c
+        xbox = range(-isqrt(2 * c // 64), isqrt(2 * c // 64) + 1)
+        ybox = range(-isqrt(2 * a // 64), isqrt(2 * a // 64) + 1)
+        assert not [
+            (x, y)
+            for x in xbox
+            for y in ybox
+            if a * x * x + 2 * b * x * y + c * y * y == 2
+        ]
 
 
 def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
