@@ -23,7 +23,6 @@ _MODULE_OF = {
     "Fragment": "fano",
     "LineConfiguration": "fano",
     "PolarizedIsometry": "fano",
-    "PolarizedStabilizer": "fano",
     "RealCandidate": "fano",
     "catalog_graph": "fano",
     "catalog_names": "fano",

@@ -7,8 +7,8 @@ vectors in the span of the lines and h whose classes generate an isotropic
 subgroup of the discriminant form.  The line lattice N is generated by the
 lines, h and these kernel vectors.  `Analysis` builds it as one lattice,
 the Gram matrix of those generators modulo its radical, and reads D_N,
-det N, the polarized stabilizer (the graph automorphisms that map N onto
-itself) and the candidate actions on D_N from its discriminant data.
+det N, the stabilizer test and the candidate actions on D_N from its
+discriminant data.
 
 A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
@@ -21,13 +21,15 @@ at a time and branches only where some chosen line is still short of
 valency 3.
 
 Real-structure candidates pair a graph involution with the global sign -1, so
-real lines are the fixed vertices.  They are taken one per conjugacy class of
-involutions in the polarized stabilizer; each class is a conjugation orbit
-under the stabilizer's generators (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, section 4.1).  Admissibility of a
-candidate is decided by gluing its discriminant action to a sign-reversing
-involution on the transcendental side, or by the arithmetic screening rules
-when no transcendental representative is supplied.
+real lines are the fixed vertices.  The polarized stabilizer is S x {+-1},
+with S the `PermutationGroup` of graph automorphisms that map N onto itself:
+the whole automorphism group without a kernel, else its `subgroup`.  The
+candidates are one per conjugacy class of involutions in S, each an orbit
+under conjugation by the strong generators of S (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, section 4.1).  Admissibility
+of a candidate is decided by gluing its discriminant action to a
+sign-reversing involution on the transcendental side, or by the arithmetic
+screening rules when no transcendental representative is supplied.
 
 `Analysis` holds all of this for one configuration and computes each part
 once.
@@ -39,12 +41,12 @@ import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .intmat import (
+    inertia,
     integral_kernel_with_complement,
     mat_mul,
     mat_vec,
-    matrix_rank,
     transpose,
 )
 from .lattices import Lattice, discriminant_data
@@ -134,17 +136,18 @@ class LineConfiguration(Record):
         return self.graph.n
 
 
+def _lines_gram(graph: Multigraph) -> list[list[int]]:
+    """Pairings among the lines: -2 on the diagonal, multiplicities off it."""
+    return [
+        [m - 2 * (i == j) for j, m in enumerate(row)]
+        for i, row in enumerate(graph.mult)
+    ]
+
+
 def _fano_gram(cfg: LineConfiguration) -> list[list[int]]:
-    n = cfg.graph.n
-    g = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        g[i][i] = -2
-        for j in range(n):
-            if i != j:
-                g[i][j] = cfg.graph.mult[i][j]
-        g[i][n] = g[n][i] = 1
-    g[n][n] = cfg.degree
-    return g
+    """Pairings among (lines..., h)."""
+    rows = [row + [1] for row in _lines_gram(cfg.graph)]
+    return rows + [[1] * cfg.graph.n + [cfg.degree]]
 
 
 def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
@@ -328,12 +331,8 @@ def graph_automorphisms(cfg) -> PermutationGroup:
 def graph_invariants(cfg) -> tuple[int, int | None, int]:
     """(rank of the lines-only Gram form, girth, automorphism group order)."""
     graph = cfg.graph if isinstance(cfg, LineConfiguration) else cfg
-    n = graph.n
-    lines_gram = [
-        [-2 if i == j else graph.mult[i][j] for j in range(n)] for i in range(n)
-    ]
-    r = matrix_rank(lines_gram)
-    return (r, girth(graph), graph_automorphism_group(graph).order())
+    pos, neg, _ = inertia(_lines_gram(graph))
+    return (pos + neg, girth(graph), graph_automorphism_group(graph).order())
 
 
 # -- the polarized stabilizer -------------------------------------------------
@@ -348,49 +347,6 @@ class PolarizedIsometry(Record):
         if sorted(permutation) != list(range(len(permutation))):
             raise InputError("not a permutation")
         vars(self).update(permutation=permutation, sign=sign)
-
-
-class PolarizedStabilizer(Record):
-    """Subgroup of Aut(graph) x {+-1} mapping the line lattice N onto itself.
-
-    The sign factor acts freely (negation maps every lattice onto itself), so
-    the group is (sigma part) x {+-1} and only the permutation part is stored.
-    `sigmas` is None exactly when the kernel is empty and the whole
-    automorphism group qualifies without enumeration.
-    """
-
-    _fields = ("group", "sigmas", "order")
-
-    def __init__(
-        self,
-        group: PermutationGroup,
-        sigmas: tuple[tuple[int, ...], ...] | None,
-        order: int,
-    ):
-        vars(self).update(group=group, sigmas=sigmas, order=order)
-
-    def sigma_elements(self):
-        if self.sigmas is None:
-            return tuple(self.group.elements())
-        return self.sigmas
-
-    def contains(self, iso: PolarizedIsometry) -> bool:
-        if self.sigmas is None:
-            return self.group.contains(iso.permutation)
-        return iso.permutation in self.sigmas
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of the sigma part.  An explicit list is reduced
-        greedily: each pick lies outside the subgroup the earlier picks
-        generate, so there are at most log2 |sigmas| of them."""
-        if self.sigmas is None:
-            return self.group.generators
-        from .fqf import greedy_generators
-
-        ident = tuple(range(self.group.n))
-        picks = greedy_generators(self.sigmas, compose_perm, ident)
-        return tuple(picks) or (ident,)
 
 
 class RealCandidate(Record):
@@ -427,28 +383,25 @@ class RealCandidate(Record):
         )
 
 
-def _involution_classes_of(
-    stabilizer: PolarizedStabilizer,
-) -> list[tuple[int, ...]]:
-    """Lexicographically minimal representatives of the conjugacy classes of
-    involutions (identity included) in the sigma part of the stabilizer, in
-    increasing order.
-
-    Each class is the orbit (`fqf.orbits`) of its least involution under
-    conjugation by the stabilizer's generators, so a class costs |class| x
-    |generators| conjugations, not |group|."""
+def _involution_classes_of(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """Least representatives of the conjugacy classes of involutions
+    (identity included) in a permutation group, in increasing order: the
+    orbits (`fqf.orbits`) of the involutions under conjugation by the strong
+    generators, so a class costs |class| x |generators| conjugations, not
+    |group|."""
     from .fqf import orbits
 
-    ident = tuple(range(stabilizer.group.n))
-    invs = sorted(
-        g for g in stabilizer.sigma_elements() if compose_perm(g, g) == ident
-    )
+    try:
+        elements = group.elements()
+    except CapExceeded as exc:
+        raise CapExceeded(f"involution classes: {exc}") from None
+    invs = [g for g in elements if all(g[x] == i for i, x in enumerate(g))]
 
     def by(a):
         a_inv = invert_perm(a)
         return lambda x: tuple(a[x[i]] for i in a_inv)  # a x a^-1
 
-    moves = [by(a) for a in stabilizer.generators]
+    moves = [by(a) for a in group.generators]
     return [orbit[0] for orbit in orbits(invs, moves)]
 
 
@@ -460,9 +413,9 @@ class Analysis:
     computed on first use and then kept: the line lattice N as one
     `Lattice`, the Gram matrix of its generators modulo its radical, whose
     discriminant data give D_N, det N, the stabilizer test and the
-    candidate actions; the graph automorphism group, the polarized
-    stabilizer and the fragment list, so counting fragments under every
-    candidate involution reuses one search.
+    candidate actions; the graph automorphism group, the stabilizer of N
+    in it (one `PermutationGroup` either way) and the fragment list, so
+    counting fragments under every candidate involution reuses one search.
     """
 
     def __init__(self, cfg: LineConfiguration):
@@ -573,13 +526,17 @@ class Analysis:
         return graph_automorphism_group(self.cfg.graph)
 
     @cached_property
-    def stabilizer(self) -> PolarizedStabilizer:
-        """The subgroup of Aut(graph) x {+-1} that maps N onto itself."""
+    def stabilizer(self) -> PermutationGroup:
+        """The graph automorphisms that map N onto itself; the polarized
+        stabilizer is this group x {+-1}, since -1 maps every lattice onto
+        itself.  Without a kernel it is the whole automorphism group."""
         group = self.automorphisms
         if not self.cfg.kernel:
-            return PolarizedStabilizer(group, None, 2 * group.order())
-        kept = tuple(perm for perm in group.elements() if self._preserves(perm))
-        return PolarizedStabilizer(group, kept, 2 * len(kept))
+            return group
+        try:
+            return group.subgroup(self._preserves)
+        except CapExceeded as exc:
+            raise CapExceeded(f"polarized stabilizer: {exc}") from None
 
     def _preserves(self, perm) -> bool:
         # A graph automorphism fixes the lines and h as a set, so it maps N
@@ -711,8 +668,9 @@ def _moved(perm, vec) -> list[int]:
     return out
 
 
-def polarized_stabilizer(cfg: LineConfiguration) -> PolarizedStabilizer:
-    """`Analysis(cfg).stabilizer`."""
+def polarized_stabilizer(cfg: LineConfiguration) -> PermutationGroup:
+    """`Analysis(cfg).stabilizer`: the graph automorphisms that map N onto
+    itself.  The polarized stabilizer is this group x {+-1}."""
     return Analysis(cfg).stabilizer
 
 

@@ -252,13 +252,15 @@ def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
     chain presentation.  Generators of order 1 are dropped; the rest are split
     into primary components and recombined so the orders form a chain."""
     orders = [int(d) for d in orders]
+    if any(d < 1 for d in orders):
+        raise ValueError("generator orders must be positive")
     k = len(orders)
     qvalues = [Fraction(q) for q in qvalues]
     pairing = [[Fraction(pairing[i][j]) for j in range(k)] for i in range(k)]
     # Exact integer arithmetic over a common multiple n of every order and
     # denominator: n * q mod 2n and n * b mod n.
     n = lcm(
-        *(d for d in orders if d > 0),
+        *orders,
         *(x.denominator for x in qvalues),
         *(x.denominator for row in pairing for x in row),
     )

@@ -194,6 +194,43 @@ class PermutationGroup:
             current = compose_perm(invert_perm(level[current[b]]), current)
         return current == tuple(range(self.n))
 
+    def subgroup(self, keep) -> "PermutationGroup":
+        """The elements that `keep` accepts, which must form a group, as a
+        chain on this group's base.  The capped element list is read in
+        order, and `keep` is asked of an element only while no kept one
+        fixing b_0..b_{i-1} takes b_i where it does."""
+        found = {}
+        for g in self.elements():
+            moved = [(i, g[b]) for i, b in enumerate(self.base) if g[b] != b]
+            if moved and moved[0] not in found and keep(g):
+                found[moved[0]] = g
+        return _chain(self.n, self.base, lambda i, w: found.get((i, w)))
+
+
+def _chain(n: int, base, extend) -> PermutationGroup:
+    """The stabilizer chain on `base` of the group generated by the
+    elements `extend(i, w)` returns, each fixing b_0..b_{i-1} and taking b_i
+    to w (None when the group has none).  Level i, built from the bottom,
+    asks only for points w outside the orbit found so far, so each element
+    at least doubles the group: at most log2 |group| strong generators."""
+    strong: list[tuple[int, ...]] = []
+    levels = []
+    for i in reversed(range(len(base))):
+        level = {base[i]: tuple(range(n))}
+        for w in range(n):
+            g = None if w in level else extend(i, w)
+            if g is None:
+                continue
+            strong.append(g)
+            orbit = list(level)
+            for x in orbit:
+                for s in strong:
+                    if s[x] not in level:
+                        level[s[x]] = compose_perm(s, level[x])
+                        orbit.append(s[x])
+        levels.append(level)
+    return PermutationGroup(n, tuple(base), levels[::-1], strong)
+
 
 def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
     """The full automorphism group, with exact order, from one
@@ -223,9 +260,13 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
 
     def search(colors, depth, candidates):
         """An automorphism taking the first path from `depth` on to a path
-        through `colors` and one of `candidates`, or None.  Branches whose
-        colour multiset differs from the first path's are cut."""
+        through `colors` and one of `candidates` in the cell of b_depth, or
+        None.  Branches whose colour multiset differs from the first
+        path's are cut."""
+        target = path[depth][base[depth]]
         for x in candidates:
+            if colors[x] != target:
+                continue
             child = individualize(colors, x)
             if sorted(child) != shapes[depth + 1]:
                 continue
@@ -237,33 +278,12 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
                 if graph.is_automorphism(perm):
                     return perm
                 continue
-            target = path[depth + 1][base[depth + 1]]
-            cell = [u for u in range(n) if child[u] == target]
-            found = search(child, depth + 1, cell)
+            found = search(child, depth + 1, range(n))
             if found is not None:
                 return found
         return None
 
-    strong: list[tuple[int, ...]] = []
-    levels: list[dict] = []
-    for depth in reversed(range(len(base))):
-        b, colors = base[depth], path[depth]
-        level = {b: tuple(range(n))}
-        for w in range(n):
-            if w in level or colors[w] != colors[b]:
-                continue
-            found = search(colors, depth, [w])
-            if found is None:
-                continue
-            strong.append(found)
-            orbit = list(level)
-            for x in orbit:
-                for g in strong:
-                    if g[x] not in level:
-                        level[g[x]] = compose_perm(g, level[x])
-                        orbit.append(g[x])
-        levels.append(level)
-    return PermutationGroup(n, tuple(base), levels[::-1], strong)
+    return _chain(n, base, lambda depth, w: search(path[depth], depth, [w]))
 
 
 def canonical_certificate(

@@ -360,6 +360,35 @@ class TestRealCommand:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize(
+        "halves, stage",
+        [
+            # |Aut| = 8! exceeds the element cap: without a kernel the
+            # stabilizer is Aut, listed for its involution classes; with the
+            # two half-sums it is listed to find the stabilizer itself
+            ((), "involution classes"),
+            (((1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)),
+             "polarized stabilizer"),
+        ],
+    )
+    def test_element_cap_names_its_stage(self, capsys, tmp_path, halves, stage):
+        doc = {
+            "degree": 2,
+            "vertices": 8,
+            "edges": [],
+            "kernel": [
+                {"numerators": list(half) + [0], "denominator": 2}
+                for half in halves
+            ],
+        }
+        path = tmp_path / "edgeless8.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "real", str(path))
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == (
+            f"error: {stage}: group of order 40320 exceeds the cap of 10000\n"
+        )
+
     def test_genus_mismatch_with_large_scale_is_fast(self, capsys, tmp_path):
         # discr 2U(7) has 2401 elements and an automorphism group of about
         # 2 x 10^5; no anti-isometry reaches it from K33's D_N, so neither
@@ -459,6 +488,20 @@ class TestMalformedTranscendental:
         for cmd in ("fragments", "real", "totally-real"):
             code, out, err = run(capsys, cmd, path)
             assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_discr_orders_must_be_positive(self, capsys, tmp_path, order):
+        # order 0 would be an infinite cyclic group; neither may read as the
+        # trivial form
+        block = dict(DISCR, factors=[order])
+        path = with_transcendental(tmp_path, {"discr": block, "rank": 4})
+        for cmd in ("fragments", "real", "totally-real"):
+            code, out, err = run(capsys, cmd, path)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == (
+                "error: bad discriminant form: generator orders must be "
+                "positive\n"
+            )
 
     @pytest.mark.parametrize("entries", [[-1, 3, 6], [2, 1, 3]])
     def test_definite2_diagonal_must_be_even(self, capsys, tmp_path, entries):

@@ -232,6 +232,22 @@ class TestTranscendentalParsing:
         with pytest.raises(InputError, match="discriminant form"):
             load_configuration(doc(transcendental=spec))
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_rejects_nonpositive_discr_order(self, order):
+        spec = {
+            "discr": {
+                "factors": [order],
+                "qvalues": ["1/2"],
+                "pairing": [["1/2"]],
+            },
+            "rank": 16,
+        }
+        with pytest.raises(
+            InputError,
+            match="bad discriminant form: generator orders must be positive",
+        ):
+            load_configuration(doc(transcendental=spec))
+
     def test_rejects_unknown_discr_field(self):
         spec = {
             "discr": {

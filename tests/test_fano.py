@@ -24,7 +24,6 @@ from k3lines.fano import (
     Analysis,
     Fragment,
     LineConfiguration,
-    PolarizedIsometry,
     catalog_graph,
     catalog_names,
     class_sum_in_radical,
@@ -54,7 +53,12 @@ from k3lines.intmat import (
     transpose,
 )
 from k3lines.lattices import Isometry, Lattice, build_lattice, discriminant_data
-from k3lines.multigraph import Multigraph, compose_perm, invert_perm
+from k3lines.multigraph import (
+    Multigraph,
+    PermutationGroup,
+    compose_perm,
+    invert_perm,
+)
 from k3lines.realcrit import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -122,10 +126,10 @@ def brute_force_fragments(cfg: LineConfiguration) -> list[tuple[int, ...]]:
     return out
 
 
-def all_elements_involution_classes(sigmas) -> list[tuple[int, ...]]:
+def all_elements_involution_classes(group) -> list[tuple[int, ...]]:
     """Least representatives of the involution classes, in increasing
     order, by conjugating each involution with every group element."""
-    elems = list(sigmas)
+    elems = list(group)
     ident = tuple(range(len(elems[0])))
     invs = [g for g in elems if compose_perm(g, g) == ident]
     seen: set[tuple[int, ...]] = set()
@@ -550,6 +554,19 @@ class TestGraphInvariants:
         cfg = LineConfiguration(6, catalog_graph("K33"))
         assert graph_invariants(cfg) == (6, 4, 72)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 14), st.randoms(use_true_random=False))
+    def test_rank_matches_the_smith_form(self, n, rng):
+        # the rank is read off the inertia; the Smith form is the oracle
+        mult = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            mult[i][j] = mult[j][i] = rng.choice((0, 0, 0, 1, 1, 2, 3))
+        graph = Multigraph(tuple(map(tuple, mult)))
+        lines_gram = [
+            [-2 if i == j else mult[i][j] for j in range(n)] for i in range(n)
+        ]
+        assert graph_invariants(graph)[0] == matrix_rank(lines_gram)
+
 
 K33_ISOTROPIC_KERNEL = (
     Fraction(0),
@@ -564,29 +581,31 @@ K33_ISOTROPIC_KERNEL = (
 
 class TestPolarizedStabilizer:
     def test_empty_kernel_skips_enumeration(self):
-        cfg = LineConfiguration(6, catalog_graph("K33"))
-        stab = polarized_stabilizer(cfg)
-        assert stab.sigmas is None
-        assert stab.order == 144
-        assert stab.contains(PolarizedIsometry((1, 0, 2, 4, 3, 5), -1))
+        analysis = Analysis(LineConfiguration(6, catalog_graph("K33")))
+        stab = analysis.stabilizer
+        assert stab is analysis.automorphisms
+        assert 2 * stab.order() == 144
+        assert stab.contains((1, 0, 2, 4, 3, 5))
 
     def test_invariant_kernel_keeps_full_group(self):
         # (sum of lines - h)/2 lies in the radical's rational span, so its
         # discriminant class is trivial and every automorphism survives
         vec = tuple([Fraction(1, 2)] * 6 + [Fraction(-1, 2)])
-        cfg = LineConfiguration(6, catalog_graph("K33"), kernel=(vec,))
-        stab = polarized_stabilizer(cfg)
-        assert stab.sigmas is not None
-        assert stab.order == 144
+        analysis = Analysis(
+            LineConfiguration(6, catalog_graph("K33"), kernel=(vec,))
+        )
+        stab = analysis.stabilizer
+        assert stab is not analysis.automorphisms
+        assert 2 * stab.order() == 144
 
     def test_symmetry_breaking_kernel(self):
         cfg = LineConfiguration(
             6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
         )
         stab = polarized_stabilizer(cfg)
-        assert stab.sigmas is not None
-        assert stab.order == 16
-        assert len(stab.sigmas) == 8
+        assert isinstance(stab, PermutationGroup)
+        assert 2 * stab.order() == 16
+        assert len(stab.elements()) == 8
 
     def test_symmetry_breaking_kernel_against_module_oracle(self):
         # a permutation preserves the extension exactly when it maps the
@@ -613,34 +632,33 @@ class TestPolarizedStabilizer:
                 back = in_integer_span(basis + [moved], list(kernel))
                 if fwd and back:
                     expected.add(perm)
-            assert set(stab.sigmas) == expected
+            assert set(stab.elements()) == expected
 
     def test_involution_classes_match_all_elements_conjugation(self):
         # S7, kernel-free, so the orbits run under the chain generators
-        stab = polarized_stabilizer(LineConfiguration(2, empty_graph(7)))
-        assert stab.sigmas is None and stab.order == 2 * 5040
+        analysis = Analysis(LineConfiguration(2, empty_graph(7)))
+        stab = analysis.stabilizer
+        assert stab is analysis.automorphisms
+        assert 2 * stab.order() == 2 * 5040
         reps = fano._involution_classes_of(stab)
         # identity and one, two and three disjoint transpositions
         assert len(reps) == 4
-        assert reps == all_elements_involution_classes(
-            stab.sigma_elements()
-        )
+        assert reps == all_elements_involution_classes(stab.elements())
 
     def test_fermat_involution_classes_match_all_elements_conjugation(self):
         # |Aut| = 6144, kernel-free: 28 classes under the strong generators
-        cfg = read_configuration(
-            Path(__file__).parent / "data" / "fermat48.json"
+        analysis = Analysis(
+            read_configuration(Path(__file__).parent / "data" / "fermat48.json")
         )
-        stab = polarized_stabilizer(cfg)
-        assert stab.sigmas is None and stab.order == 2 * 6144
+        stab = analysis.stabilizer
+        assert stab is analysis.automorphisms
+        assert 2 * stab.order() == 2 * 6144
         reps = fano._involution_classes_of(stab)
         assert len(reps) == 28
-        assert reps == all_elements_involution_classes(
-            stab.sigma_elements()
-        )
+        assert reps == all_elements_involution_classes(stab.elements())
 
-    def test_involution_classes_under_greedy_generators(self):
-        # explicit stabilizers: the glued K33, and the lines 0-3 of an
+    def test_involution_classes_under_subgroup_generators(self):
+        # kernel stabilizers: the glued K33, and the lines 0-3 of an
         # edgeless graph tied together by a half-sum
         half = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 3)
         for cfg in (
@@ -649,10 +667,11 @@ class TestPolarizedStabilizer:
             ),
             LineConfiguration(2, empty_graph(6), kernel=(half,)),
         ):
-            stab = polarized_stabilizer(cfg)
-            assert stab.sigmas is not None
+            analysis = Analysis(cfg)
+            stab = analysis.stabilizer
+            assert stab is not analysis.automorphisms
             gens = stab.generators
-            assert 2 ** len(gens) <= len(stab.sigmas)
+            assert 2 ** len(gens) <= len(stab.elements())
             closure = {tuple(range(cfg.graph.n))}
             frontier = list(closure)
             for x in frontier:
@@ -661,15 +680,15 @@ class TestPolarizedStabilizer:
                     if y not in closure:
                         closure.add(y)
                         frontier.append(y)
-            assert closure == set(stab.sigmas)
+            assert closure == set(stab.elements())
             assert fano._involution_classes_of(
                 stab
-            ) == all_elements_involution_classes(stab.sigmas)
+            ) == all_elements_involution_classes(stab.elements())
 
     def test_enumeration_cap_is_honest(self):
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
         cfg = LineConfiguration(2, empty_graph(12), kernel=(vec,))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="polarized stabilizer"):
             polarized_stabilizer(cfg)
 
 
@@ -939,7 +958,7 @@ def assert_routes_agree(cfg):
     intertwines the two candidate actions."""
     analysis = Analysis(cfg)
     ref = DescentRoute(cfg)
-    elems = analysis.stabilizer.sigma_elements()
+    elems = analysis.stabilizer.elements()
     assert set(elems) == ref.stabilizer()
     assert analysis.dn.order() == ref.dn.order()
     assert ref.q.determinant == analysis.det_n * len(ref.subgroup) ** 2
@@ -1009,7 +1028,7 @@ class TestExtensionContext:
         for cfg in configs:
             assert_routes_agree(cfg)
             analysis = Analysis(cfg)
-            elems = analysis.stabilizer.sigma_elements()
+            elems = analysis.stabilizer.elements()
             acts = {g: analysis.candidate_action(g) for g in elems}
             minus = minus_identity_isometry(analysis.dn)
             # sigma -> -candidate_action(sigma) is a homomorphism
@@ -1031,7 +1050,7 @@ class TestExtensionContext:
             Path(__file__).parent.parent / "corpus" / "k33_glued.json"
         )
         analysis = Analysis(cfg)
-        kept = set(analysis.stabilizer.sigma_elements())
+        kept = set(analysis.stabilizer.elements())
         outside = [g for g in analysis.automorphisms.elements() if g not in kept]
         assert len(kept) == 8 and len(outside) == 64
         for g in outside:
@@ -1103,7 +1122,7 @@ class TestAnalysis:
         analysis = Analysis(cfg)
         assert analysis.fragments == tuple(enumerate_fragments(cfg))
         stab = polarized_stabilizer(cfg)
-        assert analysis.stabilizer.order == stab.order == 2 * 288
+        assert 2 * analysis.stabilizer.order() == 2 * stab.order() == 2 * 288
         swap = tuple(list(range(6, 12)) + list(range(6)))
         assert analysis.count_fragments_under(swap) == (0, 0)
         assert analysis.real_structure_candidates() == (

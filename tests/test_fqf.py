@@ -3,6 +3,7 @@ Gauss sums, isometries, subquotients, local determinant classes."""
 
 import cmath
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -95,6 +96,13 @@ def test_factory_rejects_inconsistent_input():
     with pytest.raises(ValueError):
         # diagonal not matching the square
         finite_quadratic_form((2,), (F(1, 2),), [[F(0)]])
+
+
+def test_factory_rejects_nonpositive_orders():
+    # order 0 would be an infinite cyclic group, not a trivial one
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="orders must be positive"):
+            finite_quadratic_form((d,), (F(1, 2),), [[F(1, 2)]])
 
 
 def test_quadratic_form_polarization():
@@ -517,6 +525,40 @@ def test_property_normalization_is_idempotent(a, b):
     form = discriminant_form(a).direct_sum(discriminant_form(b))
     assert finite_quadratic_form(form.orders, form.qvalues, form.pairing) == form
     assert form.direct_sum(TRIVIAL_FORM) == form
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(even_lattices(max_rank=4), st.randoms(use_true_random=False))
+def test_property_invariant_under_a_change_of_generators(lat, rng):
+    # random automorphisms of the group move the generators: a unit
+    # multiple, or adding to one generator a multiple of another whose
+    # order divides the first one's; then the generators are shuffled
+    form = discriminant_form(lat)
+    k = form.rank()
+    assume(k)
+    orders = list(form.orders)
+    gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    for _ in range(8):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            unit = rng.choice(
+                [u for u in range(1, orders[i]) if math.gcd(u, orders[i]) == 1]
+            )
+            gens[i] = form.reduce([unit * x for x in gens[i]])
+        else:
+            c = orders[i] // math.gcd(orders[i], orders[j]) * rng.randrange(4)
+            gens[j] = form.reduce([a + c * b for a, b in zip(gens[j], gens[i])])
+    shuffled = rng.sample(range(k), k)
+    gens = [gens[i] for i in shuffled]
+    orders = [orders[i] for i in shuffled]
+    assert [form.order_of(g) for g in gens] == orders
+    changed = finite_quadratic_form(
+        orders,
+        [form.q_of(g) for g in gens],
+        [[form.b_of(g, h) for h in gens] for g in gens],
+    )
+    assert changed.orders == form.orders
+    assert fqf_isometries(form, changed)
 
 
 def gauss_sum_brown(form):

@@ -71,6 +71,92 @@ def test_parser_rejects_malformed_input():
             build_lattice(spec)
 
 
+def dynkin_gram(letter: str, n: int) -> list[list[int]]:
+    """Negative definite root lattice: a path on the first vertices, and for
+    D and E the last vertex hung from vertex n-3 and vertex 2."""
+    edges = [(i, i + 1) for i in range(n - (1 if letter == "A" else 2))]
+    if letter == "D":
+        edges.append((n - 3, n - 1))
+    if letter == "E":
+        edges.append((2, n - 1))
+    gram = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram
+
+
+def blocks(*grams) -> list[list[int]]:
+    n = sum(len(g) for g in grams)
+    out, at = [[0] * n for _ in range(n)], 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at : at + len(row)] = row
+        at += len(g)
+    return out
+
+
+@st.composite
+def lattice_expressions(draw):
+    """A random expression of the lattice grammar, with optional spaces
+    between tokens, and the Gram matrix it names, built block by block."""
+
+    def gap():
+        return draw(st.sampled_from(("", "", " ", "  ")))
+
+    def atom():
+        kind = draw(st.sampled_from("UADE[]"))
+        if kind == "U":
+            return "U", [[0, 1], [1, 0]]
+        if kind in "ADE":
+            low, high = {"A": (1, 5), "D": (4, 6), "E": (6, 8)}[kind]
+            n = draw(st.integers(low, high))
+            return f"{kind}{gap()}{n}", dynkin_gram(kind, n)
+        if kind == "[":
+            n = 2 * draw(st.integers(-4, 4).filter(bool))
+            return f"[{gap()}{n}{gap()}]", [[n]]
+        a, c = (2 * draw(st.integers(-4, 4)) for _ in range(2))
+        b = draw(st.integers(-5, 5))
+        return f"[{a},{gap()}{b}{gap()},{c}]", [[a, b], [b, c]]
+
+    def term():
+        text, gram = atom()
+        for scale in draw(st.lists(st.integers(-3, 3).filter(bool), max_size=2)):
+            text += f"{gap()}({gap()}{scale}{gap()})"
+            gram = [[scale * x for x in row] for row in gram]
+        count = draw(st.integers(1, 2))
+        if count > 1 or draw(st.booleans()):
+            star = draw(st.sampled_from(("", "*")))
+            text = f"{count}{gap()}{star}{gap()}{text}"
+            gram = blocks(*[gram] * count)
+        return text, gram
+
+    terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    text = f"{gap()}+{gap()}".join(t for t, _ in terms)
+    return f"{gap()}{text}{gap()}", blocks(*(g for _, g in terms))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lattice_expressions())
+def test_property_parser_round_trips_the_grammar(case):
+    text, gram = case
+    assert build_lattice(text).gram == tuple(map(tuple, gram))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="UADE[](),+*- 0123456789", max_size=16),
+        st.text(max_size=8),
+    )
+)
+def test_property_malformed_notation_raises_only_input_error(text):
+    try:
+        lattice = build_lattice(text)
+    except InputError:
+        return
+    assert isinstance(lattice, Lattice)
+
+
 def test_root_lattice_determinants_and_signatures():
     for n in range(1, 7):
         lat = build_lattice(f"A{n}")

@@ -405,6 +405,40 @@ class TestAutomorphismGroups:
         graph_automorphism_group(g)
         assert built == []
 
+    def test_subgroup_of_a_set_stabilizer(self):
+        # S7 on seven edgeless lines; keeping {0, 1, 2, 3} leaves S4 x S3
+        group = graph_automorphism_group(empty_graph(7))
+        half = {0, 1, 2, 3}
+
+        def keep(p):
+            return {p[v] for v in half} == half
+
+        sub = group.subgroup(keep)
+        assert sub.order() == 144
+        brute = [p for p in permutations(range(7)) if keep(p)]
+        assert sub.elements() == brute
+        for p in permutations(range(7)):
+            assert sub.contains(p) == keep(p)
+        assert 2 ** len(sub.generators) <= 144
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(multigraphs(max_n=7), st.data())
+    def test_subgroup_matches_the_filtered_elements(self, g, data):
+        group = graph_automorphism_group(g)
+        chosen = set(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)))))
+        chosen &= set(range(g.n))
+
+        def keep(p):
+            return {p[v] for v in chosen} == chosen
+
+        sub = group.subgroup(keep)
+        kept = [p for p in group.elements() if keep(p)]
+        assert sub.order() == len(kept)
+        assert sub.elements() == kept
+        gens = set(sub.generators) - {tuple(range(g.n))}
+        assert 2 ** len(gens) <= sub.order()
+        assert generated_group(gens, g.n) == set(kept)
+
 
 class TestFermatLines:
     """The 48 lines of the Fermat quartic, |Aut| = 6144."""

@@ -12,7 +12,6 @@ from k3lines.fano import (
     Fragment,
     LineConfiguration,
     PolarizedIsometry,
-    PolarizedStabilizer,
     RealCandidate,
     catalog_graph,
 )
@@ -26,7 +25,7 @@ from k3lines.lattices import (
     discriminant_data,
     identity_isometry_of,
 )
-from k3lines.multigraph import Multigraph, graph_automorphism_group
+from k3lines.multigraph import Multigraph
 from k3lines.realcrit import (
     Definite2,
     GenericDiscr,
@@ -69,9 +68,6 @@ RECORDS = {
     ),
     "Fragment": lambda: Fragment((0, 1, 2, 3), "K4"),
     "PolarizedIsometry": lambda: PolarizedIsometry((1, 0), -1),
-    "PolarizedStabilizer": lambda: PolarizedStabilizer(
-        _K4_GROUP, None, 2 * _K4_GROUP.order()
-    ),
     "RealCandidate": lambda: RealCandidate(
         PolarizedIsometry((0, 1), -1), 1, 0, "UNKNOWN", "no data"
     ),
@@ -87,7 +83,6 @@ RECORDS = {
     "GenericDiscr": lambda: GenericDiscr(_form(), 2),
     "TSideClasses": lambda: t_side_involution_classes(TwoU(1)),
 }
-_K4_GROUP = graph_automorphism_group(catalog_graph("K4"))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
