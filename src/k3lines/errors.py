@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+# Largest group whose elements are listed one by one.
+ELEMENT_CAP = 10_000
+
 
 class InputError(ValueError):
     """Raised for malformed user input: lattice expressions, configuration

@@ -193,7 +193,7 @@ def enumerate_fragments(cfg: LineConfiguration) -> list[Fragment]:
     size = cfg.degree
     graph = cfg.graph
     n = graph.n
-    adj = [[(w, m) for w, m in enumerate(row) if m] for row in graph.mult]
+    adj = graph.adjacency
     valency = [0] * n  # weighted valency into the chosen set
     state = [0] * n  # 0 open, 1 chosen, 2 excluded
     chosen: list[int] = []

@@ -5,9 +5,10 @@ These arise as dual quotients of even lattices.  The module provides p-parts
 and their length invariants, isometry and anti-isometry search, involution
 conjugacy classes, subgroup and isotropic-quotient forms, and a Jordan
 splitting of each p-part into cyclic blocks and, at p = 2, the rank-two
-blocks u_a and v_a.  The local determinant square classes and the signature
-residue mod 8 (the Brown invariant, summed block by block by the oddity
-formula and used to cross-check signatures) are folds over those blocks.
+blocks u_a and v_a, each block's complement taken by `orthogonal_subgroup`.
+The local determinant square classes and the signature residue mod 8 (the
+Brown invariant, summed block by block by the oddity formula and used to
+cross-check signatures) are folds over those blocks.
 
 Conventions: a form is stored on an independent generating set with orders in
 an ascending divisor chain d1 | d2 | ...; quadratic values are reduced to
@@ -21,11 +22,10 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CapExceeded
+from .errors import ELEMENT_CAP, CapExceeded
 from .intmat import integral_kernel, inverse_unimodular, smith_decompose
 from .records import Record
 
-ELEMENT_CAP = 10_000
 TRIAL_DIVISION_LIMIT = 10**6
 _MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
 
@@ -198,11 +198,12 @@ class FiniteQuadraticForm(Record):
             n = lcm(n, d // gcd(d, c % d))
         return n
 
-    def elements(self, cap: int | None = ELEMENT_CAP):
-        """All coordinate tuples, lexicographically.  Guarded by `cap`."""
-        if cap is not None and self.order() > cap:
+    def elements(self):
+        """All coordinate tuples, lexicographically.  Guarded by
+        `ELEMENT_CAP`."""
+        if self.order() > ELEMENT_CAP:
             raise CapExceeded(
-                f"group of order {self.order()} exceeds the cap of {cap}"
+                f"group of order {self.order()} exceeds the cap of {ELEMENT_CAP}"
             )
         return itertools.product(*[range(d) for d in self.orders])
 
@@ -233,13 +234,10 @@ class FiniteQuadraticForm(Record):
     def p_part(self, p: int) -> "FiniteQuadraticForm":
         coords = []
         for i, d in enumerate(self.orders):
-            a = 1
-            while d % p == 0:
-                d //= p
-                a *= p
-            if a > 1:
+            if d % p == 0:
                 c = [0] * len(self.orders)
-                c[i] = d  # the cofactor kills every other primary component
+                # the cofactor kills every other primary component
+                c[i] = d // p ** _pval(d, p)
                 coords.append(tuple(c))
         return subgroup_form(self, coords)[0]
 
@@ -324,21 +322,13 @@ def solve_mod(columns, target, orders) -> list[int] | None:
     s, u, v = smith_decompose(mat)
     rhs = [sum(u[i][j] * target[j] for j in range(k)) for i in range(k)]
     z = [0] * (m + k)
-    for i in range(k):
+    for i in range(k):  # diag(orders) in mat gives full row rank: d != 0
         d = s[i][i]
-        if d == 0:
-            if rhs[i] != 0:
-                return None
-            continue
         if rhs[i] % d != 0:
             return None
         z[i] = rhs[i] // d
     full = [sum(v[i][j] * z[j] for j in range(m + k)) for i in range(m + k)]
     return full[:m]
-
-
-def subgroup_membership(form: FiniteQuadraticForm, gens, element) -> bool:
-    return solve_mod(list(gens), list(element), list(form.orders)) is not None
 
 
 def subgroup_form(form: FiniteQuadraticForm, gens):
@@ -368,36 +358,31 @@ def _presentation(form: FiniteQuadraticForm, gens, killed):
         for i in range(k)
     ]
     relations = [vec[:m] for vec in integral_kernel(stacked)]
-    # Z^m modulo the relation lattice presents the group; diagonalize the
-    # relations to read off a clean cyclic decomposition.
+    # Z^m modulo the relation lattice presents the group.  The relations
+    # include ord(g_j) e_j, so they have full rank m, and their Smith
+    # diagonal is a divisor chain of positive orders: the generators of
+    # order > 1 present the form as they stand.
     rel_cols = [[rel[i] for rel in relations] for i in range(m)]
-    s, u, v = smith_decompose(rel_cols)
+    s, u, _ = smith_decompose(rel_cols)
     uinv = inverse_unimodular(u)
     basis = []
     orders = []
     for i in range(m):
-        e = s[i][i] if i < min(len(s), len(s[0]) if s else 0) else 0
-        if e == 1:
+        if s[i][i] == 1:
             continue
-        if e == 0:
-            raise ValueError("relation lattice unexpectedly degenerate")
         combo = [0] * k
         for j in range(m):
             cj = uinv[j][i]
             if cj:
                 for t in range(k):
                     combo[t] += cj * gens[j][t]
-        orders.append(e)
+        orders.append(s[i][i])
         basis.append(form.reduce(combo))
-    qvals = [form.q_of(c) for c in basis]
-    pair = [[form.b_of(c1, c2) for c2 in basis] for c1 in basis]
-    sub = finite_quadratic_form(orders, qvals, pair)
-    # The normalization inside finite_quadratic_form recombines primary
-    # parts; rebuild the matching coordinate representatives.
-    if sub.orders != tuple(orders):
-        basis = [form.reduce(v) for _, v in _chain(list(zip(orders, basis)))]
-        if tuple(form.order_of(c) for c in basis) != sub.orders:
-            raise ValueError("subgroup basis reconstruction failed")
+    sub = FiniteQuadraticForm(
+        tuple(orders),
+        tuple(form.q_of(c) for c in basis),
+        tuple(tuple(form.b_of(c1, c2) for c2 in basis) for c1 in basis),
+    )
     return sub, basis
 
 
@@ -513,10 +498,8 @@ class FqfIsometry(Record):
         )
 
     def inverse(self) -> "FqfIsometry":
-        k = self.source.rank()
         cols = []
-        for j in range(k):
-            e = tuple(1 if i == j else 0 for i in range(k))
+        for e in _basis(self.source.rank()):
             pre = solve_mod(
                 list(self.columns), list(e), list(self.target.orders)
             )
@@ -528,11 +511,7 @@ class FqfIsometry(Record):
     def is_identity(self) -> bool:
         if self.source != self.target or self.anti:
             return False
-        k = self.source.rank()
-        return all(
-            self.columns[j] == tuple(1 if i == j else 0 for i in range(k))
-            for j in range(k)
-        )
+        return self.columns == tuple(_basis(self.source.rank()))
 
 
 def identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
@@ -573,7 +552,7 @@ def fqf_isometries(
     want_b = [[sign * x % n for x in row] for row in source._b]
     # A pairing-preserving map out of a nondegenerate form is injective, so
     # with equal orders every leaf is onto; only a degenerate source needs
-    # the Smith-form check.
+    # its images to span the target.
     check_onto = not _nondegenerate(source)
 
     results: list[tuple[tuple[int, ...], ...]] = []
@@ -582,8 +561,9 @@ def fqf_isometries(
 
     def extend(depth: int):
         if depth == k:
-            if not check_onto or all(
-                subgroup_membership(target, images, e) for e in _basis(k)
+            if (
+                not check_onto
+                or subgroup_form(target, images)[0].order() == target.order()
             ):
                 results.append(tuple(images))
             return
@@ -738,16 +718,10 @@ def square_class_equal(a, b, p: int) -> bool:
     if prime_power_factors(p) != [(p, p)]:
         raise ValueError(f"{p} is not prime")
     ratio = Fraction(a) / Fraction(b)
-    num, den = ratio.numerator, ratio.denominator
-    val = 0
-    while num % p == 0:
-        num //= p
-        val += 1
-    while den % p == 0:
-        den //= p
-        val -= 1
-    if val % 2 != 0:
+    vnum, vden = _pval(ratio.numerator, p), _pval(ratio.denominator, p)
+    if (vnum - vden) % 2 != 0:
         return False
+    num, den = ratio.numerator // p**vnum, ratio.denominator // p**vden
     if p == 2:
         return (num * den) % 8 == 1
     legendre = pow(num % p, (p - 1) // 2, p) * pow(den % p, (p - 1) // 2, p)
@@ -763,11 +737,8 @@ def _pval(n: int, p: int) -> int:
 
 
 def _require_primary(part: FiniteQuadraticForm, p: int):
-    for d in part.orders:
-        while d % p == 0:
-            d //= p
-        if d != 1:
-            raise ValueError(f"form is not {p}-primary")
+    if any(d != p ** _pval(d, p) for d in part.orders):
+        raise ValueError(f"form is not {p}-primary")
 
 
 def _jordan_blocks(part: FiniteQuadraticForm, p: int):
@@ -778,7 +749,8 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
     occurs only at p = 2.
 
     Each block is split off at the top order and the rest is its orthogonal
-    complement.  Degenerate input raises ValueError."""
+    complement, from `orthogonal_subgroup`.  Degenerate input raises
+    ValueError."""
     _require_primary(part, p)
     form = part
     while not form.is_trivial():
@@ -787,7 +759,7 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
         top = [i for i in range(k) if form.orders[i] == n]
         units = [i for i in top if form._q[i] % p]
         if units:
-            block, skip = [basis[units[-1]]], (units[-1],)
+            block = [basis[units[-1]]]
         else:
             # no top generator has a unit square: pair one with a partner
             pair = next(
@@ -797,11 +769,12 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
             if pair is None:
                 raise ValueError(f"degenerate {p}-part: no unit block found")
             if p == 2:
-                block, skip = [basis[i] for i in pair], pair
+                block = [basis[i] for i in pair]
             else:  # q(e_i + e_j) = 2 b(e_i, e_j) is a unit
-                block, skip = [tuple(int(s in pair) for s in range(k))], ()
+                block = [tuple(int(s in pair) for s in range(k))]
         yield _pval(n, p), tuple(form._qn(g) for g in block)
-        form = _complement(form, block, skip)
+        # the block's pairing is invertible mod n, so D = block + its perp
+        form = subgroup_form(form, orthogonal_subgroup(form, block))[0]
 
 
 def odd_p_det_class(part: FiniteQuadraticForm, p: int) -> int:
@@ -811,29 +784,6 @@ def odd_p_det_class(part: FiniteQuadraticForm, p: int) -> int:
     for a, (c,) in _jordan_blocks(part, p):
         det *= c * p**a
     return det
-
-
-def _complement(form: FiniteQuadraticForm, block, skip) -> FiniteQuadraticForm:
-    """The form on the orthogonal complement of `block`, one or two vectors
-    whose pairing matrix, scaled by the exponent n, is invertible mod n.
-    It is generated by the generators outside `skip`, each minus its
-    projection to the block."""
-    n, k = form._n, form.rank()
-    duals = [form._dual(g) for g in block]
-    gram = [[sum(map(operator.mul, d, g)) for g in block] for d in duals]
-    if len(block) == 1:
-        inv = [[pow(gram[0][0], -1, n)]]
-    else:
-        (a, b), (_, c) = gram
-        dinv = pow(a * c - b * b, -1, n)
-        inv = [[c * dinv, -b * dinv], [-b * dinv, a * dinv]]
-    rest = []
-    for t, e in enumerate(_basis(k)):
-        if t not in skip:
-            coef = [sum(x * d[t] for x, d in zip(row, duals)) for row in inv]
-            proj = [e[s] - sum(x * g[s] for x, g in zip(coef, block)) for s in range(k)]
-            rest.append(form.reduce(proj))
-    return subgroup_form(form, rest)[0]
 
 
 def two_adic_det_classes(part: FiniteQuadraticForm) -> list[int]:

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import CapExceeded, InputError
+from .errors import ELEMENT_CAP, CapExceeded, InputError
 from .records import Record
 
-ELEMENT_CAP = 10_000
 CERTIFICATE_NODE_CAP = 2_000_000
 AUTOMORPHISM_NODE_CAP = 250_000
 
@@ -171,10 +170,10 @@ class PermutationGroup:
         identity alone for the trivial group."""
         return tuple(self.strong) or (tuple(range(self.n)),)
 
-    def elements(self, cap: int | None = ELEMENT_CAP):
-        if cap is not None and self.order() > cap:
+    def elements(self):
+        if self.order() > ELEMENT_CAP:
             raise CapExceeded(
-                f"group of order {self.order()} exceeds the cap of {cap}"
+                f"group of order {self.order()} exceeds the cap of {ELEMENT_CAP}"
             )
         elems = [tuple(range(self.n))]
         for level in reversed(self.levels):
@@ -286,14 +285,12 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
     return _chain(n, base, lambda depth, w: search(path[depth], depth, [w]))
 
 
-def canonical_certificate(
-    graph: Multigraph, cap: int = CERTIFICATE_NODE_CAP
-) -> str:
+def canonical_certificate(graph: Multigraph) -> str:
     """Isomorphism-invariant certificate: two multigraphs get equal strings
     exactly when they are isomorphic.  It is the least encoding over the
     orderings that respect the refined colour classes, found by the
-    least-column search of the module docstring; more than `cap` nodes
-    raise CapExceeded."""
+    least-column search of the module docstring; more than
+    `CERTIFICATE_NODE_CAP` nodes raise CapExceeded."""
     n = graph.n
     if n == 0:
         return "0|"
@@ -350,7 +347,7 @@ def canonical_certificate(
                 continue
             tried.append(v)
             nodes += 1
-            if nodes > cap:
+            if nodes > CERTIFICATE_NODE_CAP:
                 raise CapExceeded("certificate search exceeded the node cap")
             chosen.append(v)
             used[v] = True
@@ -366,14 +363,12 @@ def canonical_certificate(
 def girth(graph: Multigraph) -> int | None:
     """Length of a shortest cycle; a repeated edge is a 2-cycle.  None when
     the graph is acyclic."""
-    n = graph.n
-    if any(graph.mult[i][j] >= 2 for i in range(n) for j in range(i + 1, n)):
+    adjacency = graph.adjacency
+    if any(m >= 2 for nbrs in adjacency for _, m in nbrs):
         return 2
-    adj = [
-        [w for w in range(n) if graph.mult[v][w]] for v in range(n)
-    ]
+    adj = [[w for w, _ in nbrs] for nbrs in adjacency]
     best: int | None = None
-    for s in range(n):
+    for s in range(graph.n):
         dist = {s: 0}
         parent = {s: -1}
         queue = [s]

@@ -127,7 +127,7 @@ def _norm_two_case(d_n, r, absn, reasons) -> bool | None:
         )
         undecided = True
     elif l2 == r:
-        reason = _norm_two_vector_hunt(part2, l2, absn)
+        reason = _norm_two_vector_hunt(part2, absn)
         if reason is None:
             reasons.append(
                 f"norm-2 case, p=2: length {l2} = r but no order-2 vector of "
@@ -178,17 +178,14 @@ def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
     return ok
 
 
-def _norm_two_vector_hunt(part2, l2, absn) -> str | None:
+def _norm_two_vector_hunt(part2, absn) -> str | None:
     twos = [v for v in part2.two_torsion() if part2.order_of(v) == 2]
     half = Fraction(3, 2)  # -1/2 mod 2
     for u in [v for v in twos if part2.q_of(v) == half]:
         if any(part2.b_of(u, v) != part2.q_of(v) % 1 for v in twos):
             return "a non-characteristic order-2 vector of square -1/2 exists"
+        # b(u, u) = 1/2 is a unit, so x - 2b(x, u)u splits D = <u> + u^perp
         perp, _ = subgroup_form(part2, orthogonal_subgroup(part2, [u]))
-        if perp.rank() != l2 - 1:
-            # u is not an orthogonal direct summand; not admissible as the
-            # image of a norm-2 vector.
-            continue
         cands = two_adic_det_classes(perp)
         if any(
             square_class_equal(c, sign * 2 * absn, 2)

@@ -559,6 +559,25 @@ def test_property_invariant_under_a_change_of_generators(lat, rng):
     )
     assert changed.orders == form.orders
     assert fqf_isometries(form, changed)
+    # the Jordan splittings of the two presentations may differ (at p = 2
+    # they are not unique), but not the invariants folded over them
+    assert brown_invariant(changed) == brown_invariant(form)
+    for p, _ in prime_power_factors(form.order()):
+        if p > 2:
+            assert square_class_equal(
+                odd_p_det_class(changed.p_part(p), p),
+                odd_p_det_class(form.p_part(p), p),
+                p,
+            )
+
+    def two_adic_square_classes(f):
+        classes = set()
+        for c in two_adic_det_classes(f.p_part(2)):
+            v = (c & -c).bit_length() - 1
+            classes.add((v % 2, c >> v & 7))
+        return classes
+
+    assert two_adic_square_classes(changed) == two_adic_square_classes(form)
 
 
 def gauss_sum_brown(form):

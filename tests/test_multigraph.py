@@ -303,7 +303,8 @@ class TestAutomorphismGroups:
     def test_elements_of_prism(self):
         g = catalog_graph("prism")
         group = graph_automorphism_group(g)
-        elems = group.elements(cap=100)
+        assert group.order() <= 100
+        elems = group.elements()
         assert len(elems) == 12
         assert len(set(elems)) == 12
         for p in elems:
@@ -316,10 +317,14 @@ class TestAutomorphismGroups:
         # swapping one vertex across the two triangles breaks the matching
         assert not group.contains((3, 1, 2, 0, 4, 5))
 
-    def test_elements_cap(self):
+    def test_elements_cap(self, monkeypatch):
+        monkeypatch.setattr(multigraph, "ELEMENT_CAP", 100)
+        group = graph_automorphism_group(catalog_graph("cube"))
+        assert group.order() == 48
+        group.elements()
         group = graph_automorphism_group(empty_graph(8))
-        with pytest.raises(CapExceeded):
-            group.elements(cap=100)
+        with pytest.raises(CapExceeded, match="exceeds the cap of 100"):
+            group.elements()
 
     def test_generators_preserve_multiplicities(self):
         rng = random.Random(23)
@@ -339,7 +344,8 @@ class TestAutomorphismGroups:
                 p for p in permutations(range(n)) if g.relabel(p) == g
             }
             group = graph_automorphism_group(g)
-            assert set(group.elements(cap=1000)) == brute
+            assert group.order() <= 1000
+            assert set(group.elements()) == brute
             assert group.order() == len(brute)
 
     def test_node_cap(self, monkeypatch):
@@ -354,7 +360,7 @@ class TestAutomorphismGroups:
         autos = networkx_automorphisms(g, ORACLE_LIMIT)
         if len(autos) <= ORACLE_LIMIT:
             assert group.order() == len(autos)
-            assert group.elements(cap=ORACLE_LIMIT) == sorted(autos)
+            assert group.elements() == sorted(autos)
         else:
             assert group.order() > ORACLE_LIMIT
         assert all(group.contains(p) for p in autos)
@@ -523,9 +529,10 @@ class TestCanonicalCertificate:
         # interchangeable vertices must not blow up the search
         assert canonical_certificate(empty_graph(16)).startswith("16|")
 
-    def test_node_cap(self):
-        with pytest.raises(CapExceeded):
-            canonical_certificate(catalog_graph("cube"), cap=1)
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(multigraph, "CERTIFICATE_NODE_CAP", 1)
+        with pytest.raises(CapExceeded, match="certificate search"):
+            canonical_certificate(catalog_graph("cube"))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(multigraphs(max_n=8), st.data())
@@ -572,13 +579,16 @@ class TestCanonicalCertificate:
             "1,0,0,1,0,0,1,1,0,0,1,0,0,0,0"
         )
 
-    def test_vertex_transitive_cubic_graphs_fit_a_small_budget(self):
+    def test_vertex_transitive_cubic_graphs_fit_a_small_budget(
+        self, monkeypatch
+    ):
         # refinement leaves one class in each, so the budget bounds the
         # search itself
+        monkeypatch.setattr(multigraph, "CERTIFICATE_NODE_CAP", 5_000)
         g = random_cubic(random.Random(15), 12)
         for h in (petersen(), g):
             assert set(color_refinement(h)) == {0}
-            assert canonical_certificate(h, cap=5_000).startswith(f"{h.n}|")
+            assert canonical_certificate(h).startswith(f"{h.n}|")
 
 
 class TestGirth:

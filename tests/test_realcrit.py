@@ -152,6 +152,20 @@ def test_odd_prime_determinant_branch():
     assert any("p=3" in r and "r-1" in r and "pass" in r for r in v.reasons)
 
 
+def test_odd_prime_determinant_branch_fails():
+    # T = [4] + [6]: the 3-length equals r-1 again, but the forced 3-adic
+    # determinant is in the wrong class.  Oracle: the only [2] + [c] of
+    # determinant 24 is [2] + [12], and its form is not isometric to T's.
+    d_t = discriminant_form(build_lattice("[4]+[6]"))
+    assert not fqf_isometries(discriminant_form(build_lattice("[2]+[12]")), d_t)
+    v = totally_real_criterion(d_t.negated(), 2, 24)
+    assert v.kind == "NO"
+    assert (
+        "norm-2 case, p=3: length 1 = r-1 but the forced local determinant "
+        "differs from -2|det N|: fail"
+    ) in v.reasons
+
+
 def test_characteristic_vector_determinant_branch():
     # T = [2] + [4]: the only order-2 vector of square -1/2 is
     # characteristic, so the complement determinant test has to fire.
