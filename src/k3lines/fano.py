@@ -468,15 +468,21 @@ class Analysis:
 
     @cached_property
     def warnings(self) -> tuple[str, ...]:
-        """A non-hyperbolic quotient is flagged with a warning, not an
-        error."""
+        """A non-hyperbolic quotient, or a hyperbolic one of rank above 20
+        (a Picard lattice has rank at most 20), is flagged with a warning,
+        not an error."""
         pos, neg = self.quotient_signature
-        if (pos, neg) == (1, self.rank_n - 1):
-            return ()
-        return (
-            f"quotient signature ({pos},{neg}) is not hyperbolic; no "
-            "polarized K3 surface realizes this configuration",
-        )
+        if (pos, neg) != (1, self.rank_n - 1):
+            return (
+                f"quotient signature ({pos},{neg}) is not hyperbolic; no "
+                "polarized K3 surface realizes this configuration",
+            )
+        if self.rank_n > 20:
+            return (
+                f"line lattice rank {self.rank_n} exceeds 20; no polarized "
+                "K3 surface realizes this configuration",
+            )
+        return ()
 
     @cached_property
     def data(self):

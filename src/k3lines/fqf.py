@@ -11,8 +11,9 @@ Brown invariant, summed block by block by the oddity formula and used to
 cross-check signatures) are folds over those blocks.
 
 Conventions: a form is stored on an independent generating set with orders in
-an ascending divisor chain d1 | d2 | ...; quadratic values are reduced to
-[0, 2), pairings to [0, 1), so equal forms compare equal structurally.
+an ascending divisor chain d1 | d2 | ..., as integers over its exponent n:
+n * q on generators reduced to [0, 2n), n * b between them to [0, n), so
+equal forms compare equal structurally.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ def _is_prime_above_trial_limit(m: int) -> bool:
     return True
 
 
-def _scaled(x: Fraction, n: int) -> int:
-    """x * n, for an n that x's denominator divides."""
-    return x.numerator * (n // x.denominator)
-
-
 def _basis(k: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for i in range(k)) for j in range(k)]
 
@@ -103,58 +99,54 @@ def _b_scaled(bs, x, y) -> int:
 
 
 class FiniteQuadraticForm(Record):
-    """Invariant factors with quadratic values on generators and their
-    pairing matrix.  Build instances through `finite_quadratic_form`, which
-    normalizes arbitrary independent generators into this shape.
+    """Invariant factors with the quadratic form and its pairing on the
+    generators, as integer tables: with n the exponent, `qn` holds n * q on
+    the generators mod 2n and `bn` holds n * b between them mod n.  The
+    tables are the form's identity (equality, hashing, repr) and all its
+    arithmetic; `qvalues` and `pairing` read them as Fractions for the
+    edges.  Build instances through `finite_quadratic_form`, which
+    normalizes arbitrary independent generators into this shape."""
 
-    The arithmetic runs on integers: with n the exponent, `_q` holds
-    n * q on the generators mod 2n and `_b` holds n * b between them mod n.
-    Both are derived from the Fraction fields, so they take no part in
-    equality, hashing or repr."""
+    _fields = ("orders", "qn", "bn")
 
-    _fields = ("orders", "qvalues", "pairing")
-
-    def __init__(
-        self,
-        orders: tuple[int, ...],
-        qvalues: tuple[Fraction, ...],
-        pairing: tuple[tuple[Fraction, ...], ...],
-    ):
+    def __init__(self, orders: tuple[int, ...], qn: tuple[int, ...], bn):
         k = len(orders)
-        if len(qvalues) != k or len(pairing) != k:
+        if len(qn) != k or len(bn) != k:
             raise ValueError("inconsistent generator data")
         for a, b in zip(orders, orders[1:]):
             if b % a != 0:
                 raise ValueError("orders must form a divisor chain")
+        n = orders[-1] if orders else 1
         for i, d in enumerate(orders):
             if d < 2:
                 raise ValueError("orders must exceed 1")
-            q = qvalues[i]
-            if not 0 <= q < 2:
+            q = qn[i]
+            if not 0 <= q < 2 * n:
                 raise ValueError("quadratic values must be reduced mod 2")
             if d % 2 == 1:
-                if (q * d) % 2 != 0:
+                if q * d % (2 * n) != 0:
                     raise ValueError("odd-order generator with invalid square")
-            elif (q * d * d) % 2 != 0:
+            elif q * d * d % (2 * n) != 0:
                 raise ValueError("generator square incompatible with its order")
-            if q % 1 != pairing[i][i]:
+            if q % n != bn[i][i]:
                 raise ValueError("pairing diagonal must equal the square mod 1")
             for j in range(k):
-                bij = pairing[i][j]
-                if not 0 <= bij < 1:
+                bij = bn[i][j]
+                if not 0 <= bij < n:
                     raise ValueError("pairing must be reduced mod 1")
-                if bij != pairing[j][i]:
+                if bij != bn[j][i]:
                     raise ValueError("pairing must be symmetric")
-                if (bij * d) % 1 != 0:
+                if bij * d % n != 0:
                     raise ValueError("pairing denominator must divide the order")
-        vars(self).update(orders=orders, qvalues=qvalues, pairing=pairing)
-        # Every denominator divides its generator's order, hence n.
-        n = self.exponent()
-        vars(self).update(
-            _n=n,
-            _q=tuple(_scaled(q, n) for q in qvalues),
-            _b=tuple(tuple(_scaled(x, n) for x in row) for row in pairing),
-        )
+        vars(self).update(orders=orders, qn=qn, bn=bn, _n=n)
+
+    @property
+    def qvalues(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, self._n) for q in self.qn)
+
+    @property
+    def pairing(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self._n) for x in row) for row in self.bn)
 
     # -- basic queries ---------------------------------------------------
 
@@ -177,17 +169,17 @@ class FiniteQuadraticForm(Record):
         return Fraction(self._qn(coords), self._n)
 
     def b_of(self, x, y) -> Fraction:
-        return Fraction(_b_scaled(self._b, x, y) % self._n, self._n)
+        return Fraction(_b_scaled(self.bn, x, y) % self._n, self._n)
 
     def _qn(self, coords) -> int:
         """n * q(coords), reduced mod 2n."""
-        return _q_scaled(self._q, self._b, coords) % (2 * self._n)
+        return _q_scaled(self.qn, self.bn, coords) % (2 * self._n)
 
     def _dual(self, y) -> tuple[int, ...]:
         """n * b(e_i, y) mod n for every generator e_i, so that n * b(x, y)
         is the dot product of x with it."""
         n = self._n
-        return tuple(sum(map(operator.mul, row, y)) % n for row in self._b)
+        return tuple(sum(map(operator.mul, row, y)) % n for row in self.bn)
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.orders))
@@ -209,7 +201,7 @@ class FiniteQuadraticForm(Record):
 
     def two_torsion(self) -> list[tuple[int, ...]]:
         choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in self.orders]
-        return [t for t in itertools.product(*choices)]
+        return list(itertools.product(*choices))[1:]  # order 2: all but zero
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
@@ -225,10 +217,10 @@ class FiniteQuadraticForm(Record):
         )
 
     def negated(self) -> "FiniteQuadraticForm":
-        return finite_quadratic_form(
+        return FiniteQuadraticForm(
             self.orders,
-            [-q % 2 for q in self.qvalues],
-            [[-x % 1 for x in row] for row in self.pairing],
+            tuple(-q % (2 * self._n) for q in self.qn),
+            tuple(tuple(-x % self._n for x in row) for row in self.bn),
         )
 
     def p_part(self, p: int) -> "FiniteQuadraticForm":
@@ -262,8 +254,8 @@ def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
         *(x.denominator for x in qvalues),
         *(x.denominator for row in pairing for x in row),
     )
-    qs = [_scaled(q, n) % (2 * n) for q in qvalues]
-    bs = [[_scaled(x, n) % n for x in row] for row in pairing]
+    qs = [q.numerator * (n // q.denominator) % (2 * n) for q in qvalues]
+    bs = [[x.numerator * (n // x.denominator) % n for x in row] for row in pairing]
     for i in range(k):
         if qs[i] % n != bs[i][i]:
             raise ValueError("pairing diagonal must equal the square mod 1")
@@ -272,13 +264,24 @@ def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
                 raise ValueError("pairing must be symmetric")
 
     new_gens = _chain(list(zip(orders, _basis(k))))
-    new_orders = tuple(d for d, _ in new_gens)
-    new_q = tuple(Fraction(_q_scaled(qs, bs, c) % (2 * n), n) for _, c in new_gens)
-    new_pair = tuple(
-        tuple(Fraction(_b_scaled(bs, c1, c2) % n, n) for _, c2 in new_gens)
-        for _, c1 in new_gens
+    return _form_on([d for d, _ in new_gens], [c for _, c in new_gens], qs, bs, n)
+
+
+def _form_on(orders, gens, qs, bs, n) -> FiniteQuadraticForm:
+    """The form on divisor-chain generators `gens` of the given orders, from
+    n * q on the coordinates (`qs`) and n * b between them (`bs`).  n * x is
+    (n / e) * (e * x) for the exponent e exactly when e * x is an integer,
+    as it must be in a form of exponent e."""
+    scale = n // (orders[-1] if orders else 1)
+    new_q = [_q_scaled(qs, bs, c) % (2 * n) for c in gens]
+    new_b = [[_b_scaled(bs, x, y) % n for y in gens] for x in gens]
+    if any(x % scale for x in itertools.chain(new_q, *new_b)):
+        raise ValueError("a denominator does not divide the group exponent")
+    return FiniteQuadraticForm(
+        tuple(orders),
+        tuple(q // scale for q in new_q),
+        tuple(tuple(x // scale for x in row) for row in new_b),
     )
-    return FiniteQuadraticForm(new_orders, new_q, new_pair)
 
 
 def _chain(gens) -> list[tuple[int, list[int]]]:
@@ -378,11 +381,7 @@ def _presentation(form: FiniteQuadraticForm, gens, killed):
                     combo[t] += cj * gens[j][t]
         orders.append(s[i][i])
         basis.append(form.reduce(combo))
-    sub = FiniteQuadraticForm(
-        tuple(orders),
-        tuple(form.q_of(c) for c in basis),
-        tuple(tuple(form.b_of(c1, c2) for c2 in basis) for c1 in basis),
-    )
+    sub = _form_on(orders, basis, form.qn, form.bn, form._n)
     return sub, basis
 
 
@@ -547,9 +546,9 @@ def fqf_isometries(
 
     k = source.rank()
     sign = -1 if anti else 1
-    order_by = sorted(range(k), key=lambda i: (-source.orders[i], source._q[i]))
-    want_q = [sign * q % (2 * n) for q in source._q]
-    want_b = [[sign * x % n for x in row] for row in source._b]
+    order_by = sorted(range(k), key=lambda i: (-source.orders[i], source.qn[i]))
+    want_q = [sign * q % (2 * n) for q in source.qn]
+    want_b = [[sign * x % n for x in row] for row in source.bn]
     # A pairing-preserving map out of a nondegenerate form is injective, so
     # with equal orders every leaf is onto; only a degenerate source needs
     # its images to span the target.
@@ -757,13 +756,13 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
         n, k = form._n, form.rank()
         basis = _basis(k)
         top = [i for i in range(k) if form.orders[i] == n]
-        units = [i for i in top if form._q[i] % p]
+        units = [i for i in top if form.qn[i] % p]
         if units:
             block = [basis[units[-1]]]
         else:
             # no top generator has a unit square: pair one with a partner
             pair = next(
-                ((i, j) for i in reversed(top) for j in range(k) if form._b[i][j] % p),
+                ((i, j) for i in reversed(top) for j in range(k) if form.bn[i][j] % p),
                 None,
             )
             if pair is None:

@@ -410,8 +410,10 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     smith_v = tuple(tuple(row[i] for row in v) for i in keep)
     pairs = _pushed(g, smith_v, orders)  # G·w for each generator w
 
-    def value(a, b) -> Fraction:  # w_a·G·w_b
-        return Fraction(sum(map(operator.mul, smith_v[a], pairs[b])), orders[a])
+    e = orders[-1] if orders else 1  # the exponent of D
+
+    def scaled(a, b) -> int:  # e·w_a·G·w_b
+        return sum(map(operator.mul, smith_v[a], pairs[b])) * (e // orders[a])
 
     k = len(keep)
     # The Smith diagonal is already a divisor chain, so the generators can be
@@ -419,8 +421,8 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     # them and break alignment with the Smith transforms.
     form = FiniteQuadraticForm(
         orders,
-        tuple(value(a, a) % 2 for a in range(k)),
-        tuple(tuple(value(a, b) % 1 for b in range(k)) for a in range(k)),
+        tuple(scaled(a, a) % (2 * e) for a in range(k)),
+        tuple(tuple(scaled(a, b) % e for b in range(k)) for a in range(k)),
     )
     return DiscriminantData(
         lattice, form, tuple(tuple(u[i]) for i in keep), smith_v

@@ -179,7 +179,7 @@ def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
 
 
 def _norm_two_vector_hunt(part2, absn) -> str | None:
-    twos = [v for v in part2.two_torsion() if part2.order_of(v) == 2]
+    twos = part2.two_torsion()
     half = Fraction(3, 2)  # -1/2 mod 2
     for u in [v for v in twos if part2.q_of(v) == half]:
         if any(part2.b_of(u, v) != part2.q_of(v) % 1 for v in twos):
@@ -214,7 +214,7 @@ def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
             "hyperbolic case, primes away from det N: r >= 3: pass"
         )
     part2 = d_n.p_part(2)
-    twos = [v for v in part2.two_torsion() if part2.order_of(v) == 2]
+    twos = part2.two_torsion()
     pair = None
     for u in twos:
         if part2.q_of(u) != 0:

@@ -202,6 +202,21 @@ class TestFragmentsCommand:
         assert report["by_type"] == {"K33": 1, "prism": 1}
         assert any("no polarized K3" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("lines", [20, 21])
+    def test_hyperbolic_quotient_of_rank_above_twenty_warns(
+        self, capsys, tmp_path, lines
+    ):
+        # n edgeless lines and h at degree 2 span a hyperbolic N of rank
+        # n + 1, too large for a Picard lattice
+        path = tmp_path / f"edgeless{lines}.json"
+        path.write_text(json.dumps({"degree": 2, "vertices": lines, "edges": []}))
+        code, out, _ = run(capsys, "fragments", str(path), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["warnings"] == [
+            f"line lattice rank {lines + 1} exceeds 20; no polarized K3 "
+            "surface realizes this configuration"
+        ]
+
     def test_empty_graph(self, capsys):
         code, out, _ = run(
             capsys, "fragments", str(CORPUS / "empty_six.json"), "--json"

@@ -105,6 +105,90 @@ def test_factory_rejects_nonpositive_orders():
             finite_quadratic_form((d,), (F(1, 2),), [[F(1, 2)]])
 
 
+def fraction_normal_form(orders, qvalues, pairing):
+    """(orders, qvalues, pairing) of the normalized form, worked entirely in
+    Fractions: the values are reduced, carried to the `fqf._chain`
+    generators and checked as a divisor-chain form on Fraction values.
+    Raises ValueError where a check fails."""
+    k = len(orders)
+    q = [F(x) % 2 for x in qvalues]
+    b = [[F(x) % 1 for x in row] for row in pairing]
+    for i in range(k):
+        if q[i] % 1 != b[i][i] or any(b[i][j] != b[j][i] for j in range(k)):
+            raise ValueError("inconsistent pairing")
+    gens = fqf._chain(
+        [(d, [int(i == j) for i in range(k)]) for j, d in enumerate(orders)]
+    )
+    out_orders = tuple(d for d, _ in gens)
+    out_q = tuple(
+        sum(c[i] * c[j] * (q[i] if i == j else b[i][j])
+            for i in range(k) for j in range(k)) % 2
+        for _, c in gens
+    )
+    out_b = tuple(
+        tuple(sum(x[i] * y[j] * b[i][j] for i in range(k) for j in range(k)) % 1
+              for _, y in gens)
+        for _, x in gens
+    )
+    # the chain, the reductions and the symmetry hold by construction
+    for i, d in enumerate(out_orders):
+        qi = out_q[i]
+        if (qi * d if d % 2 else qi * d * d) % 2 != 0:
+            raise ValueError("generator square incompatible with its order")
+        if qi % 1 != out_b[i][i]:
+            raise ValueError("pairing diagonal must equal the square mod 1")
+        if any(x * d % 1 != 0 for x in out_b[i]):
+            raise ValueError("pairing denominator must divide the order")
+    return out_orders, out_q, out_b
+
+
+@st.composite
+def generator_data(draw):
+    """Orders 1-12 with rational squares and pairings, mostly those of a
+    form on independent generators, sometimes with one entry replaced by an
+    arbitrary fraction or one order redrawn; values are shifted off their
+    reduced range."""
+    k = draw(st.integers(0, 3))
+    orders = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    q, b = [], [[F(0)] * k for _ in range(k)]
+    for i, d in enumerate(orders):
+        m = draw(st.integers(0, 2 * d - 1))
+        q.append(F(m - m % 2 if d % 2 else m, d) + 2 * draw(st.integers(-1, 1)))
+        b[i][i] = q[i] % 1 + draw(st.integers(-1, 1))
+        for j in range(i):
+            g = math.gcd(d, orders[j])
+            b[i][j] = b[j][i] = F(draw(st.integers(0, g - 1)), g)
+    if k and draw(st.integers(0, 3)) == 0:
+        bad = F(draw(st.integers(-30, 30)), draw(st.integers(1, 24)))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        where = draw(st.sampled_from(("order", "q", "b", "both")))
+        if where == "order":
+            orders[i] = draw(st.integers(1, 12))
+        elif where == "q":
+            q[i] = bad
+        else:
+            b[i][j] = bad
+            if where == "both":
+                b[j][i] = bad
+    return orders, q, b
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(generator_data())
+def test_property_integer_constructor_matches_fraction_oracle(data):
+    try:
+        expected = fraction_normal_form(*data)
+    except ValueError:
+        expected = None
+    try:
+        form = finite_quadratic_form(*data)
+    except ValueError:
+        assert expected is None
+    else:
+        assert (form.orders, form.qvalues, form.pairing) == expected
+        assert all(type(x) is int for x in (*form.qn, *sum(form.bn, ())))
+
+
 def test_quadratic_form_polarization():
     rng = random.Random(7)
     form = discriminant_form(build_lattice("[8,4,8]"))
@@ -745,10 +829,10 @@ def test_involution_classes_match_all_elements_oracle(spec, order):
     assert sorted(span) == group
 
 
-# -- the integer tables stay out of identity ---------------------------------
+# -- the integer tables are the identity --------------------------------------
 
 
-def test_integer_tables_do_not_leak_into_identity():
+def test_integer_tables_are_the_identity():
     # Three presentations of Z/6 with q = 7/6; the last is worked over the
     # common denominator 12 because of its order-1 generator.
     a = finite_quadratic_form(
@@ -758,15 +842,12 @@ def test_integer_tables_do_not_leak_into_identity():
     c = finite_quadratic_form((6, 1), (F(7, 6), F(5, 4)), [[F(1, 6), 0], [0, F(1, 4)]])
     assert a == b == c
     assert hash(a) == hash(b) == hash(c)
-    tables = [(f._n, f._q, f._b) for f in (a, b, c)]
+    tables = [(f._n, f.qn, f.bn) for f in (a, b, c)]
     assert tables == [(6, (7,), ((1,),))] * 3
     group = automorphism_group(a)
     assert b in fqf._AUT_CACHE and c in fqf._AUT_CACHE
     assert automorphism_group(b) is group and automorphism_group(c) is group
-    assert repr(a) == (
-        "FiniteQuadraticForm(orders=(6,), qvalues=(Fraction(7, 6),), "
-        "pairing=((Fraction(1, 6),),))"
-    )
+    assert repr(a) == "FiniteQuadraticForm(orders=(6,), qn=(7,), bn=((1,),))"
 
 
 def test_generic_discr_block_reads_the_same_through_configio():
@@ -789,5 +870,5 @@ def test_generic_discr_block_reads_the_same_through_configio():
             ["0", "0", "1/2", "4/5"],
         ],
     }
-    assert (form._n, form._q) == (10, (10, 10, 10, 18))
-    assert form._b == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 8))
+    assert (form._n, form.qn) == (10, (10, 10, 10, 18))
+    assert form.bn == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 8))
