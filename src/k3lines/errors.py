@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-# Largest group whose elements are listed one by one.
+# Largest group listed element by element; most nodes of an involution walk.
 ELEMENT_CAP = 10_000
 
 

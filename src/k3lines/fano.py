@@ -386,20 +386,19 @@ class RealCandidate(Record):
 def _involution_classes_of(group: PermutationGroup) -> list[tuple[int, ...]]:
     """Least representatives of the conjugacy classes of involutions
     (identity included) in a permutation group, in increasing order: the
-    orbits (`fqf.orbits`) of the involutions under conjugation by the strong
-    generators, so a class costs |class| x |generators| conjugations, not
-    |group|."""
+    orbits (`fqf.orbits`) of the involutions, walked without listing the
+    group (`PermutationGroup.involutions`), under conjugation by the strong
+    generators, so a class costs |class| x |generators| conjugations."""
     from .fqf import orbits
 
     try:
-        elements = group.elements()
+        invs = group.involutions()
     except CapExceeded as exc:
         raise CapExceeded(f"involution classes: {exc}") from None
-    invs = [g for g in elements if all(g[x] == i for i, x in enumerate(g))]
 
     def by(a):
         a_inv = invert_perm(a)
-        return lambda x: tuple(a[x[i]] for i in a_inv)  # a x a^-1
+        return lambda x: compose_perm(a, compose_perm(x, a_inv))  # a x a^-1
 
     moves = [by(a) for a in group.generators]
     return [orbit[0] for orbit in orbits(invs, moves)]

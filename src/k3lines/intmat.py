@@ -9,6 +9,7 @@ forms are exact objects and rounding would be unrecoverable.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 Mat = list[list[int]]
 Vec = list[int]
@@ -31,14 +32,21 @@ def transpose(m) -> Mat:
 
 
 def mat_mul(a, b):
+    """a·b, adding x·(row k of b) only for the nonzero entries x of a."""
     if not a or not b:
         return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def block_diag(*blocks) -> Mat:
@@ -94,80 +102,70 @@ def smith_decompose(m: Mat) -> tuple[Mat, Mat, Mat]:
     absolute value is chosen first, ties broken in row-major order, so the
     transforms are reproducible across runs.
     """
+    return _smith(m, want_u=True)
+
+
+def _smith(m: Mat, want_u: bool) -> tuple[Mat, Mat | None, Mat]:
+    """`smith_decompose`, with U None (its rows kept empty) unless `want_u`.
+    The pivot scan stops at the first unit; a column operation touches only
+    the rows with a nonzero entry in the pivot column, the rows it changes."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     s = copy_mat(m)
-    u = identity(rows)
+    u = identity(rows) if want_u else [[] for _ in range(rows)]
     v = identity(cols)
     t = 0
     while t < min(rows, cols):
-        pr = pc = -1
-        best = 0
+        best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                e = s[i][j]
-                if e != 0 and (best == 0 or abs(e) < best):
-                    best = abs(e)
-                    pr, pc = i, j
-        if pr < 0:
+            for j, e in enumerate(s[i][t:], t):
+                if e and (best is None or abs(e) < best[0]):
+                    best = (abs(e), i, j)
+            if best and best[0] == 1:
+                break
+        if best is None:
             break
-        if pr != t:
-            s[t], s[pr] = s[pr], s[t]
-            u[t], u[pr] = u[pr], u[t]
-        if pc != t:
-            for row in s:
-                row[t], row[pc] = row[pc], row[t]
-            for row in v:
-                row[t], row[pc] = row[pc], row[t]
+        _, pr, pc = best
+        s[t], s[pr], u[t], u[pr] = s[pr], s[t], u[pr], u[t]
+        for row in s + v:
+            row[t], row[pc] = row[pc], row[t]
         p = s[t][t]
         clean = True
         for i in range(t + 1, rows):
-            if s[i][t] != 0:
-                q = s[i][t] // p
-                if q:
-                    for j in range(cols):
-                        s[i][j] -= q * s[t][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[t][j]
-                if s[i][t] != 0:
-                    clean = False
+            q = s[i][t] // p
+            if q:
+                s[i] = [x - q * y for x, y in zip(s[i], s[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            clean = clean and not s[i][t]
+        pivot_rows = [row for row in s + v if row[t]]
         for j in range(t + 1, cols):
-            if s[t][j] != 0:
-                q = s[t][j] // p
-                if q:
-                    for i in range(rows):
-                        s[i][j] -= q * s[i][t]
-                    for i in range(cols):
-                        v[i][j] -= q * v[i][t]
-                if s[t][j] != 0:
-                    clean = False
+            q = s[t][j] // p
+            if q:
+                for row in pivot_rows:
+                    row[j] -= q * row[t]
+            clean = clean and not s[t][j]
         if not clean:
             continue
         # The pivot row and column are clear.  Before accepting the pivot,
         # fold in any remaining entry it does not divide (the divisor chain
-        # requires d_t | d_{t+1} | ...).
-        carrier = -1
-        for i in range(t + 1, rows):
-            if any(s[i][j] % p != 0 for j in range(t + 1, cols)):
-                carrier = i
-                break
-        if carrier >= 0:
-            for j in range(cols):
-                s[t][j] += s[carrier][j]
-            for j in range(rows):
-                u[t][j] += u[carrier][j]
+        # requires d_t | d_{t+1} | ...); a unit divides every entry.
+        carrier = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1 :])),
+            None,
+        )
+        if carrier is not None:
+            s[t] = [x + y for x, y in zip(s[t], s[carrier])]
+            u[t] = [x + y for x, y in zip(u[t], u[carrier])]
             continue
         if p < 0:
-            for j in range(cols):
-                s[t][j] = -s[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-    return s, u, v
+    return s, (u if want_u else None), v
 
 
 def smith_diagonal(m: Mat) -> list[int]:
-    s, _, _ = smith_decompose(m)
+    s, _, _ = _smith(m, want_u=False)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
@@ -183,7 +181,7 @@ def integral_kernel_with_complement(m: Mat) -> tuple[list[Vec], list[Vec]]:
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    s, _, v = smith_decompose(m)
+    s, _, v = _smith(m, want_u=False)
     rank = sum(1 for t in range(min(rows, cols)) if s[t][t] != 0)
     kernel = [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
     complement = [[v[i][j] for i in range(cols)] for j in range(rank)]

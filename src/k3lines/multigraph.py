@@ -33,6 +33,7 @@ column there, after an equal prefix, is cut.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ELEMENT_CAP, CapExceeded, InputError
 from .records import Record
@@ -134,8 +135,11 @@ def color_refinement(graph: Multigraph, initial=None) -> tuple[int, ...]:
 
 
 def compose_perm(a, b) -> tuple[int, ...]:
-    """a after b."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    """a after b.  `itemgetter` returns a bare entry for one index and
+    fails for none, so the shortest permutations take the generator."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
+    return tuple(a[i] for i in b)
 
 
 def invert_perm(a) -> tuple[int, ...]:
@@ -181,6 +185,45 @@ class PermutationGroup:
                 compose_perm(t, e) for t in level.values() for e in elems
             ]
         return sorted(elems)
+
+    def involutions(self) -> list[tuple[int, ...]]:
+        """The g with g∘g = 1, identity included, sorted, by a depth-first
+        walk of the transversals.  A partial product h = t_0∘…∘t_i completes
+        to h∘k, k in the stabilizer G_i of b_0..b_i, and an involution h∘k
+        has h(b_j) = (h∘k)^-1(b_j) in the G_i-orbit of h^-1(b_j), j <= i; a
+        branch where this fails is cut.  CapExceeded past `ELEMENT_CAP` nodes."""
+        n, base = self.n, self.base
+        # orbit[i][x]: the least point of the G_i-orbit of x, merged from the
+        # bottom up over the strong generators fixing b_0..b_i
+        orbit, label = [None] * len(base), list(range(n))
+        pending = sorted(self.strong, key=lambda s: [s[b] == b for b in base])
+        for i in reversed(range(len(base))):
+            while pending and all(pending[-1][b] == b for b in base[: i + 1]):
+                for x, y in enumerate(pending.pop()):
+                    old, new = max(label[x], label[y]), min(label[x], label[y])
+                    if old != new:
+                        label = [new if c == old else c for c in label]
+            orbit[i] = label
+        identity, found, nodes = tuple(range(n)), [], 0
+
+        def walk(h, i):
+            nonlocal nodes
+            nodes += 1
+            if nodes > ELEMENT_CAP:
+                raise CapExceeded(
+                    f"involution walk exceeds the cap of {ELEMENT_CAP} nodes"
+                )
+            if i == len(base):
+                if compose_perm(h, h) == identity:
+                    found.append(h)
+                return
+            for t in self.levels[i].values():
+                g = compose_perm(h, t)
+                if all(orbit[i][g[b]] == orbit[i][g.index(b)] for b in base[: i + 1]):
+                    walk(g, i + 1)
+
+        walk(identity, 0)
+        return sorted(found)
 
     def contains(self, perm) -> bool:
         """Sift `perm` through the base points."""

@@ -376,32 +376,66 @@ class TestRealCommand:
 
 
     @pytest.mark.parametrize(
-        "halves, stage",
+        "vertices, halves, error",
         [
-            # |Aut| = 8! exceeds the element cap: without a kernel the
-            # stabilizer is Aut, listed for its involution classes; with the
-            # two half-sums it is listed to find the stabilizer itself
-            ((), "involution classes"),
-            (((1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)),
-             "polarized stabilizer"),
+            # without a kernel the stabilizer is Aut = Sym(12), whose
+            # 140,152 involutions pass the cap on the nodes of the walk
+            # that lists them
+            (12, (), "involution classes: involution walk exceeds the cap "
+                     "of 10000 nodes"),
+            # with the two half-sums Aut = 8! is listed to find the
+            # stabilizer itself
+            (8, ((1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1)),
+             "polarized stabilizer: group of order 40320 exceeds the cap "
+             "of 10000"),
         ],
+        ids=["involution classes", "polarized stabilizer"],
     )
-    def test_element_cap_names_its_stage(self, capsys, tmp_path, halves, stage):
+    def test_element_cap_names_its_stage(
+        self, capsys, tmp_path, vertices, halves, error
+    ):
         doc = {
             "degree": 2,
-            "vertices": 8,
+            "vertices": vertices,
             "edges": [],
             "kernel": [
                 {"numerators": list(half) + [0], "denominator": 2}
                 for half in halves
             ],
         }
-        path = tmp_path / "edgeless8.json"
+        path = tmp_path / f"edgeless{vertices}.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "real", str(path))
         assert (code, out) == (EXIT_CAP, "")
-        assert err == (
-            f"error: {stage}: group of order 40320 exceeds the cap of 10000\n"
+        assert err == f"error: {error}\n"
+
+    def test_eight_edgeless_lines_have_five_candidates(self, capsys, tmp_path):
+        # Sym(8): one class per number of disjoint transpositions, found by
+        # the involution walk without listing the 40,320 elements
+        path = tmp_path / "edgeless8.json"
+        path.write_text(json.dumps({"degree": 2, "vertices": 8, "edges": []}))
+        code, out, _ = run(capsys, "real", str(path), "--json")
+        assert code == EXIT_OK
+        perms = [c["permutation"] for c in json.loads(out)["candidates"]]
+        assert perms == [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [0, 1, 2, 3, 4, 5, 7, 6],
+            [0, 1, 2, 3, 5, 4, 7, 6],
+            [0, 1, 3, 2, 5, 4, 7, 6],
+            [1, 0, 3, 2, 5, 4, 7, 6],
+        ]
+
+    def test_one_line(self, capsys, tmp_path):
+        # the shortest permutations, which `compose_perm` composes without
+        # `itemgetter`
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"degree": 2, "vertices": 1, "edges": []}))
+        code, out, _ = run(capsys, "real", str(path))
+        assert code == EXIT_OK
+        assert out == (
+            "candidates (up to conjugacy): 1\n"
+            "  sigma = (0), sign -1: numR 0, numRR 0, ADMISSIBLE\n"
+            "    reason: screening rules: YES_CONTAINS_2\n"
         )
 
     def test_genus_mismatch_with_large_scale_is_fast(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ production code paths.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -657,6 +658,21 @@ class TestPolarizedStabilizer:
         reps = fano._involution_classes_of(stab)
         assert len(reps) == 28
         assert reps == all_elements_involution_classes(stab.elements())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edgeless_involution_classes_are_the_cycle_types(self, n):
+        # Sym(n): the product of k disjoint transpositions, k = 0..n/2, a
+        # class of n! / (2^k k! (n-2k)!) involutions
+        stab = Analysis(LineConfiguration(2, empty_graph(n))).stabilizer
+        reps = fano._involution_classes_of(stab)
+        assert len(reps) == n // 2 + 1
+        moved = lambda g: sum(x != i for i, x in enumerate(g)) // 2
+        assert sorted(map(moved, reps)) == list(range(n // 2 + 1))
+        invs = stab.involutions()
+        for k in range(n // 2 + 1):
+            assert sum(moved(g) == k for g in invs) == math.factorial(n) // (
+                2**k * math.factorial(k) * math.factorial(n - 2 * k)
+            )
 
     def test_involution_classes_under_subgroup_generators(self):
         # kernel stabilizers: the glued K33, and the lines 0-3 of an

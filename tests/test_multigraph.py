@@ -279,6 +279,69 @@ class TestPermutationHelpers:
             assert compose_perm(q, p) == tuple(range(n))
 
 
+    def test_compose_of_the_shortest_permutations(self):
+        # `itemgetter` returns a bare entry for one index and fails for none
+        assert compose_perm((), ()) == ()
+        assert compose_perm((0,), (0,)) == (0,)
+        assert compose_perm((1, 0), (1, 0)) == (0, 1)
+
+
+def brute_force_involutions(group) -> list[tuple[int, ...]]:
+    ident = tuple(range(group.n))
+    return [g for g in group.elements() if compose_perm(g, g) == ident]
+
+
+def involution_count(n: int, k: int) -> int:
+    """Elements of Sym(n) that are products of k disjoint transpositions."""
+    f = math.factorial
+    return f(n) // (2**k * f(k) * f(n - 2 * k))
+
+
+class TestInvolutions:
+    """`PermutationGroup.involutions`: the pruned walk of the transversals
+    against the filter over every listed element."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_edgeless_matches_the_element_filter(self, monkeypatch, n):
+        monkeypatch.setattr(multigraph, "ELEMENT_CAP", 50_000)  # lists 8!
+        group = graph_automorphism_group(empty_graph(n))
+        invs = group.involutions()
+        assert invs == brute_force_involutions(group)
+        assert len(invs) == sum(involution_count(n, k) for k in range(n // 2 + 1))
+
+    def test_fermat_matches_the_element_filter(self):
+        group = graph_automorphism_group(read_configuration(FERMAT).graph)
+        invs = group.involutions()
+        assert len(invs) == 576
+        assert invs == brute_force_involutions(group)
+
+    def test_fermat_walk_visits_few_nodes(self, monkeypatch):
+        # 576 involutions of 6,144 elements, in 1,679 walk nodes
+        group = graph_automorphism_group(read_configuration(FERMAT).graph)
+        monkeypatch.setattr(multigraph, "ELEMENT_CAP", 2_000)
+        assert len(group.involutions()) == 576
+
+    def test_walk_cap(self, monkeypatch):
+        # Sym(12) has 140,152 involutions, each a node of the walk
+        group = graph_automorphism_group(empty_graph(12))
+        with pytest.raises(CapExceeded, match="exceeds the cap of 10000 nodes"):
+            group.involutions()
+        monkeypatch.setattr(multigraph, "ELEMENT_CAP", 200)
+        with pytest.raises(CapExceeded, match="exceeds the cap of 200 nodes"):
+            graph_automorphism_group(empty_graph(7)).involutions()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(multigraphs(max_n=7), st.data())
+    def test_subgroup_matches_the_element_filter(self, g, data):
+        # a subgroup chain has the strong generators of its own levels only
+        group = graph_automorphism_group(g)
+        chosen = set(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)))))
+        chosen &= set(range(g.n))
+        sub = group.subgroup(lambda p: {p[v] for v in chosen} == chosen)
+        assert group.involutions() == brute_force_involutions(group)
+        assert sub.involutions() == brute_force_involutions(sub)
+
+
 class TestAutomorphismGroups:
     # textbook orders for the catalog graphs
     EXPECTED = {
