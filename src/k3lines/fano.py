@@ -57,7 +57,6 @@ from .multigraph import (
     compose_perm,
     girth,
     graph_automorphism_group,
-    invert_perm,
 )
 from .records import Record
 
@@ -386,22 +385,13 @@ class RealCandidate(Record):
 def _involution_classes_of(group: PermutationGroup) -> list[tuple[int, ...]]:
     """Least representatives of the conjugacy classes of involutions
     (identity included) in a permutation group, in increasing order: the
-    orbits (`fqf.orbits`) of the involutions, walked without listing the
-    group (`PermutationGroup.involutions`), under conjugation by the strong
-    generators, so a class costs |class| x |generators| conjugations."""
-    from .fqf import orbits
-
+    `conjugation_orbits` of the involutions, walked without listing the
+    group (`PermutationGroup.involutions`)."""
     try:
         invs = group.involutions()
     except CapExceeded as exc:
         raise CapExceeded(f"involution classes: {exc}") from None
-
-    def by(a):
-        a_inv = invert_perm(a)
-        return lambda x: compose_perm(a, compose_perm(x, a_inv))  # a x a^-1
-
-    moves = [by(a) for a in group.generators]
-    return [orbit[0] for orbit in orbits(invs, moves)]
+    return [orbit[0] for orbit in group.conjugation_orbits(invs)]
 
 
 # -- the analysis of one configuration ------------------------------------------

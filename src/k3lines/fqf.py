@@ -2,9 +2,10 @@
 form and the Q/Z-valued pairing it polarizes.
 
 These arise as dual quotients of even lattices.  The module provides p-parts
-and their length invariants, isometry and anti-isometry search, involution
-conjugacy classes, subgroup and isotropic-quotient forms, and a Jordan
-splitting of each p-part into cyclic blocks and, at p = 2, the rank-two
+and their length invariants, one isometry and anti-isometry search, whose
+first leaves also build Aut(D) as a `multigraph.PermutationGroup` on the
+elements, involution conjugacy classes from that group's chain, subgroup and
+isotropic-quotient forms, and a Jordan splitting of each p-part into cyclic blocks and, at p = 2, the rank-two
 blocks u_a and v_a, each block's complement taken by `orthogonal_subgroup`.
 The local determinant square classes and the signature residue mod 8 (the
 Brown invariant, summed block by block by the oddity formula and used to
@@ -513,10 +514,6 @@ class FqfIsometry(Record):
         return self.columns == tuple(_basis(self.source.rank()))
 
 
-def identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
-    return FqfIsometry(form, form, tuple(_basis(form.rank())), anti=False)
-
-
 def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
     k = form.rank()
     cols = tuple(
@@ -534,19 +531,37 @@ def fqf_isometries(
     """All isometries (anti=False) or anti-isometries (anti=True) from
     source to target, sorted canonically.  Enumerates the target group, so
     its order is capped."""
+    leaves = _isometry_leaves(source, target, anti)
+    return [FqfIsometry(source, target, cols, anti=anti) for cols in leaves(())]
+
+
+def find_isometry(
+    source: FiniteQuadraticForm,
+    target: FiniteQuadraticForm,
+    anti: bool = False,
+) -> FqfIsometry | None:
+    """The least isometry (or anti-isometry) from source to target, the
+    first of `fqf_isometries` found without listing the rest, or None."""
+    cols = next(_isometry_leaves(source, target, anti)(()), None)
+    return None if cols is None else FqfIsometry(source, target, cols, anti=anti)
+
+
+def _isometry_leaves(source, target, anti):
+    """The isometry search as `leaves(prefix)`, a generator of the columns,
+    in increasing order, of every isometry (or anti-isometry) that takes
+    the first generators of the source to the target elements `prefix`.
+    The target's (order, n * q) buckets are built once, for every call."""
     if source.order() != target.order() or source.exponent() != target.exponent():
-        return []
-    if source.is_trivial():
-        return [FqfIsometry(source, target, (), anti=anti)]
+        return lambda prefix: iter(())
     # Both forms are scaled by the same n, so every test is on integers.
     n = target._n
+    keys = {el: (target.order_of(el), target._qn(el)) for el in target.elements()}
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for el in target.elements():
-        buckets.setdefault((target.order_of(el), target._qn(el)), []).append(el)
+    for el, key in keys.items():
+        buckets.setdefault(key, []).append(el)
 
     k = source.rank()
     sign = -1 if anti else 1
-    order_by = sorted(range(k), key=lambda i: (-source.orders[i], source.qn[i]))
     want_q = [sign * q % (2 * n) for q in source.qn]
     want_b = [[sign * x % n for x in row] for row in source.bn]
     # A pairing-preserving map out of a nondegenerate form is injective, so
@@ -554,32 +569,34 @@ def fqf_isometries(
     # its images to span the target.
     check_onto = not _nondegenerate(source)
 
-    results: list[tuple[tuple[int, ...], ...]] = []
-    images: list = [None] * k
-    duals: list[tuple[int, tuple[int, ...]]] = []  # (j, dual of images[j])
+    def leaves(prefix):
+        images: list = [None] * k
+        duals: list[tuple[int, ...]] = []  # duals[j]: the dual of images[j]
 
-    def extend(depth: int):
-        if depth == k:
-            if (
-                not check_onto
-                or subgroup_form(target, images)[0].order() == target.order()
-            ):
-                results.append(tuple(images))
-            return
-        i = order_by[depth]
-        found = buckets.get((source.orders[i], want_q[i]), [])
-        for j, dual in duals:  # n * b(el, images[j]) is a dot product
-            w = want_b[i][j]
-            found = [el for el in found if sum(map(operator.mul, el, dual)) % n == w]
-        for el in found:
-            images[i] = el
-            duals.append((i, target._dual(el)))
-            extend(depth + 1)
-            duals.pop()
+        def extend(i: int):
+            if i == k:
+                if (
+                    not check_onto
+                    or subgroup_form(target, images)[0].order() == target.order()
+                ):
+                    yield tuple(images)
+                return
+            want = (source.orders[i], want_q[i])
+            if i < len(prefix):
+                found = [prefix[i]] if keys[prefix[i]] == want else []
+            else:
+                found = buckets.get(want, [])
+            for dual, w in zip(duals, want_b[i]):  # n * b is a dot product
+                found = [el for el in found if sum(map(operator.mul, el, dual)) % n == w]
+            for el in found:
+                images[i] = el
+                duals.append(target._dual(el))
+                yield from extend(i + 1)
+                duals.pop()
 
-    extend(0)
-    results.sort()
-    return [FqfIsometry(source, target, cols, anti=anti) for cols in results]
+        return extend(0)
+
+    return leaves
 
 
 def _nondegenerate(form: FiniteQuadraticForm) -> bool:
@@ -587,13 +604,56 @@ def _nondegenerate(form: FiniteQuadraticForm) -> bool:
     return all(form.order_of(v) == 1 for v in radical)
 
 
-_AUT_CACHE: dict[FiniteQuadraticForm, list[FqfIsometry]] = {}
+_AUT_CACHE: dict = {}  # form -> its automorphism_group
 
 
 def automorphism_group(form: FiniteQuadraticForm):
+    """Aut(form) as a `multigraph.PermutationGroup` on the elements,
+    numbered in `elements()` order, with the generators e_0..e_{k-1} as its
+    base.  The chain asks for one automorphism fixing e_0..e_{i-1} and
+    taking e_i to w, the first leaf of the isometry search with those
+    images pinned, so no group element is listed."""
     if form not in _AUT_CACHE:
-        _AUT_CACHE[form] = fqf_isometries(form, form, anti=False)
+        from .multigraph import chain
+
+        elements = list(form.elements())
+        basis = _basis(form.rank())
+        leaves = _isometry_leaves(form, form, False)
+
+        def extend(i, w):
+            cols = next(leaves((*basis[:i], elements[w])), None)
+            return None if cols is None else element_permutation(form, cols)
+
+        _AUT_CACHE[form] = chain(len(elements), _strides(form.orders), extend)
     return _AUT_CACHE[form]
+
+
+def _strides(orders) -> list[int]:
+    """The index of each generator e_i in `elements()` order; the index of
+    any element is the dot product of its coordinates with these."""
+    out = [1] * len(orders)
+    for i in reversed(range(len(orders) - 1)):
+        out[i] = out[i + 1] * orders[i + 1]
+    return out
+
+
+def element_permutation(form: FiniteQuadraticForm, columns) -> tuple[int, ...]:
+    """The endomorphism with these columns as a map of the elements,
+    numbered in `elements()` order."""
+    strides = _strides(form.orders)
+    apply = FqfIsometry(form, form, columns).apply
+    return tuple(
+        sum(map(operator.mul, apply(x), strides)) for x in form.elements()
+    )
+
+
+def permutation_columns(form: FiniteQuadraticForm, perm) -> tuple[tuple[int, ...], ...]:
+    """The columns of an element permutation from `element_permutation`."""
+    strides = _strides(form.orders)
+    return tuple(
+        tuple(perm[s] // t % d for t, d in zip(strides, form.orders))
+        for s in strides
+    )
 
 
 class InvolutionClass(Record):
@@ -615,97 +675,19 @@ class InvolutionClass(Record):
 
 def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:
     """Conjugacy classes of self-inverse automorphisms, the identity and the
-    negation map included.  Sorted by (class size, representative).
+    negation map included, each represented by its least columns.  Sorted
+    by (class size, representative).
 
-    Each class is the orbit of its least involution under `conjugations`,
-    so a class costs |class| x |generators| conjugations, not |group|."""
-    mul = _column_product(form)
-    ident = identity_isometry(form).columns
-    group = [g.columns for g in automorphism_group(form)]  # sorted
-    involutions = [s for s in group if mul(s, s) == ident]
-    classes = [
-        InvolutionClass(
-            FqfIsometry(form, form, orbit[0], anti=False),
-            len(orbit),
-            frozenset(orbit),
-        )
-        for orbit in orbits(involutions, conjugations(form))
-    ]
+    The involutions come from the walk of `PermutationGroup.involutions`
+    and the classes are their `conjugation_orbits`, so Aut is not listed."""
+    group = automorphism_group(form)
+    classes = []
+    for orbit in group.conjugation_orbits(group.involutions()):
+        members = frozenset(permutation_columns(form, g) for g in orbit)
+        rep = FqfIsometry(form, form, min(members), anti=False)
+        classes.append(InvolutionClass(rep, len(members), members))
     classes.sort(key=lambda c: (c.size, c.representative.columns))
     return classes
-
-
-def _column_product(form: FiniteQuadraticForm):
-    """a after b, for endomorphisms of `form` given by their columns."""
-    orders = form.orders
-
-    def mul(a, b):
-        rows = tuple(zip(*a))
-        return tuple(
-            tuple(sum(map(operator.mul, row, col)) % d for row, d in zip(rows, orders))
-            for col in b
-        )
-
-    return mul
-
-
-def conjugations(form: FiniteQuadraticForm) -> list:
-    """The maps x -> a x a^-1 on columns, one for each of a generating set
-    of Aut(form): under them, `orbits` are conjugacy classes."""
-    mul = _column_product(form)
-    ident = identity_isometry(form).columns
-    group = [g.columns for g in automorphism_group(form)]
-
-    def by(a):
-        a_inv = FqfIsometry(form, form, a).inverse().columns
-        return lambda x: mul(a, mul(x, a_inv))
-
-    return [by(a) for a in greedy_generators(group, mul, ident)]
-
-
-def orbits(seeds, moves) -> list[list]:
-    """The orbit of each seed under the maps `moves`, skipping seeds that an
-    earlier orbit covers.  Each orbit starts with its seed.  When the moves
-    act as a generating set of a finite group, an orbit closed under them is
-    closed under the group (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 4.1), so an orbit costs
-    |orbit| x |moves| steps, not |group|."""
-    seen: set = set()
-    out = []
-    for seed in seeds:
-        if seed in seen:
-            continue
-        seen.add(seed)
-        orbit = [seed]
-        for x in orbit:
-            for move in moves:
-                y = move(x)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-        out.append(orbit)
-    return out
-
-
-def greedy_generators(group, mul, ident) -> list:
-    """Elements of `group` that generate it, each picked in list order when
-    it lies outside the subgroup the earlier picks generate.  That subgroup
-    is grown coset by coset (Dimino's algorithm), so building it costs
-    about |group| products."""
-    span, inside, gens = [ident], {ident}, []
-    for g in group:
-        if g in inside:
-            continue
-        gens.append(g)
-        sub, reps = list(span), [g]
-        for r in reps:
-            if r in inside:
-                continue
-            coset = [mul(h, r) for h in sub]
-            span += coset
-            inside.update(coset)
-            reps += [mul(r, a) for a in gens]
-    return gens
 
 
 # -- local determinant square classes ----------------------------------------

@@ -554,7 +554,7 @@ def invariants_match(a: Lattice, b: Lattice) -> bool:
     """Rank, signature, determinant and discriminant-form isometry class all
     agree.  For the small lattices this package compares (rank <= 3, or any
     indefinite rank where the genus has one class) this decides isometry."""
-    from .fqf import fqf_isometries
+    from .fqf import find_isometry
 
     if a.rank != b.rank or a.signature != b.signature:
         return False
@@ -563,6 +563,4 @@ def invariants_match(a: Lattice, b: Lattice) -> bool:
     if a.rank == 0:
         return True
     da, db = discriminant_form(a), discriminant_form(b)
-    if da.is_trivial() and db.is_trivial():
-        return True
-    return bool(fqf_isometries(da, db, anti=False))
+    return find_isometry(da, db) is not None

@@ -13,6 +13,8 @@ matrix.  The generators found at levels >= i generate the pointwise
 stabilizer of b_0..b_{i-1}, so the orbit of b_i under them is the
 transversal of level i and no Schreier-Sims step is needed.  Each generator
 at least doubles the group, so there are at most log2 |Aut| of them.  The
+same builder, `chain`, takes the stabilizer subgroup and the automorphism
+group of a finite quadratic form (`fqf.automorphism_group`).  The
 cost follows the symmetry, not the labels, and the order is a product of
 orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
 order 60!) never require element enumeration; `elements` stays available,
@@ -168,12 +170,6 @@ class PermutationGroup:
             total *= len(level)
         return total
 
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """The strong generators, at most log2 |group| of them; the
-        identity alone for the trivial group."""
-        return tuple(self.strong) or (tuple(range(self.n)),)
-
     def elements(self):
         if self.order() > ELEMENT_CAP:
             raise CapExceeded(
@@ -236,6 +232,29 @@ class PermutationGroup:
             current = compose_perm(invert_perm(level[current[b]]), current)
         return current == tuple(range(self.n))
 
+    def conjugation_orbits(self, seeds) -> list[list[tuple[int, ...]]]:
+        """The conjugacy class of each seed, skipping seeds that an earlier
+        class covers; each starts with its seed.  It is the orbit under
+        conjugation by the strong generators (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 2005, section 4.1), at
+        |class| x |generators| conjugations."""
+        moves = [(a, invert_perm(a)) for a in self.strong]
+        seen: set = set()
+        out = []
+        for seed in seeds:
+            if seed in seen:
+                continue
+            seen.add(seed)
+            orbit = [seed]
+            for x in orbit:
+                for a, a_inv in moves:
+                    y = compose_perm(a, compose_perm(x, a_inv))
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            out.append(orbit)
+        return out
+
     def subgroup(self, keep) -> "PermutationGroup":
         """The elements that `keep` accepts, which must form a group, as a
         chain on this group's base.  The capped element list is read in
@@ -246,10 +265,10 @@ class PermutationGroup:
             moved = [(i, g[b]) for i, b in enumerate(self.base) if g[b] != b]
             if moved and moved[0] not in found and keep(g):
                 found[moved[0]] = g
-        return _chain(self.n, self.base, lambda i, w: found.get((i, w)))
+        return chain(self.n, self.base, lambda i, w: found.get((i, w)))
 
 
-def _chain(n: int, base, extend) -> PermutationGroup:
+def chain(n: int, base, extend) -> PermutationGroup:
     """The stabilizer chain on `base` of the group generated by the
     elements `extend(i, w)` returns, each fixing b_0..b_{i-1} and taking b_i
     to w (None when the group has none).  Level i, built from the bottom,
@@ -325,7 +344,7 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
                 return found
         return None
 
-    return _chain(n, base, lambda depth, w: search(path[depth], depth, [w]))
+    return chain(n, base, lambda depth, w: search(path[depth], depth, [w]))
 
 
 def canonical_certificate(graph: Multigraph) -> str:

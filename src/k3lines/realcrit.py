@@ -27,11 +27,12 @@ from .errors import InputError
 from .fqf import (
     FiniteQuadraticForm,
     FqfIsometry,
-    conjugations,
-    fqf_isometries,
+    automorphism_group,
+    element_permutation,
+    find_isometry,
     odd_p_det_class,
-    orbits,
     orthogonal_subgroup,
+    permutation_columns,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
@@ -214,6 +215,9 @@ def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
             "hyperbolic case, primes away from det N: r >= 3: pass"
         )
     part2 = d_n.p_part(2)
+    if part2.rank() > r:  # a rank-r lattice has 2-length at most r
+        reasons.append(f"hyperbolic case, p=2: length {part2.rank()} exceeds r: fail")
+        return False
     twos = part2.two_torsion()
     pair = None
     for u in twos:
@@ -355,7 +359,12 @@ class TSideClasses(Record):
 
     @cached_property
     def _classes(self) -> list[list]:
-        return orbits(sorted(self.images), conjugations(self.form))
+        form = self.form
+        seeds = [element_permutation(form, cols) for cols in sorted(self.images)]
+        return [
+            [permutation_columns(form, g) for g in orbit]
+            for orbit in automorphism_group(form).conjugation_orbits(seeds)
+        ]
 
     @cached_property
     def members(self) -> frozenset:
@@ -369,8 +378,7 @@ class TSideClasses(Record):
         """One anti-isometry from `source` to the form, or None when there
         is none; searched once per source form."""
         if source not in self._antis:
-            antis = fqf_isometries(source, self.form, anti=True)
-            self._antis[source] = antis[0] if antis else None
+            self._antis[source] = find_isometry(source, self.form, anti=True)
         return self._antis[source]
 
 

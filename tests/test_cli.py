@@ -509,6 +509,34 @@ class TestTotallyRealCommand:
         report = json.loads(out)
         assert report["det_n"] == -20
 
+    def test_hyperbolic_case_fails_on_a_two_length_above_r(self, capsys, tmp_path):
+        # 15 edgeless lines at degree 6: r = 6 and the 2-length is 14, so no
+        # rank-6 T has D_T's 2-part, whatever order-2 pairs it holds
+        path = tmp_path / "edgeless15.json"
+        path.write_text(json.dumps({"degree": 6, "vertices": 15, "edges": []}))
+        code, out, _ = run(capsys, "totally-real", str(path), "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["r"] == 6
+        assert report["verdict"] == "NO"
+        assert "hyperbolic case, p=2: length 14 exceeds r: fail" in report["trace"]
+
+    def test_two_length_above_r_skips_the_two_torsion_scan(self, tmp_path):
+        # 20 edgeless lines at degree 2: 2-length 19 against r = 1; the
+        # 2**19 elements of order 2 are never scanned
+        path = tmp_path / "edgeless20.json"
+        path.write_text(json.dumps({"degree": 2, "vertices": 20, "edges": []}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3lines.cli", "totally-real", str(path), "--json"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == EXIT_OK
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "NO"
+        assert report["trace"][-2] == "hyperbolic case, p=2: length 19 exceeds r: fail"
+
 
 def with_transcendental(tmp_path, transcendental) -> str:
     doc = json.loads((CORPUS / "k33.json").read_text())

@@ -687,7 +687,7 @@ class TestPolarizedStabilizer:
             analysis = Analysis(cfg)
             stab = analysis.stabilizer
             assert stab is not analysis.automorphisms
-            gens = stab.generators
+            gens = stab.strong
             assert 2 ** len(gens) <= len(stab.elements())
             closure = {tuple(range(cfg.graph.n))}
             frontier = list(closure)

@@ -19,19 +19,18 @@ from k3lines.errors import CapExceeded
 from k3lines.fqf import (
     TRIAL_DIVISION_LIMIT,
     TRIVIAL_FORM,
-    FqfIsometry,
     automorphism_group,
     brown_invariant,
+    element_permutation,
     ell,
     finite_quadratic_form,
     fqf_isometries,
-    greedy_generators,
-    identity_isometry,
     involution_classes,
     isotropic_quotient,
+    minus_identity_isometry,
     odd_p_det_class,
-    orbits,
     orthogonal_subgroup,
+    permutation_columns,
     prime_power_factors,
     solve_mod,
     square_class_equal,
@@ -382,9 +381,9 @@ def test_fqf_isometries_are_bijective_form_preserving():
 
 def test_automorphisms_form_a_group():
     form = discriminant_form(build_lattice("U(2)+[2]"))
-    group = automorphism_group(form)
+    group = fqf_isometries(form, form)
     columns = {g.columns for g in group}
-    ident = identity_isometry(form)
+    ident = minus_identity_isometry(form).compose(minus_identity_isometry(form))
     assert ident.columns in columns
     for g in group:
         assert g.inverse().columns in columns
@@ -403,7 +402,7 @@ def test_involution_classes_frozen():
 
 def test_involution_classes_partition():
     form = discriminant_form(build_lattice("U(2)+[2]"))
-    group = automorphism_group(form)
+    group = fqf_isometries(form, form)
     brute = [g for g in group if g.compose(g).is_identity()]
     classes = involution_classes(form)
     assert sum(c.size for c in classes) == len(brute)
@@ -413,16 +412,6 @@ def test_involution_classes_partition():
         assert not (covered & c.members)
         covered |= c.members
     assert covered == {g.columns for g in brute}
-
-
-def test_orbits_skip_covered_seeds():
-    # translation by 2 and by 3 on Z/12 has one orbit; by 4 alone, four
-    assert orbits([0, 5], [lambda x: (x + 2) % 12, lambda x: (x + 3) % 12]) == [
-        [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1]
-    ]
-    by_four = orbits([3, 7, 0, 2, 1], [lambda x: (x + 4) % 12])
-    assert by_four == [[3, 7, 11], [0, 4, 8], [2, 6, 10], [1, 5, 9]]
-    assert orbits([(1,), (1,), (2,)], []) == [[(1,)], [(2,)]]
 
 
 def test_square_class_frozen():
@@ -785,7 +774,7 @@ def test_isometries_need_equal_exponents():
 def all_elements_involution_classes(form):
     """(size, least member, members) of every involution class, sorted, by
     conjugating with every automorphism and its Smith-form inverse."""
-    group = automorphism_group(form)
+    group = fqf_isometries(form, form)
     inverses = [g.inverse() for g in group]
     seen, out = set(), []
     for s in group:
@@ -799,34 +788,44 @@ def all_elements_involution_classes(form):
     return sorted(out, key=lambda t: t[:2])
 
 
-@pytest.mark.parametrize(
-    "spec, order", [("2U(3)", 1152), ("A2(3)", None), ("3A1", None)]
-)
-def test_involution_classes_match_all_elements_oracle(spec, order):
-    form = discriminant_form(build_lattice(spec))
-    if order is not None:
-        assert len(automorphism_group(form)) == order
+def assert_chain_matches_the_listing(form):
+    group = automorphism_group(form)
+    listed = fqf_isometries(form, form)
+    assert group.order() == len(listed)
+    assert 2 ** len(group.strong) <= group.order()
+    for iso in listed:
+        perm = element_permutation(form, iso.columns)
+        assert group.contains(perm)
+        assert permutation_columns(form, perm) == iso.columns
     got = [
         (c.size, c.representative.columns, c.members) for c in involution_classes(form)
     ]
     assert got == all_elements_involution_classes(form)
-    # the orbits grow under greedy generators: at most log2 |Aut| of them,
-    # and they generate Aut
-    group = [g.columns for g in automorphism_group(form)]
 
-    def mul(a, b):
-        return FqfIsometry(form, form, a).compose(FqfIsometry(form, form, b)).columns
 
-    ident = identity_isometry(form).columns
-    gens = greedy_generators(group, mul, ident)
-    assert 2 ** len(gens) <= len(group)
-    span, frontier = {ident}, [ident]
-    for x in frontier:
-        for y in (mul(x, a) for a in gens):
-            if y not in span:
-                span.add(y)
-                frontier.append(y)
-    assert sorted(span) == group
+@pytest.mark.parametrize(
+    "spec, order", [("2U(3)", 1152), ("A2(3)", None), ("3A1", None), ("U(2)+[2]", None)]
+)
+def test_involution_classes_match_all_elements_oracle(spec, order):
+    form = discriminant_form(build_lattice(spec))
+    assert_chain_matches_the_listing(form)
+    if order is not None:
+        group = automorphism_group(form)
+        assert group.order() == order
+        assert len(group.strong) <= 10
+        # the strong generators generate the listed group
+        listed = fqf_isometries(form, form)
+        assert group.elements() == sorted(
+            element_permutation(form, g.columns) for g in listed
+        )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(even_lattices(max_rank=3), st.booleans())
+def test_property_chain_matches_the_isometry_listing(lat, negate):
+    form = discriminant_form(lat)
+    assume(not form.is_trivial() and form.order() <= 64)
+    assert_chain_matches_the_listing(form.negated() if negate else form)
 
 
 # -- the integer tables are the identity --------------------------------------

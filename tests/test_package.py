@@ -17,8 +17,8 @@ from k3lines.fano import (
 )
 from k3lines.fqf import (
     finite_quadratic_form,
-    identity_isometry,
     involution_classes,
+    minus_identity_isometry,
 )
 from k3lines.lattices import (
     build_lattice,
@@ -72,7 +72,7 @@ RECORDS = {
         PolarizedIsometry((0, 1), -1), 1, 0, "UNKNOWN", "no data"
     ),
     "FiniteQuadraticForm": _form,
-    "FqfIsometry": lambda: identity_isometry(_form()),
+    "FqfIsometry": lambda: minus_identity_isometry(_form()),
     "InvolutionClass": lambda: involution_classes(_form())[0],
     "Lattice": lambda: build_lattice("A2"),
     "Isometry": lambda: identity_isometry_of(build_lattice("A2")),

@@ -3,6 +3,8 @@ hyperbolic sum, and transcendental-side involution classes."""
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
@@ -15,6 +17,7 @@ from k3lines.errors import InputError
 from k3lines.fano import Analysis, _involution_classes_of
 from k3lines.fqf import (
     TRIVIAL_FORM,
+    find_isometry,
     finite_quadratic_form,
     fqf_isometries,
     involution_classes,
@@ -368,6 +371,47 @@ def every_anti_isometry_verdict(tau, tside) -> str:
     return INADMISSIBLE
 
 
+def test_two_u_closure_agrees_with_every_anti_isometry():
+    # D_N = D_T(-1): tau runs over the involution classes of D_N, so the
+    # genus matches and every verdict goes through the closure
+    statuses = []
+    for scale in (2, 3):
+        tside = t_side_involution_classes(TwoU(scale))
+        d_n = discriminant_form(build_lattice(f"2U({scale})")).negated()
+        for cls in involution_classes(d_n):
+            tau = cls.representative
+            status, _ = match_real_structure(tau, tside)
+            assert status == every_anti_isometry_verdict(tau, tside)
+            statuses.append(status)
+    # all 4 classes of 2U(2) glue; 3 of the 8 of 2U(3) do
+    assert statuses.count(ADMISSIBLE) == 7
+    assert statuses.count(INADMISSIBLE) == 5
+
+
+TWO_U_FIVE = """
+import time
+from k3lines.fqf import involution_classes
+from k3lines.realcrit import TwoU, t_side_involution_classes
+tside = t_side_involution_classes(TwoU(5))
+assert len(tside.members) == 570
+assert tside.anti_isometry(tside.form.negated()) is not None
+assert len(involution_classes(tside.form)) == 8
+print(time.process_time())
+"""
+
+
+def test_two_u_five_closure_budget():
+    # |Aut(D_T)| = 28,800: a listing of the group fails the budget
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_U_FIVE],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert float(proc.stdout) <= 1.5
+
+
 def candidate_actions(cfg):
     analysis = Analysis(cfg)
     return [
@@ -492,9 +536,9 @@ def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
 
     def counted(source, target, anti=False):
         calls.append(anti)
-        return fqf_isometries(source, target, anti=anti)
+        return find_isometry(source, target, anti=anti)
 
-    monkeypatch.setattr(realcrit, "fqf_isometries", counted)
+    monkeypatch.setattr(realcrit, "find_isometry", counted)
     candidates = Analysis(fermat_with_definite2()).real_structure_candidates()
     assert len(candidates) == 28
     assert calls == [True]
@@ -504,7 +548,7 @@ def test_genus_mismatch_computes_no_closure(monkeypatch):
     def refused(form):
         raise AssertionError("Aut(D_T) computed for a genus mismatch")
 
-    monkeypatch.setattr(realcrit, "conjugations", refused)
+    monkeypatch.setattr(realcrit, "automorphism_group", refused)
     for cfg in (
         read_configuration(CORPUS / "k33_twou3.json"),
         with_transcendental(CORPUS / "k33.json", {"twoU": 7}),
