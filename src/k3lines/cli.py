@@ -3,8 +3,8 @@
 Four subcommands: `lattice` prints the arithmetic invariants of a lattice
 expression, `fragments` runs the census on a configuration file, `real`
 lists real-structure candidates, and `totally-real` evaluates the
-existence criterion.  Each configuration command analyses its input once
-through one `Analysis`.  All output is buffered and emitted once; machine
+existence criterion.  Calls on one line lattice share its one `Analysis`
+(`fano.shared_analysis`).  All output is buffered and emitted once; machine
 output (--json) is schema-stable and byte-identical from run to run.
 
 Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
@@ -133,13 +133,13 @@ def _load(args):
 
 
 def cmd_fragments(args) -> int:
-    from .fano import Analysis, graph_invariants
+    from .fano import graph_invariants, shared_analysis
 
     cfg, digest = _load(args)
-    analysis = Analysis(cfg)
-    warnings = analysis.warnings
-    fragments = analysis.fragments
-    rank, girth_value, aut_order = graph_invariants(cfg)
+    with shared_analysis(cfg) as analysis:
+        warnings = analysis.warnings
+        fragments = analysis.fragments
+        rank, girth_value, aut_order = graph_invariants(cfg, analysis.automorphisms)
     by_type: dict[str, int] = {}
     for fr in fragments:
         by_type[fr.type_label] = by_type.get(fr.type_label, 0) + 1
@@ -182,11 +182,12 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
-    from .fano import Analysis
+    from .fano import shared_analysis
     from .realcrit import UNKNOWN
 
     cfg, digest = _load(args)
-    candidates = Analysis(cfg).real_structure_candidates()
+    with shared_analysis(cfg) as analysis:
+        candidates = analysis.real_structure_candidates(cfg.transcendental)
     report = {
         "command": "real",
         "input": args.file,
@@ -223,15 +224,15 @@ def cmd_real(args) -> int:
 
 
 def cmd_totally_real(args) -> int:
-    from .fano import Analysis
+    from .fano import shared_analysis
     from .realcrit import UNKNOWN, totally_real_criterion
 
     cfg, digest = _load(args)
-    analysis = Analysis(cfg)
-    r = analysis.r
-    det_n = analysis.det_n
-    verdict = totally_real_criterion(analysis.dn, r, det_n)
-    warnings = list(analysis.warnings)
+    with shared_analysis(cfg) as analysis:
+        r = analysis.r
+        det_n = analysis.det_n
+        verdict = totally_real_criterion(analysis.dn, r, det_n)
+        warnings = list(analysis.warnings)
     report = {
         "command": "totally-real",
         "input": args.file,

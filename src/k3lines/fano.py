@@ -32,12 +32,13 @@ sign-reversing involution on the transcendental side, or by the arithmetic
 screening rules when no transcendental representative is supplied.
 
 `Analysis` holds all of this for one configuration and computes each part
-once.
+once, and `shared_analysis` keeps one per line lattice in a process.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -327,11 +328,11 @@ def graph_automorphisms(cfg) -> PermutationGroup:
     return graph_automorphism_group(graph)
 
 
-def graph_invariants(cfg) -> tuple[int, int | None, int]:
-    """(rank of the lines-only Gram form, girth, automorphism group order)."""
+def graph_invariants(cfg, group=None) -> tuple[int, int | None, int]:
+    """(rank of the lines-only Gram form, girth, |Aut|, read from `group` if given)."""
     graph = cfg.graph if isinstance(cfg, LineConfiguration) else cfg
     pos, neg, _ = inertia(_lines_gram(graph))
-    return (pos + neg, girth(graph), graph_automorphism_group(graph).order())
+    return (pos + neg, girth(graph), (group or graph_automorphism_group(graph)).order())
 
 
 # -- the polarized stabilizer -------------------------------------------------
@@ -382,18 +383,6 @@ class RealCandidate(Record):
         )
 
 
-def _involution_classes_of(group: PermutationGroup) -> list[tuple[int, ...]]:
-    """Least representatives of the conjugacy classes of involutions
-    (identity included) in a permutation group, in increasing order: the
-    `conjugation_orbits` of the involutions, walked without listing the
-    group (`PermutationGroup.involutions`)."""
-    try:
-        invs = group.involutions()
-    except CapExceeded as exc:
-        raise CapExceeded(f"involution classes: {exc}") from None
-    return [orbit[0] for orbit in group.conjugation_orbits(invs)]
-
-
 # -- the analysis of one configuration ------------------------------------------
 
 
@@ -403,8 +392,8 @@ class Analysis:
     `Lattice`, the Gram matrix of its generators modulo its radical, whose
     discriminant data give D_N, det N, the stabilizer test and the
     candidate actions; the graph automorphism group, the stabilizer of N
-    in it (one `PermutationGroup` either way) and the fragment list, so
-    counting fragments under every candidate involution reuses one search.
+    in it (one `PermutationGroup` either way), its involution classes and
+    the fragment list, which every candidate's fragment count reuses.
     """
 
     def __init__(self, cfg: LineConfiguration):
@@ -533,6 +522,19 @@ class Analysis:
         except CapExceeded as exc:
             raise CapExceeded(f"polarized stabilizer: {exc}") from None
 
+    @cached_property
+    def involution_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Least representatives of the conjugacy classes of involutions
+        (identity included) in the stabilizer, in increasing order: the
+        `conjugation_orbits` of the involutions, walked without listing the
+        group (`PermutationGroup.involutions`)."""
+        group = self.stabilizer
+        try:
+            invs = group.involutions()
+        except CapExceeded as exc:
+            raise CapExceeded(f"involution classes: {exc}") from None
+        return tuple(orbit[0] for orbit in group.conjugation_orbits(invs))
+
     def _preserves(self, perm) -> bool:
         # A graph automorphism fixes the lines and h as a set, so it maps N
         # into N once every moved kernel vector has class 0 in D_N; the
@@ -591,10 +593,10 @@ class Analysis:
                     num_rr += 1
         return (num_r, num_rr)
 
-    def real_structure_candidates(self) -> list[RealCandidate]:
+    def real_structure_candidates(self, spec) -> list[RealCandidate]:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
         increasing order of sigma, each with its fragment counts and gluing
-        admissibility."""
+        admissibility against the transcendental spec (None for none)."""
         from .realcrit import (
             ADMISSIBLE,
             INADMISSIBLE,
@@ -607,7 +609,6 @@ class Analysis:
         r = self.r
         det_n = self.det_n
         notes = list(self.warnings)
-        spec = self.cfg.transcendental
         tside = None
         if spec is not None:
             if spec.rank() != r:
@@ -618,7 +619,7 @@ class Analysis:
             tside = t_side_involution_classes(spec)
         ident = tuple(range(self.cfg.graph.n))
         out = []
-        for sigma in _involution_classes_of(self.stabilizer):
+        for sigma in self.involution_classes:
             num_r, num_rr = self.count_fragments_under(sigma)
             verdict = None
             if spec is None:
@@ -663,17 +664,34 @@ def _moved(perm, vec) -> list[int]:
     return out
 
 
+_ANALYSES: dict = {}  # (degree, graph, kernel) -> the Analysis of that N
+
+
+@contextmanager
+def shared_analysis(cfg: LineConfiguration):
+    """The process's one `Analysis` of cfg's line lattice, keyed by (degree,
+    graph, kernel), not by the transcendental spec.  Only a block that ends
+    without an exception puts it back, so a CapExceeded leaves no entry."""
+    key = (cfg.degree, cfg.graph, cfg.kernel)
+    analysis = _ANALYSES.pop(key, None) or Analysis(cfg)
+    yield analysis
+    _ANALYSES[key] = analysis
+
+
 def polarized_stabilizer(cfg: LineConfiguration) -> PermutationGroup:
-    """`Analysis(cfg).stabilizer`: the graph automorphisms that map N onto
-    itself.  The polarized stabilizer is this group x {+-1}."""
-    return Analysis(cfg).stabilizer
+    """The `shared_analysis` stabilizer: the graph automorphisms that map N
+    onto itself.  The polarized stabilizer is this group x {+-1}."""
+    with shared_analysis(cfg) as analysis:
+        return analysis.stabilizer
 
 
 def count_fragments_under(cfg: LineConfiguration, sigma) -> tuple[int, int]:
-    """`Analysis(cfg).count_fragments_under(sigma)`."""
-    return Analysis(cfg).count_fragments_under(sigma)
+    """`count_fragments_under(sigma)` of the `shared_analysis` of cfg."""
+    with shared_analysis(cfg) as analysis:
+        return analysis.count_fragments_under(sigma)
 
 
 def real_structure_candidates(cfg: LineConfiguration) -> list[RealCandidate]:
-    """`Analysis(cfg).real_structure_candidates()`."""
-    return Analysis(cfg).real_structure_candidates()
+    """The `shared_analysis` candidates against cfg's transcendental spec."""
+    with shared_analysis(cfg) as analysis:
+        return analysis.real_structure_candidates(cfg.transcendental)

@@ -2,7 +2,10 @@
 
 Automorphism groups come from one individualization-refinement search tree
 (McKay and Piperno, *Practical graph isomorphism, II*, J. Symbolic Comput.
-60, 2014).  Colour refinement gives an equitable partition.  The first path
+60, 2014).  Colour refinement gives an equitable partition: each round
+splits the cells by their vertices' sorted profiles m*n + colour over the
+neighbours, in profile order, and only cells next to a cell that split the
+round before are profiled, which gives the ids of profiling all.  The first path
 individualizes the first vertex of the first non-singleton cell and refines,
 until the partition is discrete; those vertices are the base b_0..b_k.
 Then, level by level from the bottom, partition backtracking looks for an
@@ -117,23 +120,38 @@ class Multigraph(Record):
 def color_refinement(graph: Multigraph, initial=None) -> tuple[int, ...]:
     """Stable vertex coloring refined by weighted neighborhood profiles.
     Color ids are canonical: isomorphic graphs get matching colors."""
+    initial = [0] * graph.n if initial is None else initial
+    ranking = {c: i for i, c in enumerate(sorted(set(initial)))}
+    return _refine(graph, [ranking[c] for c in initial], range(graph.n))
+
+
+def _refine(graph: Multigraph, colors: list[int], moved) -> tuple[int, ...]:
+    """Refine the colouring with ids 0..k-1 (a list, changed in place), where
+    only the cells holding a neighbour of a `moved` vertex can split first."""
     n = graph.n
-    if initial is None:
-        colors = [0] * n
-    else:
-        ranking = {c: i for i, c in enumerate(sorted(set(initial)))}
-        colors = [ranking[c] for c in initial]
     adjacency = graph.adjacency
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted([(m, colors[w]) for w, m in nbrs])))
-            for v, nbrs in enumerate(adjacency)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    while moved:
+        touched = {colors[w] for v in moved for w, _ in adjacency[v]}
+        moved, refined = [], []
+        for c, cell in enumerate(cells):
+            if c not in touched or len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts: dict = {}
+            for v in cell:
+                profile = sorted([m * n + colors[w] for w, m in adjacency[v]])
+                parts.setdefault(tuple(profile), []).append(v)
+            refined += [parts[profile] for profile in sorted(parts)]
+            if len(parts) > 1:
+                moved += cell
+        cells = refined
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
+    return tuple(colors)
 
 
 def compose_perm(a, b) -> tuple[int, ...]:
@@ -233,25 +251,27 @@ class PermutationGroup:
         return current == tuple(range(self.n))
 
     def conjugation_orbits(self, seeds) -> list[list[tuple[int, ...]]]:
-        """The conjugacy class of each seed, skipping seeds that an earlier
-        class covers; each starts with its seed.  It is the orbit under
-        conjugation by the strong generators (Holt, Eick and O'Brien,
-        *Handbook of Computational Group Theory*, 2005, section 4.1), at
-        |class| x |generators| conjugations."""
+        """The conjugacy class of each seed, a group member, skipping seeds
+        an earlier class covers; each starts with its seed.  It is the orbit
+        under conjugation by the strong generators (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 2005, section 4.1); a
+        conjugate is keyed by its base images a[x[a⁻¹(b)]], composed if new."""
         moves = [(a, invert_perm(a)) for a in self.strong]
+        moves = [(a, a_inv, [a_inv[b] for b in self.base]) for a, a_inv in moves]
         seen: set = set()
         out = []
         for seed in seeds:
-            if seed in seen:
+            key = tuple([seed[b] for b in self.base])
+            if key in seen:
                 continue
-            seen.add(seed)
+            seen.add(key)
             orbit = [seed]
             for x in orbit:
-                for a, a_inv in moves:
-                    y = compose_perm(a, compose_perm(x, a_inv))
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
+                for a, a_inv, pre in moves:
+                    key = tuple([a[x[p]] for p in pre])
+                    if key not in seen:
+                        seen.add(key)
+                        orbit.append(compose_perm(a, compose_perm(x, a_inv)))
             out.append(orbit)
         return out
 
@@ -304,9 +324,10 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
         nodes += 1
         if nodes > AUTOMORPHISM_NODE_CAP:
             raise CapExceeded("automorphism search exceeded the node cap")
-        initial = [2 * c + 1 for c in colors]
-        initial[v] -= 1
-        return color_refinement(graph, initial)
+        # colors is equitable, so only cells next to v can split first
+        t = colors[v]
+        initial = [c + (c > t or c == t and u != v) for u, c in enumerate(colors)]
+        return _refine(graph, initial, [v])
 
     path = [color_refinement(graph)]
     base: list[int] = []

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k3lines import multigraph
+from k3lines import fano, multigraph
 from k3lines.configio import MAX_LINES
 from k3lines.cli import (
     EXIT_CAP,
@@ -820,3 +820,102 @@ class TestDeterminism:
             )
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def fresh_process(*argv) -> tuple[int, str]:
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lines.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+class TestProcessTable:
+    """Calls on one line lattice in one process share one `Analysis`
+    (`fano.shared_analysis`), and print what separate processes print."""
+
+    def test_fermat_session_searches_once(self, capsys, monkeypatch):
+        calls = {"graph_automorphism_group": 0, "enumerate_fragments": 0}
+
+        def counted(name):
+            inner = getattr(fano, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fano, name, counted(name))
+        session = [
+            ("real", str(DATA / "fermat48_definite2.json"), "--json"),
+            ("fragments", str(DATA / "fermat48.json"), "--list-fragments"),
+            ("totally-real", str(DATA / "fermat48.json")),
+        ]
+        for argv in session:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == fresh_process(*argv)
+        assert calls == {"graph_automorphism_group": 1, "enumerate_fragments": 1}
+        assert len(fano._ANALYSES) == 1
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            ({"twoU": 3}, {"twoU": 7}),
+            ({"twoU": 7}, {"twoU": 3}),
+            (None, {"twoU": 3}),
+            ({"twoU": 3}, None),
+        ],
+    )
+    def test_each_transcendental_spec_gets_its_own_candidates(
+        self, capsys, tmp_path, specs
+    ):
+        # one lattice, K33 at degree 6, under two transcendental specs: each
+        # call prints what it prints with the table empty
+        doc = json.loads((CORPUS / "k33.json").read_text())
+        paths, alone = [], []
+        for i, spec in enumerate(specs):
+            path = tmp_path / f"k33_{i}.json"
+            path.write_text(json.dumps(dict(doc, transcendental=spec) if spec else doc))
+            paths.append(str(path))
+            fano._ANALYSES.clear()
+            alone.append(run(capsys, "real", paths[-1], "--json"))
+        fano._ANALYSES.clear()
+        assert [run(capsys, "real", path, "--json") for path in paths] == alone
+        assert len(fano._ANALYSES) == 1
+        if None in specs:
+            reasons = [
+                {c["reason"] for c in json.loads(out)["candidates"]}
+                for _, out, _ in alone
+            ]
+            assert reasons[0] != reasons[1]
+
+    @pytest.mark.parametrize(
+        "names", [("k33.json", "k33_glued.json"), ("k33_glued.json", "k33.json")]
+    )
+    def test_the_kernel_is_part_of_the_key(self, capsys, names):
+        # K33 at degree 6, with and without the glue vector
+        alone = []
+        for name in names:
+            fano._ANALYSES.clear()
+            alone.append(run(capsys, "real", str(CORPUS / name), "--json"))
+        fano._ANALYSES.clear()
+        assert [run(capsys, "real", str(CORPUS / n), "--json") for n in names] == alone
+        assert len(fano._ANALYSES) == 2
+
+    def test_a_capped_call_leaves_no_entry(self, capsys, monkeypatch):
+        argv = ("real", str(CORPUS / "cube.json"))
+        monkeypatch.setattr(multigraph, "AUTOMORPHISM_NODE_CAP", 1)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_CAP, "")
+        assert fano._ANALYSES == {}
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh_process(*argv)
+        assert code == EXIT_OK

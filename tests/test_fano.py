@@ -642,7 +642,7 @@ class TestPolarizedStabilizer:
         stab = analysis.stabilizer
         assert stab is analysis.automorphisms
         assert 2 * stab.order() == 2 * 5040
-        reps = fano._involution_classes_of(stab)
+        reps = list(analysis.involution_classes)
         # identity and one, two and three disjoint transpositions
         assert len(reps) == 4
         assert reps == all_elements_involution_classes(stab.elements())
@@ -655,7 +655,7 @@ class TestPolarizedStabilizer:
         stab = analysis.stabilizer
         assert stab is analysis.automorphisms
         assert 2 * stab.order() == 2 * 6144
-        reps = fano._involution_classes_of(stab)
+        reps = list(analysis.involution_classes)
         assert len(reps) == 28
         assert reps == all_elements_involution_classes(stab.elements())
 
@@ -663,8 +663,9 @@ class TestPolarizedStabilizer:
     def test_edgeless_involution_classes_are_the_cycle_types(self, n):
         # Sym(n): the product of k disjoint transpositions, k = 0..n/2, a
         # class of n! / (2^k k! (n-2k)!) involutions
-        stab = Analysis(LineConfiguration(2, empty_graph(n))).stabilizer
-        reps = fano._involution_classes_of(stab)
+        analysis = Analysis(LineConfiguration(2, empty_graph(n)))
+        stab = analysis.stabilizer
+        reps = analysis.involution_classes
         assert len(reps) == n // 2 + 1
         moved = lambda g: sum(x != i for i, x in enumerate(g)) // 2
         assert sorted(map(moved, reps)) == list(range(n // 2 + 1))
@@ -698,9 +699,9 @@ class TestPolarizedStabilizer:
                         closure.add(y)
                         frontier.append(y)
             assert closure == set(stab.elements())
-            assert fano._involution_classes_of(
-                stab
-            ) == all_elements_involution_classes(stab.elements())
+            assert list(analysis.involution_classes) == (
+                all_elements_involution_classes(stab.elements())
+            )
 
     def test_enumeration_cap_is_honest(self):
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
@@ -1143,7 +1144,7 @@ class TestAnalysis:
         assert 2 * analysis.stabilizer.order() == 2 * stab.order() == 2 * 288
         swap = tuple(list(range(6, 12)) + list(range(6)))
         assert analysis.count_fragments_under(swap) == (0, 0)
-        assert analysis.real_structure_candidates() == (
+        assert analysis.real_structure_candidates(None) == (
             real_structure_candidates(cfg)
         )
 

@@ -25,6 +25,8 @@ from k3lines import multigraph
 from k3lines.configio import read_configuration
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import catalog_graph, catalog_names
+from k3lines.fqf import automorphism_group
+from k3lines.lattices import build_lattice, discriminant_form
 from k3lines.multigraph import (
     Multigraph,
     canonical_certificate,
@@ -237,7 +239,81 @@ class TestMultigraphValidation:
         assert sub.mult == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
+def round_based_refinement(graph: Multigraph, initial=None) -> tuple[int, ...]:
+    """Reference refinement: every round profiles every vertex by its colour
+    and the sorted (multiplicity, neighbour colour) pairs, and ranks the
+    distinct profiles, until a round splits no cell."""
+    n = graph.n
+    if initial is None:
+        colors = [0] * n
+    else:
+        ranking = {c: i for i, c in enumerate(sorted(set(initial)))}
+        colors = [ranking[c] for c in initial]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([(m, colors[w]) for w, m in nbrs])))
+            for v, nbrs in enumerate(graph.adjacency)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return tuple(colors)
+        colors = new
+
+
+@st.composite
+def coloured_graphs(draw):
+    """Multigraphs on 0..14 vertices with multiplicities 1-3, some vertices
+    isolated, and an initial colouring or None."""
+    n = draw(st.integers(0, 14))
+    isolated = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3))
+    values = draw(st.lists(st.sampled_from((0, 0, 1, 1, 2, 3)),
+                           min_size=n * n, max_size=n * n))
+    g = Multigraph.from_edges(n, [
+        (i, j, values[i * n + j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if values[i * n + j] and not {i, j} & isolated
+    ])
+    initial = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return g, initial
+
+
+def checked_refinements(graph: Multigraph, initial=None) -> int:
+    """Refine `graph` and build its automorphism group while every
+    refinement, the individualizations of the search included, is compared
+    with `round_based_refinement`; the number compared.  Certificates and
+    fragment labels read only `color_refinement(graph)`."""
+    real, compared = multigraph._refine, []
+
+    def refine(g, colors, moved):
+        want = round_based_refinement(g, colors)
+        got = real(g, colors, moved)
+        assert got == want
+        compared.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multigraph, "_refine", refine)
+        want = round_based_refinement(graph, initial)
+        assert color_refinement(graph, initial) == want
+        graph_automorphism_group(graph)
+    return len(compared)
+
+
 class TestColorRefinement:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(coloured_graphs())
+    def test_ids_match_the_round_based_reference(self, case):
+        checked_refinements(*case)
+
+    def test_fermat_and_catalog_match_the_round_based_reference(self):
+        fermat = read_configuration(FERMAT).graph
+        # one comparison per individualization: 42 in the Fermat search
+        assert checked_refinements(fermat) > 40
+        for name in catalog_names():
+            checked_refinements(catalog_graph(name))
+
     def test_regular_graph_single_class(self):
         colors = color_refinement(catalog_graph("prism"))
         assert len(set(colors)) == 1
@@ -353,6 +429,53 @@ def test_orbits_skip_covered_seeds():
     # the trivial group has no strong generators: every seed is its class
     trivial = chain(2, [0, 1], lambda i, w: None)
     assert trivial.conjugation_orbits([(1, 0), (1, 0), (0, 1)]) == [[(1, 0)], [(0, 1)]]
+
+
+def whole_permutation_orbits(group, seeds) -> list[list[tuple[int, ...]]]:
+    """Reference conjugation orbits: every conjugate is composed and known by
+    its whole permutation."""
+    moves = [(a, invert_perm(a)) for a in group.strong]
+    seen: set = set()
+    out = []
+    for seed in seeds:
+        if seed in seen:
+            continue
+        seen.add(seed)
+        orbit = [seed]
+        for x in orbit:
+            for a, a_inv in moves:
+                y = compose_perm(a, compose_perm(x, a_inv))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fermat", "sym6", "aut-2U(3)"])
+def test_orbits_match_the_whole_permutation_reference(name):
+    if name == "fermat":
+        group = graph_automorphism_group(read_configuration(FERMAT).graph)
+    elif name == "sym6":
+        group = graph_automorphism_group(empty_graph(6))
+    else:
+        group = automorphism_group(discriminant_form(build_lattice("2U(3)")))
+    seeds = group.elements()
+    random.Random(name).shuffle(seeds)
+    orbits = group.conjugation_orbits(seeds)
+    assert orbits == whole_permutation_orbits(group, seeds)
+    assert sum(map(len, orbits)) == group.order()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(multigraphs(max_n=7), st.data())
+def test_subgroup_orbits_match_the_whole_permutation_reference(g, data):
+    group = graph_automorphism_group(g)
+    chosen = set(data.draw(st.sets(st.integers(0, max(g.n - 1, 0))))) & set(range(g.n))
+    sub = group.subgroup(lambda p: {p[v] for v in chosen} == chosen)
+    elements = sub.elements()
+    seeds = data.draw(st.lists(st.sampled_from(elements), max_size=20))
+    assert sub.conjugation_orbits(seeds) == whole_permutation_orbits(sub, seeds)
 
 
 class TestAutomorphismGroups:
