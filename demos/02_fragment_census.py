@@ -14,7 +14,6 @@ from k3lines import (
     catalog_graph,
     catalog_names,
     enumerate_fragments,
-    graph_invariants,
 )
 
 HOME_DEGREE = {
@@ -32,10 +31,12 @@ print("home degree.  Invariants are (rank, girth, |Aut|).")
 for name in catalog_names():
     graph = catalog_graph(name)
     cfg = LineConfiguration(HOME_DEGREE[name], graph)
-    fragments = enumerate_fragments(cfg)
+    analysis = Analysis(cfg)
+    invariants = (analysis.lines_rank, analysis.girth,
+                  analysis.automorphisms.order())
     print(f"  {name:16s} 2d={cfg.degree}  invariants "
-          f"{graph_invariants(graph)}  fragments "
-          f"{[f.type_label for f in fragments]}")
+          f"{invariants}  fragments "
+          f"{[f.type_label for f in analysis.fragments]}")
 
 print()
 print("The Fano lattice of the K(3,3) configuration at 2d = 6 is")

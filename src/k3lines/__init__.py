@@ -30,8 +30,6 @@ _MODULE_OF = {
     "classify_fragment": "fano",
     "count_fragments_under": "fano",
     "enumerate_fragments": "fano",
-    "graph_automorphisms": "fano",
-    "graph_invariants": "fano",
     "polarized_stabilizer": "fano",
     "real_structure_candidates": "fano",
     "FiniteQuadraticForm": "fqf",

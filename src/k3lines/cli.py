@@ -133,13 +133,14 @@ def _load(args):
 
 
 def cmd_fragments(args) -> int:
-    from .fano import graph_invariants, shared_analysis
+    from .fano import shared_analysis
 
     cfg, digest = _load(args)
-    with shared_analysis(cfg) as analysis:
-        warnings = analysis.warnings
-        fragments = analysis.fragments
-        rank, girth_value, aut_order = graph_invariants(cfg, analysis.automorphisms)
+    analysis = shared_analysis(cfg)
+    warnings = analysis.warnings
+    fragments = analysis.fragments
+    rank, girth_value = analysis.lines_rank, analysis.girth
+    aut_order = analysis.automorphisms.order()
     by_type: dict[str, int] = {}
     for fr in fragments:
         by_type[fr.type_label] = by_type.get(fr.type_label, 0) + 1
@@ -182,12 +183,11 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
-    from .fano import shared_analysis
+    from .fano import real_structure_candidates
     from .realcrit import UNKNOWN
 
     cfg, digest = _load(args)
-    with shared_analysis(cfg) as analysis:
-        candidates = analysis.real_structure_candidates(cfg.transcendental)
+    candidates = real_structure_candidates(cfg)
     report = {
         "command": "real",
         "input": args.file,
@@ -228,11 +228,11 @@ def cmd_totally_real(args) -> int:
     from .realcrit import UNKNOWN, totally_real_criterion
 
     cfg, digest = _load(args)
-    with shared_analysis(cfg) as analysis:
-        r = analysis.r
-        det_n = analysis.det_n
-        verdict = totally_real_criterion(analysis.dn, r, det_n)
-        warnings = list(analysis.warnings)
+    analysis = shared_analysis(cfg)
+    r = analysis.r
+    det_n = analysis.det_n
+    verdict = totally_real_criterion(analysis.dn, r, det_n)
+    warnings = list(analysis.warnings)
     report = {
         "command": "totally-real",
         "input": args.file,

@@ -38,7 +38,6 @@ once, and `shared_analysis` keeps one per line lattice in a process.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -320,21 +319,6 @@ def classify_fragment(sub: Multigraph) -> str:
     return _catalog_certificates(sub.n).get(cert, cert)
 
 
-# -- graph-level invariants ---------------------------------------------------
-
-
-def graph_automorphisms(cfg) -> PermutationGroup:
-    graph = cfg.graph if isinstance(cfg, LineConfiguration) else cfg
-    return graph_automorphism_group(graph)
-
-
-def graph_invariants(cfg, group=None) -> tuple[int, int | None, int]:
-    """(rank of the lines-only Gram form, girth, |Aut|, read from `group` if given)."""
-    graph = cfg.graph if isinstance(cfg, LineConfiguration) else cfg
-    pos, neg, _ = inertia(_lines_gram(graph))
-    return (pos + neg, girth(graph), (group or graph_automorphism_group(graph)).order())
-
-
 # -- the polarized stabilizer -------------------------------------------------
 
 
@@ -356,7 +340,6 @@ class RealCandidate(Record):
         "num_rr",
         "admissibility",
         "reason",
-        "verdict",
         "notes",
     )
 
@@ -367,7 +350,6 @@ class RealCandidate(Record):
         num_rr: int,
         admissibility: str,
         reason: str,
-        verdict: Verdict | None = None,
         notes: tuple[str, ...] = (),
     ):
         if not (0 <= num_rr <= num_r):
@@ -378,7 +360,6 @@ class RealCandidate(Record):
             num_rr=num_rr,
             admissibility=admissibility,
             reason=reason,
-            verdict=verdict,
             notes=notes,
         )
 
@@ -391,9 +372,12 @@ class Analysis:
     computed on first use and then kept: the line lattice N as one
     `Lattice`, the Gram matrix of its generators modulo its radical, whose
     discriminant data give D_N, det N, the stabilizer test and the
-    candidate actions; the graph automorphism group, the stabilizer of N
-    in it (one `PermutationGroup` either way), its involution classes and
-    the fragment list, which every candidate's fragment count reuses.
+    candidate actions; the graph automorphism group with the rank of the
+    lines' Gram form and the girth of the graph, the stabilizer of N in
+    the group (one `PermutationGroup` either way), its involution classes
+    and the fragment list, which every candidate's fragment count reuses.
+    An item whose computation raises is not kept, so the next read
+    computes it again.
     """
 
     def __init__(self, cfg: LineConfiguration):
@@ -510,6 +494,16 @@ class Analysis:
         return graph_automorphism_group(self.cfg.graph)
 
     @cached_property
+    def lines_rank(self) -> int:
+        """Rank of the Gram form of the lines alone, without h."""
+        pos, neg, _ = inertia(_lines_gram(self.cfg.graph))
+        return pos + neg
+
+    @cached_property
+    def girth(self) -> int | None:
+        return girth(self.cfg.graph)
+
+    @cached_property
     def stabilizer(self) -> PermutationGroup:
         """The graph automorphisms that map N onto itself; the polarized
         stabilizer is this group x {+-1}, since -1 maps every lattice onto
@@ -621,7 +615,6 @@ class Analysis:
         out = []
         for sigma in self.involution_classes:
             num_r, num_rr = self.count_fragments_under(sigma)
-            verdict = None
             if spec is None:
                 if sigma == ident:
                     verdict = totally_real_criterion(self.dn, r, det_n)
@@ -647,7 +640,6 @@ class Analysis:
                 num_rr,
                 status,
                 reason,
-                verdict,
                 tuple(notes),
             ))
         return out
@@ -667,31 +659,27 @@ def _moved(perm, vec) -> list[int]:
 _ANALYSES: dict = {}  # (degree, graph, kernel) -> the Analysis of that N
 
 
-@contextmanager
-def shared_analysis(cfg: LineConfiguration):
+def shared_analysis(cfg: LineConfiguration) -> Analysis:
     """The process's one `Analysis` of cfg's line lattice, keyed by (degree,
-    graph, kernel), not by the transcendental spec.  Only a block that ends
-    without an exception puts it back, so a CapExceeded leaves no entry."""
+    graph, kernel), not by the transcendental spec."""
     key = (cfg.degree, cfg.graph, cfg.kernel)
-    analysis = _ANALYSES.pop(key, None) or Analysis(cfg)
-    yield analysis
-    _ANALYSES[key] = analysis
+    analysis = _ANALYSES.get(key)
+    if analysis is None:
+        analysis = _ANALYSES[key] = Analysis(cfg)
+    return analysis
 
 
 def polarized_stabilizer(cfg: LineConfiguration) -> PermutationGroup:
     """The `shared_analysis` stabilizer: the graph automorphisms that map N
     onto itself.  The polarized stabilizer is this group x {+-1}."""
-    with shared_analysis(cfg) as analysis:
-        return analysis.stabilizer
+    return shared_analysis(cfg).stabilizer
 
 
 def count_fragments_under(cfg: LineConfiguration, sigma) -> tuple[int, int]:
     """`count_fragments_under(sigma)` of the `shared_analysis` of cfg."""
-    with shared_analysis(cfg) as analysis:
-        return analysis.count_fragments_under(sigma)
+    return shared_analysis(cfg).count_fragments_under(sigma)
 
 
 def real_structure_candidates(cfg: LineConfiguration) -> list[RealCandidate]:
     """The `shared_analysis` candidates against cfg's transcendental spec."""
-    with shared_analysis(cfg) as analysis:
-        return analysis.real_structure_candidates(cfg.transcendental)
+    return shared_analysis(cfg).real_structure_candidates(cfg.transcendental)

@@ -508,11 +508,6 @@ class FqfIsometry(Record):
             cols.append(self.source.reduce(pre))
         return FqfIsometry(self.target, self.source, tuple(cols), anti=self.anti)
 
-    def is_identity(self) -> bool:
-        if self.source != self.target or self.anti:
-            return False
-        return self.columns == tuple(_basis(self.source.rank()))
-
 
 def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
     k = form.rank()
@@ -604,28 +599,24 @@ def _nondegenerate(form: FiniteQuadraticForm) -> bool:
     return all(form.order_of(v) == 1 for v in radical)
 
 
-_AUT_CACHE: dict = {}  # form -> its automorphism_group
-
-
 def automorphism_group(form: FiniteQuadraticForm):
     """Aut(form) as a `multigraph.PermutationGroup` on the elements,
     numbered in `elements()` order, with the generators e_0..e_{k-1} as its
     base.  The chain asks for one automorphism fixing e_0..e_{i-1} and
     taking e_i to w, the first leaf of the isometry search with those
-    images pinned, so no group element is listed."""
-    if form not in _AUT_CACHE:
-        from .multigraph import chain
+    images pinned, so no group element is listed.  Each call builds the
+    chain afresh; a caller that needs it twice keeps it."""
+    from .multigraph import chain
 
-        elements = list(form.elements())
-        basis = _basis(form.rank())
-        leaves = _isometry_leaves(form, form, False)
+    elements = list(form.elements())
+    basis = _basis(form.rank())
+    leaves = _isometry_leaves(form, form, False)
 
-        def extend(i, w):
-            cols = next(leaves((*basis[:i], elements[w])), None)
-            return None if cols is None else element_permutation(form, cols)
+    def extend(i, w):
+        cols = next(leaves((*basis[:i], elements[w])), None)
+        return None if cols is None else element_permutation(form, cols)
 
-        _AUT_CACHE[form] = chain(len(elements), _strides(form.orders), extend)
-    return _AUT_CACHE[form]
+    return chain(len(elements), _strides(form.orders), extend)
 
 
 def _strides(orders) -> list[int]:

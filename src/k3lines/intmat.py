@@ -164,15 +164,6 @@ def _smith(m: Mat, want_u: bool) -> tuple[Mat, Mat | None, Mat]:
     return s, (u if want_u else None), v
 
 
-def smith_diagonal(m: Mat) -> list[int]:
-    s, _, _ = _smith(m, want_u=False)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-
-
-def matrix_rank(m: Mat) -> int:
-    return sum(1 for d in smith_diagonal(m) if d != 0)
-
-
 def integral_kernel_with_complement(m: Mat) -> tuple[list[Vec], list[Vec]]:
     """Kernel basis plus vectors completing it to a basis of Z^n.
 

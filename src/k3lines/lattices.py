@@ -138,10 +138,6 @@ class Isometry(Record):
         )
 
 
-def identity_isometry_of(lattice: Lattice) -> Isometry:
-    return Isometry(lattice, tuple(tuple(r) for r in identity(lattice.rank)))
-
-
 # -- the text notation -------------------------------------------------------
 
 # Largest rank an expression may describe.  The K3 lattice has rank 22 and
@@ -292,35 +288,6 @@ def build_lattice(spec: str) -> Lattice:
     return out
 
 
-BUILTIN_SPECS: tuple[str, ...] = (
-    "[2]",
-    "[-2]",
-    "[4]",
-    "[-6]",
-    "[8]",
-    "[2,1,4]",
-    "[8,4,8]",
-    "U",
-    "U(2)",
-    "U(3)",
-    "2U",
-    "2U(3)",
-    "3U",
-    "A1",
-    "A2",
-    "A3",
-    "A2(-1)",
-    "D4",
-    "D5",
-    "E6",
-    "E7",
-    "E8",
-    "E8(-1)",
-    "U+A2",
-    "2E8+3U",
-)
-
-
 # -- discriminant forms ------------------------------------------------------
 
 
@@ -346,14 +313,6 @@ class DiscriminantData(Record):
     ):
         vars(self).update(
             lattice=lattice, form=form, smith_u=smith_u, smith_v=smith_v
-        )
-
-    @property
-    def dual_vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The generators as dual vectors in lattice coordinates."""
-        return tuple(
-            tuple(Fraction(x, d) for x in col)
-            for col, d in zip(self.smith_v, self.form.orders)
         )
 
     def class_of(self, pairings) -> tuple[int, ...]:

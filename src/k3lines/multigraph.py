@@ -91,14 +91,6 @@ class Multigraph(Record):
     def degree(self, v: int) -> int:
         return sum(self.mult[v])
 
-    def relabel(self, perm) -> "Multigraph":
-        n = self.n
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[perm[i]][perm[j]] = self.mult[i][j]
-        return Multigraph(tuple(tuple(row) for row in out))
-
     def is_automorphism(self, perm) -> bool:
         """Whether the vertex permutation `perm` takes every edge to an edge
         of the same multiplicity.  A bijection that does so maps the edge
@@ -205,7 +197,12 @@ class PermutationGroup:
         walk of the transversals.  A partial product h = t_0∘…∘t_i completes
         to h∘k, k in the stabilizer G_i of b_0..b_i, and an involution h∘k
         has h(b_j) = (h∘k)^-1(b_j) in the G_i-orbit of h^-1(b_j), j <= i; a
-        branch where this fails is cut.  CapExceeded past `ELEMENT_CAP` nodes."""
+        branch where this fails is cut.  The walk carries h^-1 on the base
+        points, as (h∘t)^-1(b) = t^-1(h^-1(b)), and composes h∘t only for a
+        branch it enters.  The stabilizer of the whole base is trivial, so
+        the last level's test asks h(b) = h^-1(b) at every base point, and an
+        element is fixed by its base images: every leaf is an involution.
+        CapExceeded past `ELEMENT_CAP` nodes."""
         n, base = self.n, self.base
         # orbit[i][x]: the least point of the G_i-orbit of x, merged from the
         # bottom up over the strong generators fixing b_0..b_i
@@ -218,9 +215,11 @@ class PermutationGroup:
                     if old != new:
                         label = [new if c == old else c for c in label]
             orbit[i] = label
-        identity, found, nodes = tuple(range(n)), [], 0
+        steps = [[(t, invert_perm(t)) for t in level.values()] for level in self.levels]
+        found, nodes = [], 0
 
-        def walk(h, i):
+        def walk(h, h_inv, i):
+            # h_inv[j] = h^-1(b_j) for every base point
             nonlocal nodes
             nodes += 1
             if nodes > ELEMENT_CAP:
@@ -228,15 +227,14 @@ class PermutationGroup:
                     f"involution walk exceeds the cap of {ELEMENT_CAP} nodes"
                 )
             if i == len(base):
-                if compose_perm(h, h) == identity:
-                    found.append(h)
+                found.append(h)
                 return
-            for t in self.levels[i].values():
-                g = compose_perm(h, t)
-                if all(orbit[i][g[b]] == orbit[i][g.index(b)] for b in base[: i + 1]):
-                    walk(g, i + 1)
+            cut, prefix = orbit[i], base[: i + 1]
+            for t, t_inv in steps[i]:
+                if all(cut[h[t[b]]] == cut[t_inv[x]] for b, x in zip(prefix, h_inv)):
+                    walk(compose_perm(h, t), [t_inv[x] for x in h_inv], i + 1)
 
-        walk(identity, 0)
+        walk(tuple(range(n)), list(base), 0)
         return sorted(found)
 
     def contains(self, perm) -> bool:
@@ -445,7 +443,11 @@ def canonical_certificate(graph: Multigraph) -> str:
 
 def girth(graph: Multigraph) -> int | None:
     """Length of a shortest cycle; a repeated edge is a 2-cycle.  None when
-    the graph is acyclic."""
+    the graph is acyclic.  Otherwise every cycle has length at least 3, so
+    a triangle ends the search.  A breadth-first search from each vertex
+    first finds, while it expands depth d, only cycles of length at least
+    2d + 1, so it stops at the first depth where that cannot improve on the
+    best cycle found so far."""
     adjacency = graph.adjacency
     if any(m >= 2 for nbrs in adjacency for _, m in nbrs):
         return 2
@@ -455,17 +457,21 @@ def girth(graph: Multigraph) -> int | None:
         dist = {s: 0}
         parent = {s: -1}
         queue = [s]
-        while queue:
+        depth = 0
+        while queue and (best is None or 2 * depth + 1 < best):
             nxt = []
             for x in queue:
                 for y in adj[x]:
                     if y not in dist:
-                        dist[y] = dist[x] + 1
+                        dist[y] = depth + 1
                         parent[y] = x
                         nxt.append(y)
                     elif parent[x] != y:
-                        cycle = dist[x] + dist[y] + 1
+                        cycle = depth + dist[y] + 1
                         if best is None or cycle < best:
+                            if cycle == 3:
+                                return 3
                             best = cycle
             queue = nxt
+            depth += 1
     return best

@@ -18,18 +18,16 @@ from pathlib import Path
 
 from k3lines.configio import read_configuration
 from k3lines.fano import (
+    Analysis,
     LineConfiguration,
     catalog_graph,
     catalog_names,
     count_fragments_under,
     enumerate_fragments,
-    graph_automorphisms,
-    graph_invariants,
     real_structure_candidates,
 )
 from k3lines.fqf import brown_invariant, fqf_isometries, involution_classes
 from k3lines.lattices import (
-    BUILTIN_SPECS,
     Lattice,
     _vectors_of_norm,
     build_lattice,
@@ -39,7 +37,12 @@ from k3lines.lattices import (
     orthogonal_group_definite,
     sign_structure_action,
 )
-from k3lines.multigraph import Multigraph, compose_perm, invert_perm
+from k3lines.multigraph import (
+    Multigraph,
+    compose_perm,
+    graph_automorphism_group,
+    invert_perm,
+)
 from k3lines.realcrit import (
     TWO_U_LABELS,
     TwoU,
@@ -47,6 +50,8 @@ from k3lines.realcrit import (
     totally_real_criterion,
     two_u_involutions,
 )
+
+from helpers import BUILTIN_SPECS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -80,12 +85,17 @@ class Budget:
 
 
 def test_criterion_01_catalog_invariants():
+    # (lines-Gram rank, girth, |Aut|), as `fragments` prints them
+    def invariants(name):
+        analysis = Analysis(LineConfiguration(HOME_DEGREE[name], catalog_graph(name)))
+        return (analysis.lines_rank, analysis.girth, analysis.automorphisms.order())
+
     with Budget(1):
-        assert graph_invariants(catalog_graph("prism")) == (6, 3, 12)
-        assert graph_invariants(catalog_graph("K33")) == (6, 4, 72)
-        assert graph_invariants(catalog_graph("K3+K32")) == (8, 3, 12)
-        assert graph_invariants(catalog_graph("wagner")) == (8, 4, 16)
-        assert graph_invariants(catalog_graph("cube")) == (8, 4, 48)
+        assert invariants("prism") == (6, 3, 12)
+        assert invariants("K33") == (6, 4, 72)
+        assert invariants("K3+K32") == (8, 3, 12)
+        assert invariants("wagner") == (8, 4, 16)
+        assert invariants("cube") == (8, 4, 48)
 
 
 def test_criterion_02_involution_census_of_discr_2u3():
@@ -261,7 +271,7 @@ def test_criterion_09_real_count_sanity():
         for _ in range(100):
             name = rng.choice(catalog_names())
             cfg = LineConfiguration(HOME_DEGREE[name], catalog_graph(name))
-            group = graph_automorphisms(cfg)
+            group = graph_automorphism_group(cfg.graph)
             assert group.order() <= 1000
             elems = group.elements()
             ident = tuple(range(cfg.graph.n))

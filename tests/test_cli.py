@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k3lines import fano, multigraph
+from k3lines import fano, lattices, multigraph
 from k3lines.configio import MAX_LINES
 from k3lines.cli import (
     EXIT_CAP,
@@ -909,13 +909,41 @@ class TestProcessTable:
         assert [run(capsys, "real", str(CORPUS / n), "--json") for n in names] == alone
         assert len(fano._ANALYSES) == 2
 
-    def test_a_capped_call_leaves_no_entry(self, capsys, monkeypatch):
+    def test_two_fragments_calls_read_the_invariants_from_the_table(
+        self, capsys, monkeypatch
+    ):
+        # the first call takes the signature of N and the rank of the lines'
+        # Gram form, one inertia each, and the girth; the second reads all
+        # three from the kept analysis
+        calls = {"inertia": 0, "girth": 0}
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for module, name in ((fano, "inertia"), (lattices, "inertia"), (fano, "girth")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        argv = ("fragments", str(DATA / "fermat48.json"), "--json")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second
+        assert first[0] == EXIT_OK
+        assert calls == {"inertia": 2, "girth": 1}
+
+    def test_a_capped_call_keeps_no_value_for_the_capped_item(
+        self, capsys, monkeypatch
+    ):
         argv = ("real", str(CORPUS / "cube.json"))
         monkeypatch.setattr(multigraph, "AUTOMORPHISM_NODE_CAP", 1)
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (EXIT_CAP, "")
-        assert fano._ANALYSES == {}
+        (analysis,) = fano._ANALYSES.values()
+        assert "automorphisms" not in vars(analysis)
+        assert "stabilizer" not in vars(analysis)
         monkeypatch.undo()
         code, out, _ = run(capsys, *argv)
         assert (code, out) == fresh_process(*argv)
         assert code == EXIT_OK
+        assert "automorphisms" in vars(analysis)

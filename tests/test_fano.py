@@ -31,8 +31,6 @@ from k3lines.fano import (
     classify_fragment,
     count_fragments_under,
     enumerate_fragments,
-    graph_automorphisms,
-    graph_invariants,
     polarized_stabilizer,
     real_structure_candidates,
 )
@@ -49,7 +47,6 @@ from k3lines.intmat import (
     inverse_unimodular,
     mat_mul,
     mat_vec,
-    matrix_rank,
     smith_decompose,
     transpose,
 )
@@ -58,6 +55,7 @@ from k3lines.multigraph import (
     Multigraph,
     PermutationGroup,
     compose_perm,
+    graph_automorphism_group,
     invert_perm,
 )
 from k3lines.realcrit import (
@@ -68,6 +66,8 @@ from k3lines.realcrit import (
     GenericDiscr,
     TwoU,
 )
+
+from helpers import dual_vectors, matrix_rank, relabel
 
 
 def empty_graph(n: int) -> Multigraph:
@@ -438,7 +438,7 @@ class TestFragmentEnumeration:
                 perm = list(range(graph.n))
                 if trial:
                     rng.shuffle(perm)
-                cfg = LineConfiguration(8, graph.relabel(perm))
+                cfg = LineConfiguration(8, relabel(graph, perm))
                 got = [f.vertices for f in enumerate_fragments(cfg)]
                 assert got == brute_force_fragments(cfg), (name, trial)
                 counts[name] = len(got)
@@ -499,7 +499,7 @@ class TestFragmentEnumeration:
         graph = disjoint_union(graph, extra=sorted(extra))
         perm = list(range(graph.n))
         rng.shuffle(perm)
-        cfg = LineConfiguration(degree, graph.relabel(perm))
+        cfg = LineConfiguration(degree, relabel(graph, perm))
         got = [f.vertices for f in enumerate_fragments(cfg)]
         assert got == brute_force_fragments(cfg)
 
@@ -512,7 +512,7 @@ class TestClassifyFragment:
     def test_relabeled_prism(self):
         g = catalog_graph("prism")
         perm = (3, 5, 1, 0, 4, 2)
-        assert classify_fragment(g.relabel(perm)) == "prism"
+        assert classify_fragment(relabel(g, perm)) == "prism"
 
     def test_unknown_type_reports_certificate(self):
         # Petersen graph: cubic, not in the catalog
@@ -537,6 +537,9 @@ class TestClassifyFragment:
 
 
 class TestGraphInvariants:
+    """(lines-Gram rank, girth, |Aut|), the invariants `fragments` prints,
+    as items of the `Analysis`."""
+
     EXPECTED = {
         "tritangent-pair": (2, 2, 2),
         "K4": (4, 3, 24),
@@ -547,13 +550,14 @@ class TestGraphInvariants:
         "cube": (8, 4, 48),
     }
 
+    @staticmethod
+    def invariants(graph):
+        analysis = Analysis(LineConfiguration(2, graph))
+        return (analysis.lines_rank, analysis.girth, analysis.automorphisms.order())
+
     def test_catalog_values(self):
         for name, triple in self.EXPECTED.items():
-            assert graph_invariants(catalog_graph(name)) == triple, name
-
-    def test_accepts_configuration(self):
-        cfg = LineConfiguration(6, catalog_graph("K33"))
-        assert graph_invariants(cfg) == (6, 4, 72)
+            assert self.invariants(catalog_graph(name)) == triple, name
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(1, 14), st.randoms(use_true_random=False))
@@ -566,7 +570,8 @@ class TestGraphInvariants:
         lines_gram = [
             [-2 if i == j else mult[i][j] for j in range(n)] for i in range(n)
         ]
-        assert graph_invariants(graph)[0] == matrix_rank(lines_gram)
+        analysis = Analysis(LineConfiguration(2, graph))
+        assert analysis.lines_rank == matrix_rank(lines_gram)
 
 
 K33_ISOTROPIC_KERNEL = (
@@ -618,7 +623,7 @@ class TestPolarizedStabilizer:
         ):
             cfg = LineConfiguration(degree, graph, kernel=(kernel,))
             stab = polarized_stabilizer(cfg)
-            group = graph_automorphisms(cfg)
+            group = graph_automorphism_group(cfg.graph)
             m = graph.n + 1
             basis = [
                 [1 if i == j else 0 for j in range(m)] for i in range(m)
@@ -748,7 +753,7 @@ class TestCountFragmentsUnder:
             graph = catalog_graph(name)
             degree = self_home = TestFragmentEnumeration.HOME[name]
             cfg = LineConfiguration(degree, graph)
-            group = graph_automorphisms(cfg)
+            group = graph_automorphism_group(cfg.graph)
             assert group.order() <= 1000
             elems = group.elements()
             involutions = [
@@ -790,7 +795,7 @@ class TestRealStructureCandidates:
 
     def test_candidates_are_involutive_automorphisms(self):
         cfg = LineConfiguration(6, catalog_graph("prism"))
-        group = graph_automorphisms(cfg)
+        group = graph_automorphism_group(cfg.graph)
         for cand in real_structure_candidates(cfg):
             p = cand.isometry.permutation
             assert compose_perm(p, p) == tuple(range(6))
@@ -938,7 +943,7 @@ class DescentRoute:
 
         return {
             g
-            for g in graph_automorphisms(self.cfg).elements()
+            for g in graph_automorphism_group(self.cfg.graph).elements()
             if all(image(g, vec) in self.subgroup for vec in self.cfg.kernel)
         }
 
@@ -985,7 +990,7 @@ def assert_routes_agree(cfg):
     # the complement over the generators (lines..., h, kernel vectors...)
     lift = mat_mul(analysis.gram[: cfg.graph.n + 1], transpose(analysis.complement))
     columns = []
-    for w in analysis.data.dual_vectors:
+    for w in dual_vectors(analysis.data):
         t = mat_vec(lift, w)
         assert all(x.denominator == 1 for x in t)
         cls = ref.data.class_of(mat_vec(ref.complement, [int(x) for x in t]))

@@ -19,13 +19,13 @@ from k3lines.intmat import (
     inverse_unimodular,
     mat_mul,
     mat_vec,
-    matrix_rank,
     positive_basis,
     smith_decompose,
-    smith_diagonal,
     transpose,
 )
 from k3lines.multigraph import Multigraph
+
+from helpers import matrix_rank
 
 
 def random_matrix(rng, rows, cols, bound=20):
@@ -134,7 +134,8 @@ def test_kernel_saturation_random():
         stacked = transpose(complement + kernel)
         assert abs(det(stacked)) == 1
         if kernel:
-            assert all(d == 1 for d in smith_diagonal(transpose(kernel)))
+            s, _, _ = smith_decompose(transpose(kernel))
+            assert all(s[i][i] == 1 for i in range(len(kernel)))
 
 
 def test_inertia_frozen_examples():
@@ -445,7 +446,6 @@ def test_smith_matches_the_dense_routine(m):
     columns = [[v[i][j] for i in range(cols)] for j in range(cols)]
     assert kernel == columns[rank:]
     assert complement == columns[:rank]
-    assert smith_diagonal(m) == [s[t][t] for t in range(min(len(m), cols))]
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

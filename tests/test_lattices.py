@@ -13,18 +13,18 @@ from k3lines.errors import InputError
 from k3lines.fqf import brown_invariant, fqf_isometries
 from k3lines.intmat import identity, mat_mul, mat_vec
 from k3lines.lattices import (
-    BUILTIN_SPECS,
     Isometry,
     Lattice,
     build_lattice,
     discriminant_data,
     discriminant_form,
-    identity_isometry_of,
     invariant_sublattice,
     invariants_match,
     orthogonal_group_definite,
     sign_structure_action,
 )
+
+from helpers import BUILTIN_SPECS, dual_vectors, identity_isometry, is_identity
 
 
 def test_parser_frozen_grams():
@@ -252,9 +252,10 @@ def test_coordinates_roundtrip():
     for spec in ("[8,4,8]", "U(2)+A2", "2U(3)"):
         data = discriminant_data(build_lattice(spec))
         n = data.lattice.rank
+        duals = dual_vectors(data)
         for el in data.form.elements():
             vec = [
-                sum(F(c) * data.dual_vectors[i][j] for i, c in enumerate(el))
+                sum(F(c) * duals[i][j] for i, c in enumerate(el))
                 for j in range(n)
             ]
             assert data.coordinates(vec) == el
@@ -270,12 +271,12 @@ def test_act_pushes_isometries_to_the_form():
     schur = build_lattice("[8,4,8]")
     data = discriminant_data(schur)
     group = orthogonal_group_definite(schur)
-    ident = identity_isometry_of(schur)
-    assert data.act(ident).is_identity()
+    ident = identity_isometry(schur)
+    assert is_identity(data.act(ident))
     minus = ident.negated()
     pushed = data.act(minus)
-    assert not pushed.is_identity()
-    assert pushed.compose(pushed).is_identity()
+    assert not is_identity(pushed)
+    assert is_identity(pushed.compose(pushed))
     for g in group[:6]:
         for h in group[:6]:
             lhs = data.act(g.compose(h))
@@ -287,7 +288,7 @@ def rational_act(data, isometry):
     """Columns of the induced automorphism by the rational route: each
     generator's dual vector pushed through the isometry in Fractions."""
     return tuple(
-        data.coordinates(mat_vec(isometry.matrix, vec)) for vec in data.dual_vectors
+        data.coordinates(mat_vec(isometry.matrix, vec)) for vec in dual_vectors(data)
     )
 
 
@@ -321,11 +322,12 @@ def test_property_integer_class_map_matches_the_rational_route(seed):
     lat = _random_even_lattice(rng, max_rank=3, det_cap=60)
     data = discriminant_data(lat)
     n = lat.rank
+    duals = dual_vectors(data)
     for _ in range(10):
         # a dual vector with known coordinates, shifted by a lattice vector
         el = tuple(rng.randrange(-2 * d, 2 * d) for d in data.form.orders)
         w = [
-            sum(c * data.dual_vectors[i][j] for i, c in enumerate(el))
+            sum(c * duals[i][j] for i, c in enumerate(el))
             + rng.randrange(-3, 4)
             for j in range(n)
         ]
@@ -404,20 +406,20 @@ def _summand_swap_2u() -> Isometry:
 
 def test_sign_structure_frozen():
     u = build_lattice("U")
-    ident = identity_isometry_of(u)
+    ident = identity_isometry(u)
     assert sign_structure_action(u, ident) == 1
     assert sign_structure_action(u, ident.negated()) == -1
     two_u = build_lattice("2U")
     assert sign_structure_action(two_u, _summand_swap_2u()) == -1
     a2 = build_lattice("A2")
-    assert sign_structure_action(a2, identity_isometry_of(a2).negated()) == 1
+    assert sign_structure_action(a2, identity_isometry(a2).negated()) == 1
     two = build_lattice("[2]")
-    assert sign_structure_action(two, identity_isometry_of(two).negated()) == -1
+    assert sign_structure_action(two, identity_isometry(two).negated()) == -1
 
 
 def test_sign_structure_homomorphism_on_2u():
     lat = build_lattice("2U")
-    ident = identity_isometry_of(lat)
+    ident = identity_isometry(lat)
     gens = [
         ident.negated(),
         _summand_swap_2u(),
@@ -447,9 +449,9 @@ def test_invariant_sublattice_frozen():
     two_u = build_lattice("2U")
     fixed, _ = invariant_sublattice(two_u, _summand_swap_2u())
     assert invariants_match(fixed, build_lattice("U(2)"))
-    whole, _ = invariant_sublattice(u, identity_isometry_of(u))
+    whole, _ = invariant_sublattice(u, identity_isometry(u))
     assert invariants_match(whole, u)
-    nothing, basis = invariant_sublattice(u, identity_isometry_of(u).negated())
+    nothing, basis = invariant_sublattice(u, identity_isometry(u).negated())
     assert nothing.rank == 0
     assert basis == []
 
@@ -464,8 +466,8 @@ def test_invariant_sublattice_rejects_non_involutions():
 def test_invariant_rank_additivity():
     lat = build_lattice("2U")
     involutions = [
-        identity_isometry_of(lat),
-        identity_isometry_of(lat).negated(),
+        identity_isometry(lat),
+        identity_isometry(lat).negated(),
         _summand_swap_2u(),
         _summand_swap_2u().negated(),
     ]

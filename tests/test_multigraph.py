@@ -38,6 +38,8 @@ from k3lines.multigraph import (
     invert_perm,
 )
 
+from helpers import bfs_girth, relabel
+
 
 def empty_graph(n: int) -> Multigraph:
     return Multigraph(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
@@ -119,7 +121,7 @@ def multigraphs(draw, max_n: int = 9) -> Multigraph:
         for (i, j), m in zip(pairs, values)
         if m
     ])
-    return g.relabel(tuple(draw(st.permutations(range(n)))))
+    return relabel(g, tuple(draw(st.permutations(range(n)))))
 
 
 def to_networkx(g: Multigraph) -> nx.Graph:
@@ -218,7 +220,7 @@ class TestMultigraphValidation:
 
     def test_relabel_moves_entries(self):
         g = Multigraph.from_edges(3, [(0, 1, 2)])
-        h = g.relabel((2, 0, 1))
+        h = relabel(g, (2, 0, 1))
         # vertex 0 -> 2, vertex 1 -> 0, so the double edge sits at {0, 2}
         assert h.mult[0][2] == 2
         assert h.mult[0][1] == 0
@@ -228,7 +230,7 @@ class TestMultigraphValidation:
     def test_is_automorphism_agrees_with_relabeling(self, g, data):
         for p in data.draw(st.lists(st.permutations(range(g.n)), max_size=8)):
             p = tuple(p)
-            assert g.is_automorphism(p) == (g.relabel(p) == g)
+            assert g.is_automorphism(p) == (relabel(g, p) == g)
         for p in graph_automorphism_group(g).strong:
             assert g.is_automorphism(p)
 
@@ -392,6 +394,20 @@ class TestInvolutions:
         assert len(invs) == 576
         assert invs == brute_force_involutions(group)
 
+    def test_rotations_of_a_chiral_square(self):
+        # a 4-cycle with a pendant on each edge, tied by multiplicity 1 to
+        # one end and 2 to the other, so only rotations remain: the base is
+        # one point, and the last level's test alone tells the half-turn
+        # from the quarter-turns, which square to the half-turn
+        edges = [(i, (i + 1) % 4, 1) for i in range(4)]
+        edges += [(4 + i, i, 1) for i in range(4)]
+        edges += [(4 + i, (i + 1) % 4, 2) for i in range(4)]
+        group = graph_automorphism_group(Multigraph.from_edges(8, edges))
+        assert (len(group.base), group.order()) == (1, 4)
+        invs = group.involutions()
+        assert invs == brute_force_involutions(group)
+        assert len(invs) == 2
+
     def test_fermat_walk_visits_few_nodes(self, monkeypatch):
         # 576 involutions of 6,144 elements, in 1,679 walk nodes
         group = graph_automorphism_group(read_configuration(FERMAT).graph)
@@ -507,7 +523,7 @@ class TestAutomorphismGroups:
         assert len(elems) == 12
         assert len(set(elems)) == 12
         for p in elems:
-            assert g.relabel(p) == g
+            assert relabel(g, p) == g
             assert group.contains(p)
 
     def test_contains_rejects_non_automorphism(self):
@@ -531,7 +547,7 @@ class TestAutomorphismGroups:
             g = random_graph(rng, rng.randrange(1, 9))
             group = graph_automorphism_group(g)
             for gen in group.strong:
-                assert g.relabel(gen) == g
+                assert relabel(g, gen) == g
             assert math.factorial(g.n) % group.order() == 0
 
     def test_group_matches_brute_force_on_small_graphs(self):
@@ -540,7 +556,7 @@ class TestAutomorphismGroups:
             n = rng.randrange(1, 6)
             g = random_graph(rng, n)
             brute = {
-                p for p in permutations(range(n)) if g.relabel(p) == g
+                p for p in permutations(range(n)) if relabel(g, p) == g
             }
             group = graph_automorphism_group(g)
             assert group.order() <= 1000
@@ -565,7 +581,7 @@ class TestAutomorphismGroups:
         assert all(group.contains(p) for p in autos)
         for p in data.draw(st.lists(st.permutations(range(g.n)), max_size=8)):
             p = tuple(p)
-            assert group.contains(p) == (g.relabel(p) == g)
+            assert group.contains(p) == (relabel(g, p) == g)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(multigraphs())
@@ -676,7 +692,7 @@ class TestFermatLines:
         perm = list(range(48))
         random.Random(seed).shuffle(perm)
         perm = tuple(perm)
-        h = graph.relabel(perm)
+        h = relabel(graph, perm)
         start = time.process_time()
         moved = graph_automorphism_group(h)
         assert time.process_time() - start < 0.5
@@ -697,7 +713,7 @@ class TestCanonicalCertificate:
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_certificate(g) == canonical_certificate(
-                g.relabel(tuple(perm))
+                relabel(g, tuple(perm))
             )
 
     def test_catalog_certificates_distinct(self):
@@ -749,7 +765,7 @@ class TestCanonicalCertificate:
             m = [list(row) for row in g.mult]
             m[i][j] = m[j][i] = data.draw(st.integers(0, 3))
             h = Multigraph(tuple(map(tuple, m)))
-        h = h.relabel(tuple(data.draw(st.permutations(range(h.n)))))
+        h = relabel(h, tuple(data.draw(st.permutations(range(h.n)))))
         assert (canonical_certificate(g) == canonical_certificate(h)) == (
             nx.is_isomorphic(
                 to_networkx(g), to_networkx(h), edge_match=same_multiplicity
@@ -827,4 +843,46 @@ class TestGirth:
             g = random_graph(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert girth(g) == girth(g.relabel(tuple(perm)))
+            assert girth(g) == girth(relabel(g, tuple(perm)))
+
+    # The early stops against the full breadth-first search.
+
+    def test_catalog_and_acyclic_graphs_match_the_full_search(self):
+        star = Multigraph.from_edges(5, [(0, v, 1) for v in range(1, 5)])
+        forest = Multigraph.from_edges(
+            7, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (4, 5, 1)]
+        )
+        graphs = [catalog_graph(name) for name in catalog_names()]
+        graphs += [star, forest, empty_graph(0), empty_graph(3)]
+        graphs.append(read_configuration(FERMAT).graph)
+        for g in graphs:
+            assert girth(g) == bfs_girth(g)
+        assert [girth(g) for g in (star, forest, empty_graph(0))] == [None] * 3
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_multigraphs_match_the_full_search(self, g):
+        assert girth(g) == bfs_girth(g)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 14), st.randoms(use_true_random=False), st.data())
+    def test_simple_graphs_match_the_full_search(self, n, rng, data):
+        # sparse graphs have long shortest cycles, or none
+        density = data.draw(st.sampled_from((0.1, 0.2, 0.3, 0.6)))
+        edges = [
+            (i, j, 1)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        g = Multigraph.from_edges(n, edges)
+        assert girth(g) == bfs_girth(g)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 16), st.randoms(use_true_random=False))
+    def test_random_forests_are_acyclic(self, n, rng):
+        # each vertex after the first joins an earlier one, or starts a tree
+        edges = [(rng.randrange(v), v, 1) for v in range(1, n) if rng.random() < 0.8]
+        g = Multigraph.from_edges(n, edges)
+        assert girth(g) is None
+        assert bfs_girth(g) is None

@@ -20,11 +20,7 @@ from k3lines.fqf import (
     involution_classes,
     minus_identity_isometry,
 )
-from k3lines.lattices import (
-    build_lattice,
-    discriminant_data,
-    identity_isometry_of,
-)
+from k3lines.lattices import build_lattice, discriminant_data
 from k3lines.multigraph import Multigraph
 from k3lines.realcrit import (
     Definite2,
@@ -33,6 +29,8 @@ from k3lines.realcrit import (
     Verdict,
     t_side_involution_classes,
 )
+
+from helpers import identity_isometry
 
 
 def test_every_export_resolves():
@@ -75,7 +73,7 @@ RECORDS = {
     "FqfIsometry": lambda: minus_identity_isometry(_form()),
     "InvolutionClass": lambda: involution_classes(_form())[0],
     "Lattice": lambda: build_lattice("A2"),
-    "Isometry": lambda: identity_isometry_of(build_lattice("A2")),
+    "Isometry": lambda: identity_isometry(build_lattice("A2")),
     "DiscriminantData": lambda: discriminant_data(build_lattice("A2")),
     "Verdict": lambda: Verdict("NO", ("a reason",)),
     "Definite2": lambda: Definite2(build_lattice("[2,1,2]")),

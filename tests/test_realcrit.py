@@ -409,9 +409,22 @@ print(time.process_time())
 """
 
 
+TWO_U_SEVEN_WALK = """
+import time
+from k3lines.fqf import automorphism_group
+from k3lines.lattices import build_lattice, discriminant_form
+group = automorphism_group(discriminant_form(build_lattice("2U(7)")))
+start = time.process_time()
+involutions = group.involutions()
+spent = time.process_time() - start
+assert len(involutions) == 3124
+print(spent)
+"""
+
+
 def process_cpu(script: str) -> float:
-    """Process CPU seconds of `script` in a fresh interpreter, which prints
-    them last."""
+    """Process CPU seconds, measured by `script` in a fresh interpreter and
+    printed as its only output."""
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -432,6 +445,13 @@ def test_two_u_seven_closure_budget():
     # close the five images takes about 1.2-1.7 s, keys of their 4 base
     # images about 0.5 s
     assert process_cpu(TWO_U_SEVEN) <= 1.0
+
+
+def test_two_u_seven_involution_walk_budget():
+    # the walk alone, on Aut(D_T) built beforehand: composing every partial
+    # product and scanning it for the preimages of the base points took
+    # about 3 s
+    assert process_cpu(TWO_U_SEVEN_WALK) <= 1.5
 
 
 def candidate_actions(cfg):
