@@ -10,23 +10,22 @@ Run with: python3 demos/03_real_structures.py
 """
 
 from k3lines import (
+    Analysis,
     Definite2,
     Lattice,
     LineConfiguration,
     Multigraph,
     build_lattice,
     catalog_graph,
-    count_fragments_under,
     discriminant_data,
-    real_structure_candidates,
     totally_real_criterion,
     two_u_involutions,
 )
 
 print("K(3,3) at 2d = 6, no transcendental data: the identity is the")
 print("only candidate the screening rules can decide.")
-k33 = LineConfiguration(6, catalog_graph("K33"))
-for cand in real_structure_candidates(k33):
+k33 = Analysis(LineConfiguration(6, catalog_graph("K33")))
+for cand in k33.real_structure_candidates(None):
     print(f"  sigma {cand.isometry.permutation}  "
           f"(numR, numRR) = ({cand.num_r}, {cand.num_rr})  "
           f"{cand.admissibility}")
@@ -34,9 +33,9 @@ for cand in real_structure_candidates(k33):
 print()
 print("The prism admits an involution swapping its two triangles: the")
 print("fragment survives setwise but no line is fixed.")
-prism = LineConfiguration(6, catalog_graph("prism"))
-print("  identity:     ", count_fragments_under(prism, (0, 1, 2, 3, 4, 5)))
-print("  triangle swap:", count_fragments_under(prism, (3, 4, 5, 0, 1, 2)))
+prism = Analysis(LineConfiguration(6, catalog_graph("prism")))
+print("  identity:     ", prism.count_fragments_under((0, 1, 2, 3, 4, 5)))
+print("  triangle swap:", prism.count_fragments_under((3, 4, 5, 0, 1, 2)))
 
 print()
 print("With a definite transcendental lattice attached, gluing becomes")
@@ -45,7 +44,7 @@ print("hexagonal plane; only the line swap matches one of its reflections.")
 triangle = Multigraph(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
 spec = Definite2(Lattice(((6, 3), (3, 6))))
 cfg = LineConfiguration(6, triangle, transcendental=spec)
-for cand in real_structure_candidates(cfg):
+for cand in Analysis(cfg).real_structure_candidates(cfg.transcendental):
     print(f"  sigma {cand.isometry.permutation}  {cand.admissibility}  "
           f"({cand.reason})")
 

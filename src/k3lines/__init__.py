@@ -28,10 +28,7 @@ _MODULE_OF = {
     "catalog_names": "fano",
     "class_sum_in_radical": "fano",
     "classify_fragment": "fano",
-    "count_fragments_under": "fano",
     "enumerate_fragments": "fano",
-    "polarized_stabilizer": "fano",
-    "real_structure_candidates": "fano",
     "FiniteQuadraticForm": "fqf",
     "FqfIsometry": "fqf",
     "brown_invariant": "fqf",

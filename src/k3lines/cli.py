@@ -4,7 +4,7 @@ Four subcommands: `lattice` prints the arithmetic invariants of a lattice
 expression, `fragments` runs the census on a configuration file, `real`
 lists real-structure candidates, and `totally-real` evaluates the
 existence criterion.  Calls on one line lattice share its one `Analysis`
-(`fano.shared_analysis`).  All output is buffered and emitted once; machine
+(`shared_analysis`).  All output is buffered and emitted once; machine
 output (--json) is schema-stable and byte-identical from run to run.
 
 Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
@@ -132,9 +132,22 @@ def _load(args):
     return load_configuration(text), _digest(data)
 
 
-def cmd_fragments(args) -> int:
-    from .fano import shared_analysis
+_ANALYSES: dict = {}  # (degree, graph, kernel) -> the Analysis of that N
 
+
+def shared_analysis(cfg):
+    """The process's one `Analysis` of cfg's line lattice, keyed by (degree,
+    graph, kernel), not by the transcendental spec."""
+    from .fano import Analysis
+
+    key = (cfg.degree, cfg.graph, cfg.kernel)
+    analysis = _ANALYSES.get(key)
+    if analysis is None:
+        analysis = _ANALYSES[key] = Analysis(cfg)
+    return analysis
+
+
+def cmd_fragments(args) -> int:
     cfg, digest = _load(args)
     analysis = shared_analysis(cfg)
     warnings = analysis.warnings
@@ -183,11 +196,12 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
-    from .fano import real_structure_candidates
     from .realcrit import UNKNOWN
 
     cfg, digest = _load(args)
-    candidates = real_structure_candidates(cfg)
+    candidates = shared_analysis(cfg).real_structure_candidates(
+        cfg.transcendental
+    )
     report = {
         "command": "real",
         "input": args.file,
@@ -224,14 +238,13 @@ def cmd_real(args) -> int:
 
 
 def cmd_totally_real(args) -> int:
-    from .fano import shared_analysis
-    from .realcrit import UNKNOWN, totally_real_criterion
+    from .realcrit import UNKNOWN
 
     cfg, digest = _load(args)
     analysis = shared_analysis(cfg)
     r = analysis.r
     det_n = analysis.det_n
-    verdict = totally_real_criterion(analysis.dn, r, det_n)
+    verdict = analysis.verdict
     warnings = list(analysis.warnings)
     report = {
         "command": "totally-real",

@@ -32,7 +32,7 @@ sign-reversing involution on the transcendental side, or by the arithmetic
 screening rules when no transcendental representative is supplied.
 
 `Analysis` holds all of this for one configuration and computes each part
-once, and `shared_analysis` keeps one per line lattice in a process.
+once.
 """
 
 from __future__ import annotations
@@ -371,11 +371,12 @@ class Analysis:
     """Everything the package derives from one configuration, each item
     computed on first use and then kept: the line lattice N as one
     `Lattice`, the Gram matrix of its generators modulo its radical, whose
-    discriminant data give D_N, det N, the stabilizer test and the
-    candidate actions; the graph automorphism group with the rank of the
-    lines' Gram form and the girth of the graph, the stabilizer of N in
-    the group (one `PermutationGroup` either way), its involution classes
-    and the fragment list, which every candidate's fragment count reuses.
+    discriminant data give D_N, det N, the stabilizer test, the candidate
+    actions and the screening verdict; the graph automorphism group with
+    the rank of the lines' Gram form and the girth of the graph, the
+    stabilizer of N in the group (one `PermutationGroup` either way), its
+    involution classes and the fragment list, which every candidate's
+    fragment count reuses.
     An item whose computation raises is not kept, so the next read
     computes it again.
     """
@@ -587,6 +588,13 @@ class Analysis:
                     num_rr += 1
         return (num_r, num_rr)
 
+    @cached_property
+    def verdict(self):
+        """The screening verdict of D_N (`totally_real_criterion`)."""
+        from .realcrit import totally_real_criterion
+
+        return totally_real_criterion(self.dn, self.r, self.det_n)
+
     def real_structure_candidates(self, spec) -> list[RealCandidate]:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
         increasing order of sigma, each with its fragment counts and gluing
@@ -597,11 +605,9 @@ class Analysis:
             UNKNOWN,
             match_real_structure,
             t_side_involution_classes,
-            totally_real_criterion,
         )
 
         r = self.r
-        det_n = self.det_n
         notes = list(self.warnings)
         tside = None
         if spec is not None:
@@ -617,14 +623,14 @@ class Analysis:
             num_r, num_rr = self.count_fragments_under(sigma)
             if spec is None:
                 if sigma == ident:
-                    verdict = totally_real_criterion(self.dn, r, det_n)
+                    kind = self.verdict.kind
                     status = {
                         "YES_CONTAINS_2": ADMISSIBLE,
                         "YES_CONTAINS_U2": ADMISSIBLE,
                         "NO": INADMISSIBLE,
                         "UNKNOWN": UNKNOWN,
-                    }[verdict.kind]
-                    reason = f"screening rules: {verdict.kind}"
+                    }[kind]
+                    reason = f"screening rules: {kind}"
                 else:
                     status = UNKNOWN
                     reason = (
@@ -654,32 +660,3 @@ def _moved(perm, vec) -> list[int]:
     for i, p in enumerate(perm):
         out[p] = vec[i]
     return out
-
-
-_ANALYSES: dict = {}  # (degree, graph, kernel) -> the Analysis of that N
-
-
-def shared_analysis(cfg: LineConfiguration) -> Analysis:
-    """The process's one `Analysis` of cfg's line lattice, keyed by (degree,
-    graph, kernel), not by the transcendental spec."""
-    key = (cfg.degree, cfg.graph, cfg.kernel)
-    analysis = _ANALYSES.get(key)
-    if analysis is None:
-        analysis = _ANALYSES[key] = Analysis(cfg)
-    return analysis
-
-
-def polarized_stabilizer(cfg: LineConfiguration) -> PermutationGroup:
-    """The `shared_analysis` stabilizer: the graph automorphisms that map N
-    onto itself.  The polarized stabilizer is this group x {+-1}."""
-    return shared_analysis(cfg).stabilizer
-
-
-def count_fragments_under(cfg: LineConfiguration, sigma) -> tuple[int, int]:
-    """`count_fragments_under(sigma)` of the `shared_analysis` of cfg."""
-    return shared_analysis(cfg).count_fragments_under(sigma)
-
-
-def real_structure_candidates(cfg: LineConfiguration) -> list[RealCandidate]:
-    """The `shared_analysis` candidates against cfg's transcendental spec."""
-    return shared_analysis(cfg).real_structure_candidates(cfg.transcendental)

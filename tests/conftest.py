@@ -2,12 +2,12 @@
 
 import pytest
 
-from k3lines import fano
+from k3lines import cli
 
 
 @pytest.fixture(autouse=True)
 def fresh_analyses():
-    """Each test starts with an empty `fano.shared_analysis` table, so no
+    """Each test starts with an empty `cli.shared_analysis` table, so no
     test reads a line lattice that an earlier one analysed."""
-    fano._ANALYSES.clear()
+    cli._ANALYSES.clear()
     yield

@@ -22,9 +22,7 @@ from k3lines.fano import (
     LineConfiguration,
     catalog_graph,
     catalog_names,
-    count_fragments_under,
     enumerate_fragments,
-    real_structure_candidates,
 )
 from k3lines.fqf import brown_invariant, fqf_isometries, involution_classes
 from k3lines.lattices import (
@@ -265,12 +263,14 @@ def test_criterion_09_real_count_sanity():
         for path in sorted(CORPUS.glob("*.json")):
             cfg = read_configuration(path)
             num_c = len(enumerate_fragments(cfg))
-            for cand in real_structure_candidates(cfg):
+            analysis = Analysis(cfg)
+            for cand in analysis.real_structure_candidates(cfg.transcendental):
                 assert 0 <= cand.num_rr <= cand.num_r <= num_c, path.name
         rng = random.Random(161803)
         for _ in range(100):
             name = rng.choice(catalog_names())
             cfg = LineConfiguration(HOME_DEGREE[name], catalog_graph(name))
+            analysis = Analysis(cfg)
             group = graph_automorphism_group(cfg.graph)
             assert group.order() <= 1000
             elems = group.elements()
@@ -278,10 +278,10 @@ def test_criterion_09_real_count_sanity():
             sigma = rng.choice(
                 [g for g in elems if compose_perm(g, g) == ident]
             )
-            base = count_fragments_under(cfg, sigma)
+            base = analysis.count_fragments_under(sigma)
             a = rng.choice(elems)
             conj = compose_perm(compose_perm(a, sigma), invert_perm(a))
-            assert count_fragments_under(cfg, conj) == base, (name, sigma, a)
+            assert analysis.count_fragments_under(conj) == base, (name, sigma, a)
 
 
 def test_criterion_10_cli_corpus_determinism():

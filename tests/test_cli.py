@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k3lines import fano, lattices, multigraph
+from k3lines import cli, fano, lattices, multigraph, realcrit
 from k3lines.configio import MAX_LINES
 from k3lines.cli import (
     EXIT_CAP,
@@ -521,6 +521,23 @@ class TestTotallyRealCommand:
         assert report["verdict"] == "NO"
         assert "hyperbolic case, p=2: length 14 exceeds r: fail" in report["trace"]
 
+    def test_edgeless_eleven_contains_u2(self, capsys):
+        # 11 edgeless lines at degree 2: the 2-length 10 equals r, so the
+        # norm-2 case fails at p = 2 and the hyperbolic case passes
+        code, out, _ = run(
+            capsys, "totally-real", str(DATA / "edgeless11.json"), "--json"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["rank_n"], report["r"], report["det_n"]) == (12, 10, -15360)
+        assert report["verdict"] == "YES_CONTAINS_U2"
+        assert (
+            "norm-2 case, p=2: length 10 = r but no order-2 vector of square "
+            "-1/2 works: fail"
+        ) in report["trace"]
+        assert report["trace"][-2].startswith("hyperbolic case, p=2:")
+        assert report["trace"][-2].endswith(": pass")
+
     def test_two_length_above_r_skips_the_two_torsion_scan(self, tmp_path):
         # 20 edgeless lines at degree 2: 2-length 19 against r = 1; the
         # 2**19 elements of order 2 are never scanned
@@ -837,7 +854,7 @@ def fresh_process(*argv) -> tuple[int, str]:
 
 class TestProcessTable:
     """Calls on one line lattice in one process share one `Analysis`
-    (`fano.shared_analysis`), and print what separate processes print."""
+    (`cli.shared_analysis`), and print what separate processes print."""
 
     def test_fermat_session_searches_once(self, capsys, monkeypatch):
         calls = {"graph_automorphism_group": 0, "enumerate_fragments": 0}
@@ -862,7 +879,7 @@ class TestProcessTable:
             code, out, _ = run(capsys, *argv)
             assert (code, out) == fresh_process(*argv)
         assert calls == {"graph_automorphism_group": 1, "enumerate_fragments": 1}
-        assert len(fano._ANALYSES) == 1
+        assert len(cli._ANALYSES) == 1
 
     @pytest.mark.parametrize(
         "specs",
@@ -884,11 +901,11 @@ class TestProcessTable:
             path = tmp_path / f"k33_{i}.json"
             path.write_text(json.dumps(dict(doc, transcendental=spec) if spec else doc))
             paths.append(str(path))
-            fano._ANALYSES.clear()
+            cli._ANALYSES.clear()
             alone.append(run(capsys, "real", paths[-1], "--json"))
-        fano._ANALYSES.clear()
+        cli._ANALYSES.clear()
         assert [run(capsys, "real", path, "--json") for path in paths] == alone
-        assert len(fano._ANALYSES) == 1
+        assert len(cli._ANALYSES) == 1
         if None in specs:
             reasons = [
                 {c["reason"] for c in json.loads(out)["candidates"]}
@@ -903,11 +920,11 @@ class TestProcessTable:
         # K33 at degree 6, with and without the glue vector
         alone = []
         for name in names:
-            fano._ANALYSES.clear()
+            cli._ANALYSES.clear()
             alone.append(run(capsys, "real", str(CORPUS / name), "--json"))
-        fano._ANALYSES.clear()
+        cli._ANALYSES.clear()
         assert [run(capsys, "real", str(CORPUS / n), "--json") for n in names] == alone
-        assert len(fano._ANALYSES) == 2
+        assert len(cli._ANALYSES) == 2
 
     def test_two_fragments_calls_read_the_invariants_from_the_table(
         self, capsys, monkeypatch
@@ -932,6 +949,37 @@ class TestProcessTable:
         assert first[0] == EXIT_OK
         assert calls == {"inertia": 2, "girth": 1}
 
+    def test_real_then_totally_real_screen_once(self, capsys, monkeypatch):
+        # `real` screens the identity candidate and `totally-real` reads the
+        # same verdict of D_N from the kept analysis
+        alone = []
+        for command in ("real", "totally-real"):
+            cli._ANALYSES.clear()
+            alone.append(run(capsys, command, str(CORPUS / "k33.json")))
+        cli._ANALYSES.clear()
+        calls = []
+        inner = realcrit.totally_real_criterion
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(realcrit, "totally_real_criterion", counted)
+        together = [
+            run(capsys, command, str(CORPUS / "k33.json"))
+            for command in ("real", "totally-real")
+        ]
+        assert together == alone
+        assert len(calls) == 1
+
+    def test_library_calls_leave_the_table_empty(self):
+        cfg = fano.LineConfiguration(6, fano.catalog_graph("K33"))
+        analysis = fano.Analysis(cfg)
+        assert analysis.real_structure_candidates(None)
+        assert analysis.verdict.kind == "YES_CONTAINS_2"
+        assert fano.enumerate_fragments(cfg)
+        assert cli._ANALYSES == {}
+
     def test_a_capped_call_keeps_no_value_for_the_capped_item(
         self, capsys, monkeypatch
     ):
@@ -939,7 +987,7 @@ class TestProcessTable:
         monkeypatch.setattr(multigraph, "AUTOMORPHISM_NODE_CAP", 1)
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (EXIT_CAP, "")
-        (analysis,) = fano._ANALYSES.values()
+        (analysis,) = cli._ANALYSES.values()
         assert "automorphisms" not in vars(analysis)
         assert "stabilizer" not in vars(analysis)
         monkeypatch.undo()

@@ -5,8 +5,10 @@ the expressions in `LATTICE_EXPRESSIONS`.  The 48 lines of the Fermat
 quartic are pinned too: `fragments --list-fragments` and `totally-real` on
 `tests/data/fermat48.json`, and `real` on `tests/data/fermat48_definite2.json`,
 the same lines with T = [8, 0, 8], the only pinned call whose candidate
-actions reach the gluing closure test.  They live under `tests/data/` so that
-the corpus census stays as it is.
+actions reach the gluing closure test.  So is `totally-real` on
+`tests/data/edgeless11.json`, 11 edgeless lines at degree 2, the pinned
+call that reads YES_CONTAINS_U2.  They live under `tests/data/` so that the
+corpus census stays as it is.
 
 The digests in `cli_digests.json` are the reference output.  A change meant
 to keep output byte-identical must leave them as they are; a change meant
@@ -41,10 +43,11 @@ LATTICE_EXPRESSIONS = (
     "3A2(3)", "2U(3)+A2(3)", "E6(3)", "D4(3)", "A4(5)", "U(5)+A4(5)",
 )
 
-FERMAT_CALLS = (
+DATA_CALLS = (
     ("fragments", "fermat48.json", "--list-fragments"),
     ("totally-real", "fermat48.json"),
     ("real", "fermat48_definite2.json"),
+    ("totally-real", "edgeless11.json"),
 )
 
 
@@ -62,7 +65,7 @@ def _calls() -> list[tuple[str, ...]]:
     for expr in LATTICE_EXPRESSIONS:
         calls.append(("lattice", expr))
         calls.append(("lattice", expr, "--json"))
-    for cmd, name, *rest in FERMAT_CALLS:
+    for cmd, name, *rest in DATA_CALLS:
         calls.append((cmd, f"tests/data/{name}", *rest))
         calls.append((cmd, f"tests/data/{name}", *rest, "--json"))
     return calls

@@ -29,10 +29,7 @@ from k3lines.fano import (
     catalog_names,
     class_sum_in_radical,
     classify_fragment,
-    count_fragments_under,
     enumerate_fragments,
-    polarized_stabilizer,
-    real_structure_candidates,
 )
 from k3lines.fqf import (
     FqfIsometry,
@@ -608,7 +605,7 @@ class TestPolarizedStabilizer:
         cfg = LineConfiguration(
             6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
         )
-        stab = polarized_stabilizer(cfg)
+        stab = Analysis(cfg).stabilizer
         assert isinstance(stab, PermutationGroup)
         assert 2 * stab.order() == 16
         assert len(stab.elements()) == 8
@@ -622,7 +619,7 @@ class TestPolarizedStabilizer:
             (2, empty_graph(6), (Fraction(1, 2),) * 4 + (Fraction(0),) * 3),
         ):
             cfg = LineConfiguration(degree, graph, kernel=(kernel,))
-            stab = polarized_stabilizer(cfg)
+            stab = Analysis(cfg).stabilizer
             group = graph_automorphism_group(cfg.graph)
             m = graph.n + 1
             basis = [
@@ -712,48 +709,49 @@ class TestPolarizedStabilizer:
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
         cfg = LineConfiguration(2, empty_graph(12), kernel=(vec,))
         with pytest.raises(CapExceeded, match="polarized stabilizer"):
-            polarized_stabilizer(cfg)
+            Analysis(cfg).stabilizer
 
 
 class TestCountFragmentsUnder:
     def test_k33_identity(self):
         cfg = LineConfiguration(6, catalog_graph("K33"))
-        assert count_fragments_under(cfg, tuple(range(6))) == (1, 1)
+        assert Analysis(cfg).count_fragments_under(tuple(range(6))) == (1, 1)
 
     def test_prism_triangle_swap(self):
         cfg = LineConfiguration(6, catalog_graph("prism"))
-        assert count_fragments_under(cfg, (3, 4, 5, 0, 1, 2)) == (1, 0)
+        assert Analysis(cfg).count_fragments_under((3, 4, 5, 0, 1, 2)) == (1, 0)
 
     def test_two_prisms_component_swap(self):
         cfg = LineConfiguration(6, two_prisms())
+        analysis = Analysis(cfg)
         swap = tuple(list(range(6, 12)) + list(range(6)))
-        assert count_fragments_under(cfg, swap) == (0, 0)
-        assert count_fragments_under(cfg, tuple(range(12))) == (2, 2)
+        assert analysis.count_fragments_under(swap) == (0, 0)
+        assert analysis.count_fragments_under(tuple(range(12))) == (2, 2)
 
     def test_rejects_non_involution(self):
         cfg = LineConfiguration(6, catalog_graph("K33"))
         with pytest.raises(InputError):
-            count_fragments_under(cfg, (1, 2, 0, 3, 4, 5))
+            Analysis(cfg).count_fragments_under((1, 2, 0, 3, 4, 5))
 
     def test_rejects_non_automorphism(self):
         cfg = LineConfiguration(6, catalog_graph("prism"))
         # transposing one vertex across the triangles is involutive but
         # does not preserve the graph
         with pytest.raises(InputError):
-            count_fragments_under(cfg, (3, 1, 2, 0, 4, 5))
+            Analysis(cfg).count_fragments_under((3, 1, 2, 0, 4, 5))
 
     def test_rejects_wrong_length(self):
         cfg = LineConfiguration(6, catalog_graph("K33"))
         with pytest.raises(InputError):
-            count_fragments_under(cfg, (0, 1))
+            Analysis(cfg).count_fragments_under((0, 1))
 
     def test_conjugation_invariance(self):
         rng = random.Random(41)
         for name in ("prism", "K33", "cube"):
             graph = catalog_graph(name)
             degree = self_home = TestFragmentEnumeration.HOME[name]
-            cfg = LineConfiguration(degree, graph)
-            group = graph_automorphism_group(cfg.graph)
+            analysis = Analysis(LineConfiguration(degree, graph))
+            group = graph_automorphism_group(graph)
             assert group.order() <= 1000
             elems = group.elements()
             involutions = [
@@ -762,13 +760,18 @@ class TestCountFragmentsUnder:
                 if compose_perm(g, g) == tuple(range(graph.n))
             ]
             for sigma in involutions:
-                base = count_fragments_under(cfg, sigma)
+                base = analysis.count_fragments_under(sigma)
                 for _ in range(4):
                     a = rng.choice(elems)
                     conj = compose_perm(
                         compose_perm(a, sigma), invert_perm(a)
                     )
-                    assert count_fragments_under(cfg, conj) == base
+                    assert analysis.count_fragments_under(conj) == base
+
+
+def candidates(cfg):
+    """The candidates of cfg against its own transcendental spec."""
+    return Analysis(cfg).real_structure_candidates(cfg.transcendental)
 
 
 TRIANGLE = Multigraph(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
@@ -778,7 +781,7 @@ MIXED_TRIPLE = Multigraph(((0, 1, 2), (1, 0, 2), (2, 2, 0)))
 class TestRealStructureCandidates:
     def test_k33_without_transcendental_data(self):
         cfg = LineConfiguration(6, catalog_graph("K33"))
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         assert len(cands) == 4
         perms = [c.isometry.permutation for c in cands]
         assert perms == sorted(perms)
@@ -796,7 +799,7 @@ class TestRealStructureCandidates:
     def test_candidates_are_involutive_automorphisms(self):
         cfg = LineConfiguration(6, catalog_graph("prism"))
         group = graph_automorphism_group(cfg.graph)
-        for cand in real_structure_candidates(cfg):
+        for cand in candidates(cfg):
             p = cand.isometry.permutation
             assert compose_perm(p, p) == tuple(range(6))
             assert group.contains(p)
@@ -806,7 +809,7 @@ class TestRealStructureCandidates:
         # plane; only the line swap glues to one of its reflections
         spec = Definite2(Lattice(((6, 3), (3, 6))))
         cfg = LineConfiguration(6, TRIANGLE, transcendental=spec)
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         by_perm = {c.isometry.permutation: c for c in cands}
         assert set(by_perm) == {(0, 1, 2), (0, 2, 1)}
         assert by_perm[(0, 1, 2)].admissibility == INADMISSIBLE
@@ -817,7 +820,7 @@ class TestRealStructureCandidates:
     def test_matched_hexagonal_plane_admits_both(self):
         spec = Definite2(Lattice(((2, 1), (1, 2))))
         cfg = LineConfiguration(2, MIXED_TRIPLE, transcendental=spec)
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         assert len(cands) == 2
         assert all(c.admissibility == ADMISSIBLE for c in cands)
 
@@ -826,7 +829,7 @@ class TestRealStructureCandidates:
         cfg = LineConfiguration(
             6, catalog_graph("K33"), transcendental=TwoU(3)
         )
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         assert len(cands) == 4
         for cand in cands:
             assert cand.admissibility == INADMISSIBLE
@@ -839,13 +842,13 @@ class TestRealStructureCandidates:
         cfg = LineConfiguration(
             6, catalog_graph("K33"), transcendental=spec
         )
-        for cand in real_structure_candidates(cfg):
+        for cand in candidates(cfg):
             assert cand.admissibility == UNKNOWN
             assert "no usable transcendental representative" in cand.reason
 
     def test_warnings_propagate_to_notes(self):
         cfg = LineConfiguration(6, prism_plus_k33())
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         assert cands
         assert all(
             any("no polarized K3" in n for n in c.notes) for c in cands
@@ -858,7 +861,7 @@ class TestRealStructureCandidates:
             cfg = random_configuration(rng)
             num_c = len(enumerate_fragments(cfg))
             try:
-                cands = real_structure_candidates(cfg)
+                cands = candidates(cfg)
             except CapExceeded:
                 continue
             for cand in cands:
@@ -871,7 +874,7 @@ class TestRealStructureCandidates:
         n = 22
         cfg = LineConfiguration(2, empty_graph(n))
         with pytest.raises(InputError):
-            real_structure_candidates(cfg)
+            candidates(cfg)
 
 
 def fano_gram(cfg) -> list[list[int]]:
@@ -1134,24 +1137,23 @@ class TestAnalysis:
         cfg = LineConfiguration(
             6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
         )
-        cands = real_structure_candidates(cfg)
+        cands = candidates(cfg)
         assert len(cands) > 1
         assert calls == {
             "enumerate_fragments": 1,
             "integral_kernel_with_complement": 1,
         }
 
-    def test_items_match_the_standalone_functions(self):
+    def test_items_match_the_search_and_a_fresh_analysis(self):
+        # items read in any order give what a fresh analysis gives
         cfg = LineConfiguration(6, two_prisms())
         analysis = Analysis(cfg)
         assert analysis.fragments == tuple(enumerate_fragments(cfg))
-        stab = polarized_stabilizer(cfg)
+        stab = Analysis(cfg).stabilizer
         assert 2 * analysis.stabilizer.order() == 2 * stab.order() == 2 * 288
         swap = tuple(list(range(6, 12)) + list(range(6)))
         assert analysis.count_fragments_under(swap) == (0, 0)
-        assert analysis.real_structure_candidates(None) == (
-            real_structure_candidates(cfg)
-        )
+        assert analysis.real_structure_candidates(None) == candidates(cfg)
 
     def test_rank_constraint_is_raised_by_r(self):
         analysis = Analysis(LineConfiguration(2, empty_graph(22)))
