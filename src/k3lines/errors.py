@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-# Largest group listed element by element; most nodes of an involution walk.
+# Most elements listed, subgroup search leaves tested, involution walk nodes.
 ELEMENT_CAP = 10_000
 
 

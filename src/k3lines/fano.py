@@ -22,8 +22,8 @@ valency 3.
 
 Real-structure candidates pair a graph involution with the global sign -1, so
 real lines are the fixed vertices.  The polarized stabilizer is S x {+-1},
-with S the `PermutationGroup` of graph automorphisms that map N onto itself:
-the whole automorphism group without a kernel, else its `subgroup`.  The
+with S the `PermutationGroup` of graph automorphisms that map N onto itself,
+found by the automorphism search with the kernel test at its leaves.  The
 candidates are one per conjugacy class of involutions in S, each an orbit
 under conjugation by the strong generators of S (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, section 4.1).  Admissibility
@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .errors import CapExceeded, InputError
 from .intmat import (
@@ -73,9 +74,9 @@ class LineConfiguration(Record):
     kernel entries are rational coordinate vectors of length n+1 on the basis
     (lines..., h).  Each must pair integrally with every line and with h, have
     even self-pairing, and pair integrally with the other kernel vectors, so
-    that adjoining them yields an even lattice.  `kernel_pairings` keeps
-    those integer pairings with (lines..., h), one row per kernel vector, and
-    `kernel_gram` the pairings among the kernel vectors.
+    that adjoining them yields an even lattice; `kernel_numerators` over one
+    `kernel_denominator` hold them as integers.  `kernel_pairings` keeps the
+    pairings with (lines..., h), a row each, and `kernel_gram` those among them.
     """
 
     _fields = ("degree", "graph", "kernel", "transcendental")
@@ -105,30 +106,32 @@ class LineConfiguration(Record):
         )
         n = graph.n
         gram = _fano_gram(self)
+        den = lcm(*(x.denominator for vec in kernel for x in vec))
+        rows = tuple(tuple(int(x * den) for x in vec) for vec in kernel)
         pairings = []
-        for vec in kernel:
+        for vec in rows:
             if len(vec) != n + 1:
                 raise InputError(
                     f"kernel vector length {len(vec)} != line count + 1"
                 )
             pair = mat_vec(gram, vec)
-            if any(x.denominator != 1 for x in pair):
+            if any(x % den for x in pair):
                 raise InputError(
                     "kernel vector does not pair integrally with the lines and h"
                 )
-            pairings.append(pair)
+            pairings.append(tuple(x // den for x in pair))
+        # den times the pairings among the kernel vectors
         kgram = [
-            [sum(map(operator.mul, t, vec)) for vec in kernel] for t in pairings
+            [sum(map(operator.mul, t, vec)) for vec in rows] for t in pairings
         ]
         for a, row in enumerate(kgram):
-            if row[a].denominator != 1 or row[a] % 2:
+            if row[a] % (2 * den):
                 raise InputError("kernel vector with odd or fractional square")
-            if any(x.denominator != 1 for x in row[:a]):
+            if any(x % den for x in row[:a]):
                 raise InputError("kernel vectors with fractional mutual pairing")
-        vars(self)["kernel_pairings"] = tuple(
-            tuple(int(x) for x in pair) for pair in pairings
-        )
-        vars(self)["kernel_gram"] = tuple(tuple(map(int, row)) for row in kgram)
+        vars(self).update(kernel_numerators=rows, kernel_denominator=den)
+        vars(self)["kernel_pairings"] = tuple(pairings)
+        vars(self)["kernel_gram"] = tuple(tuple(x // den for x in row) for row in kgram)
 
     @property
     def line_count(self) -> int:
@@ -480,12 +483,13 @@ class Analysis:
         (lines..., h) are the integers `pairings`, or None when a kernel
         vector pairs with it fractionally, so that it lies outside the
         dual of N."""
+        den = self.cfg.kernel_denominator
         full = list(pairings)
-        for vec in self.cfg.kernel:
+        for vec in self.cfg.kernel_numerators:
             x = sum(map(operator.mul, vec, pairings))
-            if x.denominator != 1:
+            if x % den:
                 return None
-            full.append(int(x))
+            full.append(x // den)
         return self.data.class_of(mat_vec(self.complement, full))
 
     # -- symmetries ---------------------------------------------------------
@@ -509,11 +513,10 @@ class Analysis:
         """The graph automorphisms that map N onto itself; the polarized
         stabilizer is this group x {+-1}, since -1 maps every lattice onto
         itself.  Without a kernel it is the whole automorphism group."""
-        group = self.automorphisms
         if not self.cfg.kernel:
-            return group
+            return self.automorphisms
         try:
-            return group.subgroup(self._preserves)
+            return graph_automorphism_group(self.cfg.graph, self._preserves)
         except CapExceeded as exc:
             raise CapExceeded(f"polarized stabilizer: {exc}") from None
 

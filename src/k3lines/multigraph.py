@@ -15,13 +15,13 @@ differs from the first path's, and tests each leaf map on the multiplicity
 matrix.  The generators found at levels >= i generate the pointwise
 stabilizer of b_0..b_{i-1}, so the orbit of b_i under them is the
 transversal of level i and no Schreier-Sims step is needed.  Each generator
-at least doubles the group, so there are at most log2 |Aut| of them.  The
-same builder, `chain`, takes the stabilizer subgroup and the automorphism
-group of a finite quadratic form (`fqf.automorphism_group`).  The
+at least doubles the group, so there are at most log2 |Aut| of them.  A
+subgroup, given by a test `keep` at the leaves, comes from the same tree
+(Leon's subgroup backtrack, J. Symbolic Comput. 12, 1991, unpruned); `chain`
+also builds Aut of a finite quadratic form (`fqf.automorphism_group`).  The
 cost follows the symmetry, not the labels, and the order is a product of
 orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
-order 60!) never require element enumeration; `elements` stays available,
-capped.
+order 60!) never require element enumeration; `elements` stays, capped.
 
 The canonical certificate is the least column-major upper-triangle encoding
 of the multiplicity matrix over the vertex orderings that respect the colour
@@ -273,18 +273,6 @@ class PermutationGroup:
             out.append(orbit)
         return out
 
-    def subgroup(self, keep) -> "PermutationGroup":
-        """The elements that `keep` accepts, which must form a group, as a
-        chain on this group's base.  The capped element list is read in
-        order, and `keep` is asked of an element only while no kept one
-        fixing b_0..b_{i-1} takes b_i where it does."""
-        found = {}
-        for g in self.elements():
-            moved = [(i, g[b]) for i, b in enumerate(self.base) if g[b] != b]
-            if moved and moved[0] not in found and keep(g):
-                found[moved[0]] = g
-        return chain(self.n, self.base, lambda i, w: found.get((i, w)))
-
 
 def chain(n: int, base, extend) -> PermutationGroup:
     """The stabilizer chain on `base` of the group generated by the
@@ -311,11 +299,19 @@ def chain(n: int, base, extend) -> PermutationGroup:
     return PermutationGroup(n, tuple(base), levels[::-1], strong)
 
 
-def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
-    """The full automorphism group, with exact order, from one
-    individualization-refinement search tree (see the module docstring)."""
+def graph_automorphism_group(graph: Multigraph, keep=None) -> PermutationGroup:
+    """The automorphisms that `keep` accepts (all when None; they must form
+    a group) from one search tree (module docstring).  A coset with no kept
+    element is searched leaf by leaf: CapExceeded past `ELEMENT_CAP` tests."""
     n = graph.n
-    nodes = 0
+    nodes = tests = 0
+
+    def accepts(perm) -> bool:
+        nonlocal tests
+        tests += 1
+        if tests > ELEMENT_CAP:
+            raise CapExceeded(f"subgroup search exceeds the cap of {ELEMENT_CAP} tests")
+        return keep(perm)
 
     def individualize(colors, v):
         nonlocal nodes
@@ -355,7 +351,7 @@ def graph_automorphism_group(graph: Multigraph) -> PermutationGroup:
                 for u, c in enumerate(child):
                     at[c] = u
                 perm = tuple(at[c] for c in path[-1])
-                if graph.is_automorphism(perm):
+                if graph.is_automorphism(perm) and (keep is None or accepts(perm)):
                     return perm
                 continue
             found = search(child, depth + 1, range(n))

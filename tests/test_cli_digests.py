@@ -7,8 +7,10 @@ quartic are pinned too: `fragments --list-fragments` and `totally-real` on
 the same lines with T = [8, 0, 8], the only pinned call whose candidate
 actions reach the gluing closure test.  So is `totally-real` on
 `tests/data/edgeless11.json`, 11 edgeless lines at degree 2, the pinned
-call that reads YES_CONTAINS_U2.  They live under `tests/data/` so that the
-corpus census stays as it is.
+call that reads YES_CONTAINS_U2, and `real` on `tests/data/halves8.json`,
+8 edgeless lines tied in two blocks of four by half-sums, whose stabilizer
+S4 wr S2 is found without listing the 40,320 automorphisms.  They live under
+`tests/data/` so that the corpus census stays as it is.
 
 The digests in `cli_digests.json` are the reference output.  A change meant
 to keep output byte-identical must leave them as they are; a change meant
@@ -48,6 +50,7 @@ DATA_CALLS = (
     ("totally-real", "fermat48.json"),
     ("real", "fermat48_definite2.json"),
     ("totally-real", "edgeless11.json"),
+    ("real", "halves8.json"),
 )
 
 

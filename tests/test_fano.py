@@ -705,6 +705,18 @@ class TestPolarizedStabilizer:
                 all_elements_involution_classes(stab.elements())
             )
 
+    def test_half_sums_on_eight_lines_against_every_permutation(self):
+        # lines 0-3 and 4-7 each tied by a half-sum: S = S4 wr S2, found
+        # without listing the 40,320 elements of Aut = Sym(8)
+        cfg = read_configuration(Path(__file__).parent / "data" / "halves8.json")
+        analysis = Analysis(cfg)
+        kept = sorted(DescentRoute(cfg).stabilizer(permutations(range(8))))
+        assert analysis.stabilizer.order() == len(kept) == 1152
+        assert analysis.stabilizer.elements() == kept
+        reps = list(analysis.involution_classes)
+        assert len(reps) == 7
+        assert reps == all_elements_involution_classes(kept)
+
     def test_enumeration_cap_is_honest(self):
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
         cfg = LineConfiguration(2, empty_graph(12), kernel=(vec,))
@@ -938,15 +950,27 @@ class DescentRoute:
         )
         return self.data.act(w)
 
-    def stabilizer(self) -> set[tuple[int, ...]]:
-        # the class in D_Q of a moved kernel vector, from its coordinates
-        def image(perm, vec):
-            t = mat_vec(self.gram, moved(perm, vec))
-            return self.data.class_of(mat_vec(self.complement, [int(x) for x in t]))
+    def stabilizer(self, perms=None) -> set[tuple[int, ...]]:
+        """The members of `perms`, graph automorphisms, that map K into
+        K; all of Aut by default."""
+        # the class in D_Q of a moved kernel vector, from its coordinates,
+        # computed once per distinct moved vector
+        classes: dict = {}
 
+        def image(perm, vec):
+            key = tuple(moved(perm, vec))
+            if key not in classes:
+                t = mat_vec(self.gram, key)
+                classes[key] = self.data.class_of(
+                    mat_vec(self.complement, [int(x) for x in t])
+                )
+            return classes[key]
+
+        if perms is None:
+            perms = graph_automorphism_group(self.cfg.graph).elements()
         return {
             g
-            for g in graph_automorphism_group(self.cfg.graph).elements()
+            for g in perms
             if all(image(g, vec) in self.subgroup for vec in self.cfg.kernel)
         }
 
