@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import gcd
 from pathlib import Path
 
 from .errors import CapExceeded, InputError, read_utf8
@@ -38,10 +39,10 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fraction_str(f) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms: "a/b", or "a" for an integer."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}".removesuffix("/1")
 
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
@@ -81,6 +82,7 @@ def cmd_lattice(args) -> int:
     primes = [p for p, _ in prime_power_factors(abs(det))]
     ell_table = {str(p): ell(form, p) for p in primes}
     brown = brown_invariant(form)
+    qvalues = [_ratio_str(q, form.exponent()) for q in form.qn]
     milgram_ok = (pos - neg - brown) % 8 == 0
     report = {
         "command": "lattice",
@@ -91,7 +93,7 @@ def cmd_lattice(args) -> int:
         "determinant": det,
         "discriminant": {
             "factors": list(form.orders),
-            "qvalues": [_fraction_str(q) for q in form.qvalues],
+            "qvalues": qvalues,
         },
         "ell": ell_table,
         "brown": brown,
@@ -107,8 +109,7 @@ def cmd_lattice(args) -> int:
         f"  discriminant group: {group}",
     ]
     if form.orders:
-        qs = ", ".join(_fraction_str(q) for q in form.qvalues)
-        lines.append(f"  q-values on generators: {qs}")
+        lines.append(f"  q-values on generators: {', '.join(qvalues)}")
     for p in primes:
         lines.append(f"  ell_{p} = {ell_table[str(p)]}")
     lines.append(
@@ -132,15 +133,16 @@ def _load(args):
     return load_configuration(text), _digest(data)
 
 
-_ANALYSES: dict = {}  # (degree, graph, kernel) -> the Analysis of that N
+_ANALYSES: dict = {}  # (degree, graph, kernel rows) -> the Analysis of that N
 
 
 def shared_analysis(cfg):
     """The process's one `Analysis` of cfg's line lattice, keyed by (degree,
-    graph, kernel), not by the transcendental spec."""
+    graph, kernel numerators, kernel denominator), not by the
+    transcendental spec."""
     from .fano import Analysis
 
-    key = (cfg.degree, cfg.graph, cfg.kernel)
+    key = (cfg.degree, cfg.graph, cfg.kernel_numerators, cfg.kernel_denominator)
     analysis = _ANALYSES.get(key)
     if analysis is None:
         analysis = _ANALYSES[key] = Analysis(cfg)

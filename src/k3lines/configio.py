@@ -3,13 +3,14 @@
 The on-disk format is JSON with a fixed field set: `degree`, `vertices`,
 `edges`, and optional `kernel` and `transcendental` blocks.  Unknown fields
 are rejected so that typos fail loudly instead of being ignored.  Fractions
-are written as strings "a/b"; plain integers are also accepted.
+are written as strings "a/b"; plain integers are also accepted.  `fractions`
+is imported by the parsers that read a rational, so a configuration with no
+kernel and no `discr` block does not load it.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import InputError, read_utf8
 from .fano import LineConfiguration
@@ -32,6 +33,8 @@ _DISCR_FIELDS = {"factors", "qvalues", "pairing"}
 
 
 def parse_fraction(value) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, bool):
         raise InputError(f"expected a fraction, got {value!r}")
     if isinstance(value, int):
@@ -87,6 +90,8 @@ def _parse_edges(raw, n: int) -> Multigraph:
 
 
 def _parse_kernel(raw, n: int):
+    from fractions import Fraction
+
     if not isinstance(raw, list):
         raise InputError("kernel must be a list of objects")
     vectors = []

@@ -4,11 +4,11 @@ A configuration is a multigraph of lines (each line v has v**2 = -2 and
 v.h = 1, two lines pair by their edge multiplicity, h**2 = the polarization
 degree 2d) together with optional finite-index extension data: rational
 vectors in the span of the lines and h whose classes generate an isotropic
-subgroup of the discriminant form.  The line lattice N is generated by the
-lines, h and these kernel vectors.  `Analysis` builds it as one lattice,
-the Gram matrix of those generators modulo its radical, and reads D_N,
-det N, the stabilizer test and the candidate actions on D_N from its
-discriminant data.
+subgroup of the discriminant form, held as integer numerators over one
+denominator.  The line lattice N is generated by the lines, h and these
+kernel vectors.  `Analysis` builds it as one lattice, the Gram matrix of
+those generators modulo its radical, and reads D_N, det N, the stabilizer
+test and the candidate actions on D_N from its discriminant data.
 
 A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
@@ -38,7 +38,6 @@ once.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
@@ -72,20 +71,23 @@ class LineConfiguration(Record):
     """A polarized line multigraph with optional lattice-extension data.
 
     kernel entries are rational coordinate vectors of length n+1 on the basis
-    (lines..., h).  Each must pair integrally with every line and with h, have
-    even self-pairing, and pair integrally with the other kernel vectors, so
-    that adjoining them yields an even lattice; `kernel_numerators` over one
-    `kernel_denominator` hold them as integers.  `kernel_pairings` keeps the
-    pairings with (lines..., h), a row each, and `kernel_gram` those among them.
+    (lines..., h), read through `.numerator` and `.denominator`.  Each must
+    pair integrally with every line and with h, have even self-pairing, and
+    pair integrally with the other kernel vectors, so that adjoining them
+    yields an even lattice.  They are held once, as integer rows
+    `kernel_numerators` over their least common `kernel_denominator`.
+    `kernel_pairings` keeps the pairings with (lines..., h), a row each,
+    and `kernel_gram` those among them.
     """
 
-    _fields = ("degree", "graph", "kernel", "transcendental")
+    _fields = ("degree", "graph", "kernel_numerators", "kernel_denominator",
+               "transcendental")
 
     def __init__(
         self,
         degree: int,
         graph: Multigraph,
-        kernel: tuple[tuple[Fraction, ...], ...] = (),
+        kernel=(),
         transcendental: TranscendentalSpec | None = None,
     ):
         if degree < 2 or degree % 2:
@@ -97,17 +99,16 @@ class LineConfiguration(Record):
                         f"line intersection multiplicity {m} exceeds "
                         f"{MAX_MULTIPLICITY}"
                     )
-        kernel = tuple(tuple(Fraction(x) for x in vec) for vec in kernel)
         vars(self).update(
-            degree=degree,
-            graph=graph,
-            kernel=kernel,
-            transcendental=transcendental,
+            degree=degree, graph=graph, transcendental=transcendental
         )
         n = graph.n
         gram = _fano_gram(self)
         den = lcm(*(x.denominator for vec in kernel for x in vec))
-        rows = tuple(tuple(int(x * den) for x in vec) for vec in kernel)
+        rows = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in vec)
+            for vec in kernel
+        )
         pairings = []
         for vec in rows:
             if len(vec) != n + 1:
@@ -513,7 +514,7 @@ class Analysis:
         """The graph automorphisms that map N onto itself; the polarized
         stabilizer is this group x {+-1}, since -1 maps every lattice onto
         itself.  Without a kernel it is the whole automorphism group."""
-        if not self.cfg.kernel:
+        if not self.cfg.kernel_numerators:
             return self.automorphisms
         try:
             return graph_automorphism_group(self.cfg.graph, self._preserves)

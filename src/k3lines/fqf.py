@@ -5,23 +5,27 @@ These arise as dual quotients of even lattices.  The module provides p-parts
 and their length invariants, one isometry and anti-isometry search, whose
 first leaves also build Aut(D) as a `multigraph.PermutationGroup` on the
 elements, involution conjugacy classes from that group's chain, subgroup and
-isotropic-quotient forms, and a Jordan splitting of each p-part into cyclic blocks and, at p = 2, the rank-two
-blocks u_a and v_a, each block's complement taken by `orthogonal_subgroup`.
-The local determinant square classes and the signature residue mod 8 (the
-Brown invariant, summed block by block by the oddity formula and used to
-cross-check signatures) are folds over those blocks.
+isotropic-quotient forms, and a Jordan splitting of each p-part into cyclic
+blocks and, at p = 2, the rank-two blocks u_a and v_a, each block's
+complement taken by `orthogonal_subgroup`.  The local determinant square
+classes and the signature residue mod 8 (the Brown invariant, summed block
+by block by the oddity formula and used to cross-check signatures) are
+folds over those blocks.
 
 Conventions: a form is stored on an independent generating set with orders in
 an ascending divisor chain d1 | d2 | ..., as integers over its exponent n:
 n * q on generators reduced to [0, 2n), n * b between them to [0, n), so
-equal forms compare equal structurally.
+equal forms compare equal structurally.  Every computation reads these
+integers, an element's through `qn_of` (n * q) and `dual_of` (its n * b row);
+rationals enter through `finite_quadratic_form` as numerators and
+denominators, and only the accessors that return them (`qvalues`, `pairing`,
+`q_of`, `b_of`) import `fractions`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ELEMENT_CAP, CapExceeded
@@ -104,7 +108,8 @@ class FiniteQuadraticForm(Record):
     generators, as integer tables: with n the exponent, `qn` holds n * q on
     the generators mod 2n and `bn` holds n * b between them mod n.  The
     tables are the form's identity (equality, hashing, repr) and all its
-    arithmetic; `qvalues` and `pairing` read them as Fractions for the
+    arithmetic, with `qn_of` and `dual_of` as the integer evaluators;
+    `qvalues`, `pairing`, `q_of` and `b_of` read them as Fractions for the
     edges.  Build instances through `finite_quadratic_form`, which
     normalizes arbitrary independent generators into this shape."""
 
@@ -143,10 +148,14 @@ class FiniteQuadraticForm(Record):
 
     @property
     def qvalues(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(q, self._n) for q in self.qn)
 
     @property
     def pairing(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(x, self._n) for x in row) for row in self.bn)
 
     # -- basic queries ---------------------------------------------------
@@ -167,16 +176,20 @@ class FiniteQuadraticForm(Record):
         return self.orders[-1] if self.orders else 1
 
     def q_of(self, coords) -> Fraction:
-        return Fraction(self._qn(coords), self._n)
+        from fractions import Fraction
+
+        return Fraction(self.qn_of(coords), self._n)
 
     def b_of(self, x, y) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(_b_scaled(self.bn, x, y) % self._n, self._n)
 
-    def _qn(self, coords) -> int:
+    def qn_of(self, coords) -> int:
         """n * q(coords), reduced mod 2n."""
         return _q_scaled(self.qn, self.bn, coords) % (2 * self._n)
 
-    def _dual(self, y) -> tuple[int, ...]:
+    def dual_of(self, y) -> tuple[int, ...]:
         """n * b(e_i, y) mod n for every generator e_i, so that n * b(x, y)
         is the dot product of x with it."""
         n = self._n
@@ -209,14 +222,6 @@ class FiniteQuadraticForm(Record):
 
     # -- constructions ---------------------------------------------------
 
-    def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        zeros1, zeros2 = (0,) * self.rank(), (0,) * other.rank()
-        pair = [row + zeros2 for row in self.pairing]
-        pair += [zeros1 + row for row in other.pairing]
-        return finite_quadratic_form(
-            self.orders + other.orders, self.qvalues + other.qvalues, pair
-        )
-
     def negated(self) -> "FiniteQuadraticForm":
         return FiniteQuadraticForm(
             self.orders,
@@ -241,13 +246,12 @@ TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
 def finite_quadratic_form(orders, qvalues, pairing) -> FiniteQuadraticForm:
     """Normalize independent generators (arbitrary orders) into the divisor
     chain presentation.  Generators of order 1 are dropped; the rest are split
-    into primary components and recombined so the orders form a chain."""
+    into primary components and recombined so the orders form a chain.
+    Values are rationals, read through `.numerator` and `.denominator`."""
     orders = [int(d) for d in orders]
     if any(d < 1 for d in orders):
         raise ValueError("generator orders must be positive")
     k = len(orders)
-    qvalues = [Fraction(q) for q in qvalues]
-    pairing = [[Fraction(pairing[i][j]) for j in range(k)] for i in range(k)]
     # Exact integer arithmetic over a common multiple n of every order and
     # denominator: n * q mod 2n and n * b mod n.
     n = lcm(
@@ -396,7 +400,7 @@ def orthogonal_subgroup(form: FiniteQuadraticForm, gens) -> list[tuple[int, ...]
         return _basis(k)
     # n * b(e_t, g) over the least common denominator of the b(e_t, g).
     n = form._n
-    rows = [form._dual(g) for g in gens]
+    rows = [form.dual_of(g) for g in gens]
     den = lcm(*(n // gcd(n, x) for row in rows for x in row))
     introws = [[x * den // n for x in row] for row in rows]
     m = len(introws)
@@ -416,10 +420,11 @@ def isotropic_quotient(form: FiniteQuadraticForm, kernel_gens):
     kernel_gens = [form.reduce(g) for g in kernel_gens]
     kernel_gens = [g for g in kernel_gens if form.order_of(g) > 1]
     for i, g in enumerate(kernel_gens):
-        if form.q_of(g) != 0:
+        if form.qn_of(g):
             raise ValueError("kernel generator with nonzero square")
+        dual = form.dual_of(g)
         for h in kernel_gens[i:]:
-            if form.b_of(g, h) != 0:
+            if sum(map(operator.mul, h, dual)) % form._n:
                 raise ValueError("kernel generators do not pair integrally")
     perp = orthogonal_subgroup(form, kernel_gens)
     if not perp:
@@ -550,7 +555,7 @@ def _isometry_leaves(source, target, anti):
         return lambda prefix: iter(())
     # Both forms are scaled by the same n, so every test is on integers.
     n = target._n
-    keys = {el: (target.order_of(el), target._qn(el)) for el in target.elements()}
+    keys = {el: (target.order_of(el), target.qn_of(el)) for el in target.elements()}
     buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for el, key in keys.items():
         buckets.setdefault(key, []).append(el)
@@ -585,7 +590,7 @@ def _isometry_leaves(source, target, anti):
                 found = [el for el in found if sum(map(operator.mul, el, dual)) % n == w]
             for el in found:
                 images[i] = el
-                duals.append(target._dual(el))
+                duals.append(target.dual_of(el))
                 yield from extend(i + 1)
                 duals.pop()
 
@@ -689,15 +694,15 @@ def square_class_equal(a, b, p: int) -> bool:
     powers of p (both nonzero rationals)."""
     if prime_power_factors(p) != [(p, p)]:
         raise ValueError(f"{p} is not prime")
-    ratio = Fraction(a) / Fraction(b)
-    vnum, vden = _pval(ratio.numerator, p), _pval(ratio.denominator, p)
-    if (vnum - vden) % 2 != 0:
+    # a / b times the square (a.denominator * b.numerator) ** 2
+    x = a.numerator * a.denominator * b.numerator * b.denominator
+    v = _pval(x, p)
+    if v % 2 != 0:
         return False
-    num, den = ratio.numerator // p**vnum, ratio.denominator // p**vden
+    unit = x // p**v
     if p == 2:
-        return (num * den) % 8 == 1
-    legendre = pow(num % p, (p - 1) // 2, p) * pow(den % p, (p - 1) // 2, p)
-    return legendre % p == 1
+        return unit % 8 == 1
+    return pow(unit % p, (p - 1) // 2, p) == 1
 
 
 def _pval(n: int, p: int) -> int:
@@ -744,7 +749,7 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
                 block = [basis[i] for i in pair]
             else:  # q(e_i + e_j) = 2 b(e_i, e_j) is a unit
                 block = [tuple(int(s in pair) for s in range(k))]
-        yield _pval(n, p), tuple(form._qn(g) for g in block)
+        yield _pval(n, p), tuple(form.qn_of(g) for g in block)
         # the block's pairing is invertible mod n, so D = block + its perp
         form = subgroup_form(form, orthogonal_subgroup(form, block))[0]
 

@@ -2,10 +2,10 @@
 
 Provides the text notation for standard constructors (root lattices, the
 hyperbolic plane, binary forms, rescaling, repetition, direct sum), the
-discriminant form of a nondegenerate lattice together with coordinates for
-dual vectors, orthogonal groups of small definite lattices, the sign action
-on orientations of maximal positive subspaces, and fixed sublattices of
-involutions.
+discriminant form of a nondegenerate lattice together with the integer map
+that names its classes, orthogonal groups of small definite lattices, the
+sign action on orientations of maximal positive subspaces, and fixed
+sublattices of involutions.
 
 Root lattices follow the NEGATIVE definite convention: A2 has Gram matrix
 [[-2, 1], [1, -2]].  Most references use the positive sign; rescale by -1 to
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt, prod
 
@@ -299,8 +298,8 @@ class DiscriminantData(Record):
     dual(L)/L is carried by its pairings t = G·w with the basis of L, an
     integer vector, and its coordinates are (U·t)_i mod d_i over the Smith
     invariants d_i > 1 (`class_of`).  Generator i is the dual vector
-    V[:, i] / d_i.  Rational dual vectors (`coordinates`) and isometries of
-    the lattice (`act`) enter through this one map."""
+    V[:, i] / d_i.  Isometries of the lattice (`act`) enter through this
+    one map."""
 
     _fields = ("lattice", "form", "smith_u", "smith_v")
 
@@ -329,14 +328,6 @@ class DiscriminantData(Record):
         division is exact).  With matrix = G·W this gives the pairings of
         the generators' images under an isometry W."""
         return _pushed(matrix, self.smith_v, self.form.orders)
-
-    def coordinates(self, dual_vector) -> tuple[int, ...]:
-        """Coordinates in the generator presentation of a vector of the dual
-        lattice (given in lattice coordinates, rational entries)."""
-        pair = mat_vec(self.lattice.gram, [Fraction(x) for x in dual_vector])
-        if any(x.denominator != 1 for x in pair):
-            raise ValueError("vector is not in the dual lattice")
-        return self.class_of([int(x) for x in pair])
 
     def act(self, isometry: Isometry) -> FqfIsometry:
         """Induced automorphism of the discriminant form."""
@@ -404,12 +395,12 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
 MAX_NORM_BOX = 100_000
 
 
-def _vectors_of_norm(gram_pos, bound_rows, norm: int) -> list[tuple[int, ...]]:
+def _vectors_of_norm(gram_pos, cofactors, det_g, norm: int) -> list[tuple[int, ...]]:
     """The vectors x with x·G·x = norm, searched in the box x_i^2 <=
-    bound_rows[i] * norm.  A box of more than `MAX_NORM_BOX` points raises
-    CapExceeded before any is tested."""
+    cofactors[i] * norm / det_g.  A box of more than `MAX_NORM_BOX` points
+    raises CapExceeded before any is tested."""
     n = len(gram_pos)
-    bounds = [isqrt(int(row * norm)) for row in bound_rows]
+    bounds = [isqrt(cof * norm // det_g) for cof in cofactors]
     box = prod(2 * b + 1 for b in bounds)
     if box > MAX_NORM_BOX:
         raise CapExceeded(
@@ -444,13 +435,13 @@ def orthogonal_group_definite(lattice: Lattice) -> list[Isometry]:
     # Coordinate bound: x_i^2 <= (G^-1)_ii * norm for positive definite G,
     # with (G^-1)_ii the integer cofactor over det G.
     det_g = det(gpos)
-    ginv_diag = []
-    for i in range(n):
-        minor = [[gpos[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
-        ginv_diag.append(Fraction(det(minor), det_g))
+    cofactors = [
+        det([[gpos[r][c] for c in range(n) if c != i] for r in range(n) if r != i])
+        for i in range(n)
+    ]
     norms = [gpos[i][i] for i in range(n)]
     candidates = {
-        m: _vectors_of_norm(gpos, ginv_diag, m) for m in sorted(set(norms))
+        m: _vectors_of_norm(gpos, cofactors, det_g, m) for m in sorted(set(norms))
     }
 
     results = []

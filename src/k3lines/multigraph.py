@@ -10,10 +10,11 @@ individualizes the first vertex of the first non-singleton cell and refines,
 until the partition is discrete; those vertices are the base b_0..b_k.
 Then, level by level from the bottom, partition backtracking looks for an
 automorphism taking b_i to each vertex of its cell outside the orbit found
-so far: it individualizes and refines, cuts branches whose colour multiset
-differs from the first path's, and tests each leaf map on the multiplicity
-matrix.  The generators found at levels >= i generate the pointwise
-stabilizer of b_0..b_{i-1}, so the orbit of b_i under them is the
+so far, skipping the vertices known to lie outside the level's orbit
+(`chain`): it individualizes and refines, cuts branches whose colour
+multiset differs from the first path's, and tests each leaf map on the
+multiplicity matrix.  The generators found at levels >= i generate the
+pointwise stabilizer of b_0..b_{i-1}, so the orbit of b_i under them is the
 transversal of level i and no Schreier-Sims step is needed.  Each generator
 at least doubles the group, so there are at most log2 |Aut| of them.  A
 subgroup, given by a test `keep` at the leaves, comes from the same tree
@@ -279,14 +280,28 @@ def chain(n: int, base, extend) -> PermutationGroup:
     elements `extend(i, w)` returns, each fixing b_0..b_{i-1} and taking b_i
     to w (None when the group has none).  Level i, built from the bottom,
     asks only for points w outside the orbit found so far, so each element
-    at least doubles the group: at most log2 |group| strong generators."""
+    at least doubles the group: at most log2 |group| strong generators.
+    Nor does it ask for a point known to lie outside the level's orbit:
+    when w has no element, neither has any point of w's orbit under the
+    strong generators found so far, which fix b_0..b_{i-1} and so map the
+    orbit of b_i onto itself.  Only calls that return None are skipped."""
     strong: list[tuple[int, ...]] = []
     levels = []
     for i in reversed(range(len(base))):
         level = {base[i]: tuple(range(n))}
+        outside: set[int] = set()
         for w in range(n):
-            g = None if w in level else extend(i, w)
+            if w in level or w in outside:
+                continue
+            g = extend(i, w)
             if g is None:
+                outside.add(w)
+                fresh = [w]
+                for x in fresh:
+                    for s in strong:
+                        if s[x] not in outside:
+                            outside.add(s[x])
+                            fresh.append(s[x])
                 continue
             strong.append(g)
             orbit = list(level)

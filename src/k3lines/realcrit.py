@@ -20,7 +20,7 @@ lattices.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import cached_property
 
 from .errors import InputError
@@ -77,7 +77,8 @@ def totally_real_criterion(
     containing [2], or failing that U(2).
 
     The hyperbolic case is evaluated only when the norm-2 case is decidedly
-    negative; an undecided norm-2 case propagates as UNKNOWN.
+    negative; an undecided norm-2 case propagates as UNKNOWN.  Both cases
+    read one 2-part and test its order-2 elements on integer tables.
     """
     if r < 1:
         raise InputError("complementary rank must be at least 1")
@@ -87,7 +88,8 @@ def totally_real_criterion(
             f"discriminant group order {d_n.order()} does not match |det| = {absn}"
         )
     reasons: list[str] = []
-    two_case = _norm_two_case(d_n, r, absn, reasons)
+    part2 = d_n.p_part(2)
+    two_case = _norm_two_case(d_n, part2, r, absn, reasons)
     if two_case is True:
         reasons.append("verdict: a norm-2 orthogonal summand exists")
         return Verdict(VERDICT_YES_2, tuple(reasons))
@@ -96,14 +98,14 @@ def totally_real_criterion(
             "verdict: norm-2 case undecided, hyperbolic case not evaluated"
         )
         return Verdict(VERDICT_UNKNOWN, tuple(reasons))
-    if _hyperbolic_case(d_n, r, absn, reasons):
+    if _hyperbolic_case(d_n, part2, r, absn, reasons):
         reasons.append("verdict: a U(2) orthogonal summand exists")
         return Verdict(VERDICT_YES_U2, tuple(reasons))
     reasons.append("verdict: neither summand type exists in the genus")
     return Verdict(VERDICT_NO, tuple(reasons))
 
 
-def _norm_two_case(d_n, r, absn, reasons) -> bool | None:
+def _norm_two_case(d_n, part2, r, absn, reasons) -> bool | None:
     failed = not _odd_prime_rules(
         d_n, r, absn, gap=1, factor=2, case="norm-2", reasons=reasons
     )
@@ -117,7 +119,6 @@ def _norm_two_case(d_n, r, absn, reasons) -> bool | None:
         failed = True
     else:
         reasons.append("norm-2 case, primes away from det N: r >= 2: pass")
-    part2 = d_n.p_part(2)
     l2 = part2.rank()
     if l2 <= r - 2:
         reasons.append(f"norm-2 case, p=2: length {l2} <= r-2: pass")
@@ -179,11 +180,16 @@ def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
     return ok
 
 
+def _order_two(part2) -> list[tuple]:
+    """(u, n·q(u), n·b(-, u) on the generators) for each order-2 element u
+    of the 2-part, n its exponent: integers that both 2-adic tests read."""
+    return [(u, part2.qn_of(u), part2.dual_of(u)) for u in part2.two_torsion()]
+
+
 def _norm_two_vector_hunt(part2, absn) -> str | None:
-    twos = part2.two_torsion()
-    half = Fraction(3, 2)  # -1/2 mod 2
-    for u in [v for v in twos if part2.q_of(v) == half]:
-        if any(part2.b_of(u, v) != part2.q_of(v) % 1 for v in twos):
+    n, table = part2.exponent(), _order_two(part2)
+    for u, _, dual in [t for t in table if t[1] == 3 * n // 2]:  # q(u) = -1/2
+        if any(sum(map(operator.mul, v, dual)) % n != qv % n for v, qv, _ in table):
             return "a non-characteristic order-2 vector of square -1/2 exists"
         # b(u, u) = 1/2 is a unit, so x - 2b(x, u)u splits D = <u> + u^perp
         perp, _ = subgroup_form(part2, orthogonal_subgroup(part2, [u]))
@@ -200,7 +206,15 @@ def _norm_two_vector_hunt(part2, absn) -> str | None:
     return None
 
 
-def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
+def _has_hyperbolic_pair(part2) -> bool:
+    """Whether order-2 elements u, v with q(u) = q(v) = 0 have b(u, v) = 1/2."""
+    n = part2.exponent()
+    isotropic = [(u, dual) for u, qn_u, dual in _order_two(part2) if not qn_u]
+    pairs = ((u, dual) for u, _ in isotropic for _, dual in isotropic)
+    return any(sum(map(operator.mul, u, dual)) % n == n // 2 for u, dual in pairs)
+
+
+def _hyperbolic_case(d_n, part2, r, absn, reasons) -> bool:
     ok = _odd_prime_rules(
         d_n, r, absn, gap=2, factor=1, case="hyperbolic", reasons=reasons
     )
@@ -214,22 +228,10 @@ def _hyperbolic_case(d_n, r, absn, reasons) -> bool:
         reasons.append(
             "hyperbolic case, primes away from det N: r >= 3: pass"
         )
-    part2 = d_n.p_part(2)
     if part2.rank() > r:  # a rank-r lattice has 2-length at most r
         reasons.append(f"hyperbolic case, p=2: length {part2.rank()} exceeds r: fail")
         return False
-    twos = part2.two_torsion()
-    pair = None
-    for u in twos:
-        if part2.q_of(u) != 0:
-            continue
-        for v in twos:
-            if part2.q_of(v) == 0 and part2.b_of(u, v) == Fraction(1, 2):
-                pair = (u, v)
-                break
-        if pair:
-            break
-    if pair:
+    if _has_hyperbolic_pair(part2):
         reasons.append(
             "hyperbolic case, p=2: an order-2 pair with zero squares and "
             "half-integer pairing exists: pass"
@@ -374,11 +376,13 @@ class TSideClasses(Record):
     def class_count(self) -> int:
         return len(self._classes)
 
-    def anti_isometry(self, source: FiniteQuadraticForm) -> FqfIsometry | None:
-        """One anti-isometry from `source` to the form, or None when there
-        is none; searched once per source form."""
+    def gluing(self, source: FiniteQuadraticForm) -> tuple:
+        """(phi, phi^-1) for one anti-isometry phi from `source` to the
+        form, or (None, None) when there is none; searched and inverted
+        once per source form."""
         if source not in self._antis:
-            self._antis[source] = find_isometry(source, self.form, anti=True)
+            phi = find_isometry(source, self.form, anti=True)
+            self._antis[source] = (phi, None if phi is None else phi.inverse())
         return self._antis[source]
 
 
@@ -432,13 +436,13 @@ def match_real_structure(
     Returns (admissibility, reason)."""
     if tside is None:
         return (UNKNOWN, "no usable transcendental representative")
-    phi = tside.anti_isometry(tau_n.source)
+    phi, phi_inv = tside.gluing(tau_n.source)
     if phi is None:
         return (
             INADMISSIBLE,
             "no anti-isometry between the discriminant forms (genus mismatch)",
         )
-    conj = phi.compose(tau_n).compose(phi.inverse())
+    conj = phi.compose(tau_n).compose(phi_inv)
     if conj.columns in tside.members:
         return (
             ADMISSIBLE,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from k3lines.fqf import FqfIsometry
-from k3lines.intmat import identity, smith_decompose
+from k3lines.fqf import FiniteQuadraticForm, FqfIsometry, finite_quadratic_form
+from k3lines.intmat import identity, mat_vec, smith_decompose
 from k3lines.lattices import DiscriminantData, Isometry, Lattice
 from k3lines.multigraph import Multigraph
 
@@ -61,6 +61,33 @@ def is_identity(phi: FqfIsometry) -> bool:
     return phi.columns == tuple(
         tuple(int(i == j) for i in range(k)) for j in range(k)
     )
+
+
+def kernel_vectors(cfg) -> tuple[tuple[Fraction, ...], ...]:
+    """A configuration's kernel read back as rational vectors."""
+    den = cfg.kernel_denominator
+    return tuple(
+        tuple(Fraction(x, den) for x in row) for row in cfg.kernel_numerators
+    )
+
+
+def coordinates(data: DiscriminantData, dual_vector) -> tuple[int, ...]:
+    """Coordinates in the generator presentation of a vector of the dual
+    lattice, given in lattice coordinates with rational entries: `class_of`
+    on its pairings with the lattice basis."""
+    pair = mat_vec(data.lattice.gram, [Fraction(x) for x in dual_vector])
+    if any(x.denominator != 1 for x in pair):
+        raise ValueError("vector is not in the dual lattice")
+    return data.class_of([int(x) for x in pair])
+
+
+def direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    """The orthogonal sum of two forms, normalized by
+    `finite_quadratic_form` from their rational values."""
+    zeros1, zeros2 = (0,) * a.rank(), (0,) * b.rank()
+    pair = [row + zeros2 for row in a.pairing]
+    pair += [zeros1 + row for row in b.pairing]
+    return finite_quadratic_form(a.orders + b.orders, a.qvalues + b.qvalues, pair)
 
 
 def dual_vectors(data: DiscriminantData) -> tuple[tuple[Fraction, ...], ...]:

@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -146,8 +145,8 @@ def test_criterion_04_schur_quartic_arithmetic():
             )
         ]
         assert genus == [(8, 4, 8)]
-        sixth = Fraction(1, 6)
-        assert _vectors_of_norm([[8, 4], [4, 8]], [sixth, sixth], 2) == []
+        # (G^-1)_ii = 8 / 48 = 1/6: the integer cofactor over det G
+        assert _vectors_of_norm([[8, 4], [4, 8]], [8, 8], 48, 2) == []
 
 
 def test_criterion_05_signature_residue_suite():

@@ -731,6 +731,9 @@ def loaded_modules(*argv) -> set[str]:
     return set(modules.split())
 
 
+FERMAT_DEFINITE2 = Path(__file__).resolve().parent / "data" / "fermat48_definite2.json"
+
+
 class TestStartUp:
     """A fresh process loads only the modules its command runs."""
 
@@ -769,6 +772,24 @@ class TestStartUp:
     )
     def test_no_command_loads_dataclasses(self, argv):
         assert "dataclasses" not in loaded_modules(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fragments", str(FERMAT_DEFINITE2)),
+            ("totally-real", str(FERMAT_DEFINITE2)),
+            ("real", str(FERMAT_DEFINITE2)),
+            ("lattice", "E6(3)"),
+        ],
+    )
+    def test_a_call_that_reads_and_prints_no_rational_loads_no_fractions(
+        self, argv
+    ):
+        assert "fractions" not in loaded_modules(*argv)
+
+    def test_a_kernel_loads_fractions(self):
+        modules = loaded_modules("fragments", str(CORPUS / "k33_glued.json"))
+        assert "fractions" in modules
 
 
 MAIN_TWICE = """

@@ -66,7 +66,7 @@ class TestSchema:
         cfg = load_configuration(doc())
         assert cfg.degree == 6
         assert cfg.graph == catalog_graph("K33")
-        assert cfg.kernel == ()
+        assert (cfg.kernel_numerators, cfg.kernel_denominator) == ((), 1)
         assert cfg.transcendental is None
 
     def test_rejects_non_json(self):
@@ -125,17 +125,8 @@ class TestKernelParsing:
             ]
         )
         cfg = load_configuration(text)
-        assert cfg.kernel == (
-            (
-                Fraction(0),
-                Fraction(-1, 2),
-                Fraction(-1, 2),
-                Fraction(-1, 2),
-                Fraction(-1, 2),
-                Fraction(0),
-                Fraction(0),
-            ),
-        )
+        assert cfg.kernel_numerators == ((0, -1, -1, -1, -1, 0, 0),)
+        assert cfg.kernel_denominator == 2
 
     def test_rejects_wrong_length(self):
         text = doc(

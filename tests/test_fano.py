@@ -64,7 +64,7 @@ from k3lines.realcrit import (
     TwoU,
 )
 
-from helpers import dual_vectors, matrix_rank, relabel
+from helpers import dual_vectors, kernel_vectors, matrix_rank, relabel
 
 
 def empty_graph(n: int) -> Multigraph:
@@ -717,6 +717,21 @@ class TestPolarizedStabilizer:
         assert len(reps) == 7
         assert reps == all_elements_involution_classes(kept)
 
+    def test_half_sum_on_eight_lines_against_every_permutation(self):
+        # lines 0-3 tied by one half-sum: S = S4 x S4, found although each
+        # of b_0's four images outside its orbit heads a coset of 7!
+        # automorphisms with no kept element; the chain asks for one of
+        # them and skips the other three, which lie in its orbit under
+        # the strong generators found by then
+        cfg = read_configuration(Path(__file__).parent / "data" / "half8.json")
+        analysis = Analysis(cfg)
+        kept = sorted(DescentRoute(cfg).stabilizer(permutations(range(8))))
+        assert analysis.stabilizer.order() == len(kept) == 576
+        assert analysis.stabilizer.elements() == kept
+        reps = list(analysis.involution_classes)
+        assert len(reps) == 9
+        assert reps == all_elements_involution_classes(kept)
+
     def test_enumeration_cap_is_honest(self):
         vec = tuple([Fraction(1, 2)] * 4 + [Fraction(0)] * 9)
         cfg = LineConfiguration(2, empty_graph(12), kernel=(vec,))
@@ -968,10 +983,11 @@ class DescentRoute:
 
         if perms is None:
             perms = graph_automorphism_group(self.cfg.graph).elements()
+        kernel = kernel_vectors(self.cfg)
         return {
             g
             for g in perms
-            if all(image(g, vec) in self.subgroup for vec in self.cfg.kernel)
+            if all(image(g, vec) in self.subgroup for vec in kernel)
         }
 
     def descend(self, cls) -> tuple[int, ...]:

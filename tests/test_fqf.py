@@ -44,7 +44,7 @@ from k3lines.lattices import (
     discriminant_form,
 )
 
-from helpers import is_identity
+from helpers import coordinates, direct_sum, is_identity
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -205,7 +205,7 @@ def test_quadratic_form_polarization():
 def test_element_enumeration_cap():
     form = cyclic(4, F(1, 4))
     for _ in range(4):
-        form = form.direct_sum(form)
+        form = direct_sum(form, form)
     assert form.order() == 4**16
     with pytest.raises(CapExceeded):
         list(form.elements())
@@ -222,7 +222,7 @@ def test_p_part_reassembly():
                 p += 1
             if n % p:
                 p = n
-            total = total.direct_sum(form.p_part(p))
+            total = direct_sum(total, form.p_part(p))
             while n % p == 0:
                 n //= p
         assert total.order() == form.order()
@@ -339,7 +339,7 @@ def test_isotropic_quotient_matches_overlattice():
     # Index-2 overlattice of U(2)+U(2) glued along (u1+u2)/2.
     big = build_lattice("2U(2)")
     data = discriminant_data(big)
-    kappa = data.coordinates((F(1, 2), F(0), F(1, 2), F(0)))
+    kappa = coordinates(data, (F(1, 2), F(0), F(1, 2), F(0)))
     quot, _ = isotropic_quotient(data.form, [kappa])
     # Explicit Gram of the overlattice in basis (kappa, v1, u2, v2).
     from k3lines.lattices import Lattice
@@ -428,6 +428,31 @@ def test_square_class_frozen():
         square_class_equal(1, 1, 6)
 
 
+def fraction_square_class_equal(a, b, p) -> bool:
+    """The square-class test as it was written, on the reduced Fraction
+    a / b."""
+    ratio = F(a) / F(b)
+    vnum, vden = fqf._pval(ratio.numerator, p), fqf._pval(ratio.denominator, p)
+    if (vnum - vden) % 2 != 0:
+        return False
+    num, den = ratio.numerator // p**vnum, ratio.denominator // p**vden
+    if p == 2:
+        return (num * den) % 8 == 1
+    legendre = pow(num % p, (p - 1) // 2, p) * pow(den % p, (p - 1) // 2, p)
+    return legendre % p == 1
+
+
+nonzero_rationals = st.builds(
+    F, st.integers(-200, 200).filter(bool), st.integers(1, 200)
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(nonzero_rationals, nonzero_rationals, st.sampled_from((2, 3, 5, 7)))
+def test_property_square_class_matches_the_fraction_ratio(a, b, p):
+    assert square_class_equal(a, b, p) == fraction_square_class_equal(a, b, p)
+
+
 def test_odd_p_det_class_frozen():
     a2 = discriminant_form(build_lattice("A2"))
     value = odd_p_det_class(a2, 3)
@@ -493,7 +518,7 @@ def test_brown_invariant_of_twenty_halves_is_fast():
     # 2**20 elements: the budget fails any method that sums over the group
     big = cyclic(2, F(1, 2))
     for _ in range(19):
-        big = big.direct_sum(cyclic(2, F(1, 2)))
+        big = direct_sum(big, cyclic(2, F(1, 2)))
     start = time.process_time()
     assert brown_invariant(big) == 4
     assert time.process_time() - start < 2.0
@@ -597,9 +622,9 @@ def test_property_q_and_b_match_fraction_recomputation(lat, rng):
 def test_property_normalization_is_idempotent(a, b):
     # direct_sum normalizes once; normalizing again must change nothing,
     # also where a generator of order 10 or 15 is split into primary parts
-    form = discriminant_form(a).direct_sum(discriminant_form(b))
+    form = direct_sum(discriminant_form(a), discriminant_form(b))
     assert finite_quadratic_form(form.orders, form.qvalues, form.pairing) == form
-    assert form.direct_sum(TRIVIAL_FORM) == form
+    assert direct_sum(form, TRIVIAL_FORM) == form
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -691,7 +716,7 @@ def test_property_brown_invariant_matches_gauss_sum_on_subgroups(
         tuple(scale * x for x in row) for row in lat.gram
     )))
     if a:
-        form = form.direct_sum(skew_two(a) if skew else hyperbolic_two(a))
+        form = direct_sum(form, skew_two(a) if skew else hyperbolic_two(a))
     assume(form.order() <= 5000)
     gens = [
         tuple(rng.randrange(d) for d in form.orders)
@@ -763,8 +788,8 @@ def test_isometries_out_of_a_degenerate_form_must_be_onto():
 
 
 def test_isometries_need_equal_exponents():
-    four = cyclic(4, F(1, 4)).direct_sum(cyclic(4, F(1, 4)))
-    two_eight = cyclic(2, F(1, 2)).direct_sum(cyclic(8, F(1, 8)))
+    four = direct_sum(cyclic(4, F(1, 4)), cyclic(4, F(1, 4)))
+    two_eight = direct_sum(cyclic(2, F(1, 2)), cyclic(8, F(1, 8)))
     assert four.order() == two_eight.order()
     assert fqf_isometries(four, two_eight) == []
     assert fqf_isometries(two_eight, four, anti=True) == []

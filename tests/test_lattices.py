@@ -24,7 +24,14 @@ from k3lines.lattices import (
     sign_structure_action,
 )
 
-from helpers import BUILTIN_SPECS, dual_vectors, identity_isometry, is_identity
+from helpers import (
+    BUILTIN_SPECS,
+    coordinates,
+    direct_sum,
+    dual_vectors,
+    identity_isometry,
+    is_identity,
+)
 
 
 def test_parser_frozen_grams():
@@ -243,7 +250,7 @@ def test_discriminant_identities_on_builtins_and_random():
         a = _random_even_lattice(rng, max_rank=3, det_cap=20)
         b = _random_even_lattice(rng, max_rank=3, det_cap=20)
         ds = discriminant_form(a.direct_sum(b))
-        expect = discriminant_form(a).direct_sum(discriminant_form(b))
+        expect = direct_sum(discriminant_form(a), discriminant_form(b))
         assert ds.order() == expect.order()
         assert fqf_isometries(ds, expect)
 
@@ -258,13 +265,13 @@ def test_coordinates_roundtrip():
                 sum(F(c) * duals[i][j] for i, c in enumerate(el))
                 for j in range(n)
             ]
-            assert data.coordinates(vec) == el
+            assert coordinates(data, vec) == el
 
 
 def test_coordinates_rejects_non_dual_vectors():
     data = discriminant_data(build_lattice("U(2)"))
     with pytest.raises(ValueError):
-        data.coordinates((F(1, 3), F(0)))
+        coordinates(data, (F(1, 3), F(0)))
 
 
 def test_act_pushes_isometries_to_the_form():
@@ -288,7 +295,7 @@ def rational_act(data, isometry):
     """Columns of the induced automorphism by the rational route: each
     generator's dual vector pushed through the isometry in Fractions."""
     return tuple(
-        data.coordinates(mat_vec(isometry.matrix, vec)) for vec in dual_vectors(data)
+        coordinates(data, mat_vec(isometry.matrix, vec)) for vec in dual_vectors(data)
     )
 
 
@@ -332,7 +339,7 @@ def test_property_integer_class_map_matches_the_rational_route(seed):
             for j in range(n)
         ]
         pairings = [int(x) for x in mat_vec(lat.gram, w)]
-        assert data.class_of(pairings) == data.coordinates(w) == data.form.reduce(el)
+        assert data.class_of(pairings) == coordinates(data, w) == data.form.reduce(el)
     double, isometries = _isometries_of_double(lat)
     data = discriminant_data(double)
     for g in isometries:

@@ -115,7 +115,7 @@ def test_derived_attributes_take_no_part_in_identity():
     assert cfg.kernel_pairings == ((0, 0, 0, 0, 0),)
     assert "kernel_pairings" not in repr(cfg)
     tside = RECORDS["TSideClasses"]()
-    tside.anti_isometry(tside.form)  # fills the per-instance cache
+    tside.gluing(tside.form)  # fills the per-instance cache
     assert tside == RECORDS["TSideClasses"]()
     assert "_antis" not in repr(tside)
 

@@ -5,11 +5,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lines import realcrit
 from k3lines.configio import load_configuration, read_configuration
@@ -17,10 +20,15 @@ from k3lines.errors import InputError
 from k3lines.fano import Analysis
 from k3lines.fqf import (
     TRIVIAL_FORM,
+    FqfIsometry,
     find_isometry,
     finite_quadratic_form,
     fqf_isometries,
     involution_classes,
+    orthogonal_subgroup,
+    square_class_equal,
+    subgroup_form,
+    two_adic_det_classes,
 )
 from k3lines.lattices import (
     Isometry,
@@ -49,6 +57,8 @@ from k3lines.realcrit import (
     totally_real_criterion,
     two_u_involutions,
 )
+
+from helpers import direct_sum
 
 
 def cyclic(d, q):
@@ -99,14 +109,15 @@ def test_binary_form_oracle_confirms_the_no():
         if fqf_isometries(d_n, discriminant_form(lat), anti=True):
             genus.append((a, b, c))
     assert genus == [(8, 4, 8)]
-    # Coordinate bound x_i^2 <= (G^-1)_ii * norm; here (G^-1)_ii = 1/6.
-    assert _vectors_of_norm([[8, 4], [4, 8]], [F(1, 6), F(1, 6)], 2) == []
+    # Coordinate bound x_i^2 <= (G^-1)_ii * norm; here (G^-1)_ii = 8 / 48,
+    # the integer cofactor over det G.
+    assert _vectors_of_norm([[8, 4], [4, 8]], [8, 8], 48, 2) == []
 
 
 def test_hyperbolic_plus_three_torsion_contains_norm_two():
     # Rank 4 with 2-length 2 passes the norm-2 case outright, so the weaker
     # hyperbolic containment is never consulted.
-    d_n = discriminant_form(build_lattice("U(2)")).direct_sum(cyclic(3, F(2, 3)))
+    d_n = direct_sum(discriminant_form(build_lattice("U(2)")), cyclic(3, F(2, 3)))
     v = totally_real_criterion(d_n, 4, 12)
     assert v.kind == "YES_CONTAINS_2"
 
@@ -129,7 +140,7 @@ def test_two_length_r_minus_one_is_unknown():
 def test_unknown_is_not_masked_by_the_hyperbolic_case():
     # 2-length 3 = r-1: even though the hyperbolic pair is present, the
     # undecided norm-2 case must surface as UNKNOWN, not as a weaker YES.
-    d_n = discriminant_form(build_lattice("U(2)")).direct_sum(cyclic(2, F(1, 2)))
+    d_n = direct_sum(discriminant_form(build_lattice("U(2)")), cyclic(2, F(1, 2)))
     v = totally_real_criterion(d_n, 4, 8)
     assert v.kind == "UNKNOWN"
 
@@ -176,6 +187,125 @@ def test_characteristic_vector_determinant_branch():
     v = totally_real_criterion(d_n, 2, 8)
     assert v.kind == "YES_CONTAINS_2"
     assert any("characteristic" in r for r in v.reasons)
+
+
+# -- the 2-adic tests against the Fraction scans ------------------------------
+
+
+def reference_norm_two_vector_hunt(part2, absn):
+    """The norm-2 test at p = 2 as it was written in Fractions: q_of and
+    b_of on every order-2 element."""
+    twos = part2.two_torsion()
+    half = F(3, 2)  # -1/2 mod 2
+    for u in [v for v in twos if part2.q_of(v) == half]:
+        if any(part2.b_of(u, v) != part2.q_of(v) % 1 for v in twos):
+            return "a non-characteristic order-2 vector of square -1/2 exists"
+        perp, _ = subgroup_form(part2, orthogonal_subgroup(part2, [u]))
+        cands = two_adic_det_classes(perp)
+        if any(
+            square_class_equal(c, sign * 2 * absn, 2)
+            for c in cands
+            for sign in (1, -1)
+        ):
+            return (
+                "a characteristic order-2 vector of square -1/2 has "
+                "orthogonal complement of determinant +-2|det N|"
+            )
+    return None
+
+
+def reference_hyperbolic_pair(part2) -> bool:
+    """The pair scan of the hyperbolic case as it was written in
+    Fractions."""
+    twos = part2.two_torsion()
+    for u in twos:
+        if part2.q_of(u) != 0:
+            continue
+        for v in twos:
+            if part2.q_of(v) == 0 and part2.b_of(u, v) == F(1, 2):
+                return True
+    return False
+
+
+@st.composite
+def two_adic_jordan_sums(draw):
+    """A direct sum of 2-adic Jordan blocks: cyclic 2^a with q = c / 2^a, c
+    odd, and the rank-two u_a (q = 0, 0) and v_a (q = 2 / 2^a, 2 / 2^a),
+    each with pairing 1 / 2^a between its generators; 2-length at most 7."""
+    orders, qs, blocks = [], [], []
+    while len(orders) < 7 and draw(st.integers(0, 2)):
+        a = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("cyclic", "u", "v")))
+        if kind == "cyclic":
+            orders.append(2**a)
+            qs.append(F(draw(st.sampled_from((1, 3, 5, 7))), 2**a))
+            blocks.append((len(orders) - 1,))
+        elif len(orders) < 6:
+            square = F(0) if kind == "u" else F(2, 2**a)
+            orders += [2**a, 2**a]
+            qs += [square, square]
+            blocks.append((len(orders) - 2, len(orders) - 1))
+    pairing = [[F(0)] * len(qs) for _ in qs]
+    for block in blocks:
+        for i in block:
+            pairing[i][i] = qs[i] % 1
+        if len(block) == 2:
+            i, j = block
+            pairing[i][j] = pairing[j][i] = F(1, orders[i])
+    return finite_quadratic_form(orders, qs, pairing)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(two_adic_jordan_sums(), st.sampled_from((1, 3, 5, 7)))
+def test_property_two_adic_tests_match_the_fraction_scans(part2, odd):
+    absn = part2.order() * odd
+    assert realcrit._norm_two_vector_hunt(part2, absn) == (
+        reference_norm_two_vector_hunt(part2, absn)
+    )
+    assert realcrit._has_hyperbolic_pair(part2) == reference_hyperbolic_pair(part2)
+
+
+@pytest.mark.parametrize(
+    "expr, hunt, pair",
+    [
+        # [2]: its order-2 vector has square 1/2, not -1/2
+        ("[2]", "none", False),
+        # [-2] + [-4]: the one vector of square -1/2 is characteristic
+        ("[-2]+[-4]", "a characteristic", False),
+        # [-2] + [-2]: each vector of square -1/2 pairs 0 with the other
+        ("2[-2]", "a non-characteristic", False),
+        # U(2): the hyperbolic pair itself
+        ("U(2)", "none", True),
+    ],
+)
+def test_two_adic_tests_reach_every_outcome(expr, hunt, pair):
+    part2 = discriminant_form(build_lattice(expr)).p_part(2)
+    reason = realcrit._norm_two_vector_hunt(part2, part2.order())
+    assert reason == reference_norm_two_vector_hunt(part2, part2.order())
+    assert (reason or "none").startswith(hunt)
+    assert realcrit._has_hyperbolic_pair(part2) is pair
+
+
+def test_hyperbolic_scan_budget():
+    # (Z/4)^9 with q = 1/4 on each generator and r = 9: the 511 order-2
+    # elements are scanned in pairs for a hyperbolic pair, and there is
+    # none.  Two Fractions per pair took about 1.2 s of CPU; integer
+    # tables take a few hundredths.
+    k = 9
+    form = finite_quadratic_form(
+        (4,) * k,
+        (F(1, 4),) * k,
+        [[F(1, 4) if i == j else 0 for j in range(k)] for i in range(k)],
+    )
+    start = time.process_time()
+    verdict = totally_real_criterion(form, k, 4**k)
+    spent = time.process_time() - start
+    assert verdict.kind == "NO"
+    assert verdict.reasons[-2] == (
+        "hyperbolic case, p=2: no order-2 pair with zero squares and "
+        "half-integer pairing: fail"
+    )
+    assert spent <= 0.25
 
 
 def _random_positive_times_negative(rng, extra):
@@ -394,7 +524,7 @@ from k3lines.fqf import involution_classes
 from k3lines.realcrit import TwoU, t_side_involution_classes
 tside = t_side_involution_classes(TwoU(5))
 assert len(tside.members) == 570
-assert tside.anti_isometry(tside.form.negated()) is not None
+assert tside.gluing(tside.form.negated())[0] is not None
 assert len(involution_classes(tside.form)) == 8
 print(time.process_time())
 """
@@ -516,7 +646,7 @@ def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
         n = t.negated()
         data = discriminant_data(n)
         tside = t_side_involution_classes(Definite2(t))
-        phi = tside.anti_isometry(data.form)
+        phi = tside.gluing(data.form)[0]
         for g in orthogonal_group_definite(n):
             if not g.is_involution():
                 continue
@@ -585,6 +715,22 @@ def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
     candidates = Analysis(cfg).real_structure_candidates(cfg.transcendental)
     assert len(candidates) == 28
     assert calls == [True]
+
+
+def test_fermat_real_inverts_the_anti_isometry_once(monkeypatch):
+    # the 28 candidates share one phi, and each conjugates by phi^-1
+    inverses = []
+    invert = FqfIsometry.inverse
+
+    def counted(phi):
+        inverses.append(phi)
+        return invert(phi)
+
+    monkeypatch.setattr(FqfIsometry, "inverse", counted)
+    cfg = fermat_with_definite2()
+    candidates = Analysis(cfg).real_structure_candidates(cfg.transcendental)
+    assert len(candidates) == 28
+    assert len(inverses) == 1
 
 
 def test_genus_mismatch_computes_no_closure(monkeypatch):
