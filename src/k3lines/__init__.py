@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # command pays only for the modules it runs.
 _MODULE_OF = {
     "load_configuration": "configio",
-    "read_configuration": "configio",
     "CapExceeded": "errors",
     "InputError": "errors",
     "Analysis": "fano",
@@ -26,7 +25,6 @@ _MODULE_OF = {
     "RealCandidate": "fano",
     "catalog_graph": "fano",
     "catalog_names": "fano",
-    "class_sum_in_radical": "fano",
     "classify_fragment": "fano",
     "enumerate_fragments": "fano",
     "FiniteQuadraticForm": "fqf",
@@ -34,7 +32,6 @@ _MODULE_OF = {
     "brown_invariant": "fqf",
     "ell": "fqf",
     "finite_quadratic_form": "fqf",
-    "fqf_isometries": "fqf",
     "involution_classes": "fqf",
     "isotropic_quotient": "fqf",
     "DiscriminantData": "lattices",
@@ -43,7 +40,6 @@ _MODULE_OF = {
     "build_lattice": "lattices",
     "discriminant_data": "lattices",
     "invariant_sublattice": "lattices",
-    "invariants_match": "lattices",
     "orthogonal_group_definite": "lattices",
     "Multigraph": "multigraph",
     "PermutationGroup": "multigraph",

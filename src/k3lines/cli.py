@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 input error, 2 an UNKNOWN verdict under --strict,
 3 internal enumeration cap exceeded.
 
 Each command imports the library modules it runs inside its own function,
-so a fresh process loads only those: `--help` none (nor `json` or
-`hashlib`), `lattice` no configuration machinery.  The argument parser is
-built once per process.  Input files are read once, as UTF-8; the digest in
-each report is that of the bytes read.
+so a fresh process loads only those: `--help` none, `lattice` no
+configuration machinery.  The argument parser is built once per process.
+Input files are read once, as UTF-8.  Only --json prints the digest of the
+bytes read (`input_sha256`), so only --json loads `json` and `hashlib`.
 """
 
 from __future__ import annotations
@@ -33,22 +33,20 @@ EXIT_STRICT = 2
 EXIT_CAP = 3
 
 
-def _digest(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
 def _ratio_str(num: int, den: int) -> str:
     """num / den in lowest terms: "a/b", or "a" for an integer."""
     g = gcd(num, den)
     return f"{num // g}/{den // g}".removesuffix("/1")
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
+def _emit(report: dict, lines: list[str], as_json: bool, source: bytes) -> None:
+    """Print the text lines, or under --json the report with the digest of
+    the input's bytes added."""
     if as_json:
+        import hashlib
         import json
 
+        report["input_sha256"] = hashlib.sha256(source).hexdigest()
         sys.stdout.write(
             json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
@@ -56,8 +54,9 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _read_source(arg: str) -> tuple[str, str]:
-    """Expression text and its digest; file contents when arg is a path."""
+def _read_source(arg: str) -> tuple[str, bytes]:
+    """Expression text and the bytes it came from; file contents when arg
+    is a path."""
     path = Path(arg)
     try:
         is_file = path.is_file()
@@ -65,15 +64,16 @@ def _read_source(arg: str) -> tuple[str, str]:
         is_file = False
     if is_file:
         data, text = read_utf8(path)
-        return text.strip(), _digest(data)
-    return arg.strip(), _digest(arg.strip().encode())
+        return text.strip(), data
+    expr = arg.strip()
+    return expr, expr.encode()
 
 
 def cmd_lattice(args) -> int:
     from .fqf import brown_invariant, ell, prime_power_factors
     from .lattices import build_lattice, discriminant_data
 
-    expr, digest = _read_source(args.spec)
+    expr, source = _read_source(args.spec)
     lattice = build_lattice(expr)
     data = discriminant_data(lattice)
     form = data.form
@@ -87,7 +87,6 @@ def cmd_lattice(args) -> int:
     report = {
         "command": "lattice",
         "input": args.spec,
-        "input_sha256": digest,
         "rank": lattice.rank,
         "signature": [pos, neg],
         "determinant": det,
@@ -117,7 +116,7 @@ def cmd_lattice(args) -> int:
         f"{'ok' if milgram_ok else 'FAIL'} "
         f"(signature {(pos - neg) % 8} mod 8)"
     )
-    _emit(report, lines, args.json)
+    _emit(report, lines, args.json, source)
     return EXIT_OK
 
 
@@ -130,7 +129,7 @@ def _load(args):
     if not path.is_file():
         raise InputError(f"no such file: {args.file}")
     data, text = read_utf8(path)
-    return load_configuration(text), _digest(data)
+    return load_configuration(text), data
 
 
 _ANALYSES: dict = {}  # (degree, graph, kernel rows) -> the Analysis of that N
@@ -150,7 +149,7 @@ def shared_analysis(cfg):
 
 
 def cmd_fragments(args) -> int:
-    cfg, digest = _load(args)
+    cfg, source = _load(args)
     analysis = shared_analysis(cfg)
     warnings = analysis.warnings
     fragments = analysis.fragments
@@ -162,7 +161,6 @@ def cmd_fragments(args) -> int:
     report = {
         "command": "fragments",
         "input": args.file,
-        "input_sha256": digest,
         "lines": cfg.line_count,
         "degree": cfg.degree,
         "invariants": {
@@ -193,21 +191,20 @@ def cmd_fragments(args) -> int:
             lines.append(f"  {list(fr.vertices)}  {fr.type_label}")
     for w in warnings:
         lines.append(f"warning: {w}")
-    _emit(report, lines, args.json)
+    _emit(report, lines, args.json, source)
     return EXIT_OK
 
 
 def cmd_real(args) -> int:
     from .realcrit import UNKNOWN
 
-    cfg, digest = _load(args)
+    cfg, source = _load(args)
     candidates = shared_analysis(cfg).real_structure_candidates(
         cfg.transcendental
     )
     report = {
         "command": "real",
         "input": args.file,
-        "input_sha256": digest,
         "candidates": [
             {
                 "permutation": list(c.isometry.permutation),
@@ -231,7 +228,7 @@ def cmd_real(args) -> int:
         lines.append(f"    reason: {c.reason}")
         for note in c.notes:
             lines.append(f"    note: {note}")
-    _emit(report, lines, args.json)
+    _emit(report, lines, args.json, source)
     if args.strict and any(
         c.admissibility == UNKNOWN for c in candidates
     ):
@@ -242,7 +239,7 @@ def cmd_real(args) -> int:
 def cmd_totally_real(args) -> int:
     from .realcrit import UNKNOWN
 
-    cfg, digest = _load(args)
+    cfg, source = _load(args)
     analysis = shared_analysis(cfg)
     r = analysis.r
     det_n = analysis.det_n
@@ -251,7 +248,6 @@ def cmd_totally_real(args) -> int:
     report = {
         "command": "totally-real",
         "input": args.file,
-        "input_sha256": digest,
         "rank_n": analysis.rank_n,
         "r": r,
         "det_n": det_n,
@@ -267,7 +263,7 @@ def cmd_totally_real(args) -> int:
         lines.append(f"  - {reason}")
     for w in warnings:
         lines.append(f"warning: {w}")
-    _emit(report, lines, args.json)
+    _emit(report, lines, args.json, source)
     if args.strict and verdict.kind == UNKNOWN:
         return EXIT_STRICT
     return EXIT_OK

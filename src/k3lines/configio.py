@@ -5,14 +5,15 @@ The on-disk format is JSON with a fixed field set: `degree`, `vertices`,
 are rejected so that typos fail loudly instead of being ignored.  Fractions
 are written as strings "a/b"; plain integers are also accepted.  `fractions`
 is imported by the parsers that read a rational, so a configuration with no
-kernel and no `discr` block does not load it.
+kernel and no `discr` block does not load it.  `load_configuration` parses
+text; the caller reads the file (the CLI with `errors.read_utf8`, once).
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import InputError, read_utf8
+from .errors import InputError
 from .fano import LineConfiguration
 from .lattices import Lattice
 from .multigraph import Multigraph
@@ -194,8 +195,3 @@ def load_configuration(text: str) -> LineConfiguration:
     return LineConfiguration(
         degree, graph, kernel=kernel, transcendental=transcendental
     )
-
-
-def read_configuration(path) -> LineConfiguration:
-    """Load a configuration from a UTF-8 file."""
-    return load_configuration(read_utf8(path)[1])

@@ -12,13 +12,11 @@ test and the candidate actions on D_N from its discriminant data.
 
 A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
-3, and that combinatorial condition is what the enumeration uses; the class
-sum test against the radical of the Fano form is available separately and
-implies 3-regularity on every input.  The enumeration is a deficit-driven
-connected-subgraph search (Wernicke, *Efficient detection of network
-motifs*, IEEE/ACM TCBB 2006): it grows the fragment one 3-regular component
-at a time and branches only where some chosen line is still short of
-valency 3.
+3, and that combinatorial condition is what the enumeration uses.  The
+enumeration is a deficit-driven connected-subgraph search (Wernicke,
+*Efficient detection of network motifs*, IEEE/ACM TCBB 2006): it grows the
+fragment one 3-regular component at a time and branches only where some
+chosen line is still short of valency 3.
 
 Real-structure candidates pair a graph involution with the global sign -1, so
 real lines are the fixed vertices.  The polarized stabilizer is S x {+-1},
@@ -151,17 +149,6 @@ def _fano_gram(cfg: LineConfiguration) -> list[list[int]]:
     """Pairings among (lines..., h)."""
     rows = [row + [1] for row in _lines_gram(cfg.graph)]
     return rows + [[1] * cfg.graph.n + [cfg.degree]]
-
-
-def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
-    """Whether sum(v in S) - h lies in the radical of the Fano form, i.e.
-    pairs to zero with every line and with h."""
-    n = cfg.graph.n
-    chosen = set(vertices)
-    if not chosen <= set(range(n)):
-        raise InputError(f"vertices outside 0..{n - 1}")
-    x = [1 if v in chosen else 0 for v in range(n)] + [-1]
-    return not any(mat_vec(_fano_gram(cfg), x))
 
 
 # -- fragments ----------------------------------------------------------------

@@ -18,8 +18,7 @@ n * q on generators reduced to [0, 2n), n * b between them to [0, n), so
 equal forms compare equal structurally.  Every computation reads these
 integers, an element's through `qn_of` (n * q) and `dual_of` (its n * b row);
 rationals enter through `finite_quadratic_form` as numerators and
-denominators, and only the accessors that return them (`qvalues`, `pairing`,
-`q_of`, `b_of`) import `fractions`.
+denominators, and only `qvalues`, which returns them, imports `fractions`.
 """
 
 from __future__ import annotations
@@ -41,20 +40,24 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
     p in n, by increasing p; empty for n < 2.
 
     Trial division stops at TRIAL_DIVISION_LIMIT.  A cofactor left above it
-    is accepted only when provably prime (deterministic Miller-Rabin);
-    otherwise the factorisation raises CapExceeded."""
+    is accepted only when it is a power of a provably prime number (exact
+    integer root, then deterministic Miller-Rabin); otherwise the
+    factorisation raises CapExceeded."""
     out = []
     m = n
     p = 2
     while p * p <= m:
         if p > TRIAL_DIVISION_LIMIT:
-            if not _is_prime_above_trial_limit(m):
+            root = _prime_root(m)
+            if root is None:
                 raise CapExceeded(
                     f"factoring a {n.bit_length()}-bit number: a "
                     f"{m.bit_length()}-bit cofactor has no prime factor up "
-                    f"to {TRIAL_DIVISION_LIMIT} and is not provably prime"
+                    f"to {TRIAL_DIVISION_LIMIT} and is not a power of a "
+                    "provable prime"
                 )
-            break
+            out.append((root, m))
+            return out
         if m % p == 0:
             power = 1
             while m % p == 0:
@@ -65,6 +68,27 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, m))
     return out
+
+
+def _prime_root(m: int) -> int | None:
+    """The prime p with m = p**k, k >= 1, when p is provably prime, for an m
+    with no factor up to TRIAL_DIVISION_LIMIT; else None.  The largest k
+    with an exact root gives the least root, the only candidate."""
+    for k in reversed(range(1, m.bit_length() // 19 + 1)):  # p > 2**19
+        root = _integer_root(m, k)
+        if root**k == m:
+            return root if _is_prime_above_trial_limit(root) else None
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """The floor of the k-th root of m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _is_prime_above_trial_limit(m: int) -> bool:
@@ -109,9 +133,9 @@ class FiniteQuadraticForm(Record):
     the generators mod 2n and `bn` holds n * b between them mod n.  The
     tables are the form's identity (equality, hashing, repr) and all its
     arithmetic, with `qn_of` and `dual_of` as the integer evaluators;
-    `qvalues`, `pairing`, `q_of` and `b_of` read them as Fractions for the
-    edges.  Build instances through `finite_quadratic_form`, which
-    normalizes arbitrary independent generators into this shape."""
+    `qvalues` reads the generators' squares as Fractions for the edges.
+    Build instances through `finite_quadratic_form`, which normalizes
+    arbitrary independent generators into this shape."""
 
     _fields = ("orders", "qn", "bn")
 
@@ -152,12 +176,6 @@ class FiniteQuadraticForm(Record):
 
         return tuple(Fraction(q, self._n) for q in self.qn)
 
-    @property
-    def pairing(self) -> tuple[tuple[Fraction, ...], ...]:
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(x, self._n) for x in row) for row in self.bn)
-
     # -- basic queries ---------------------------------------------------
 
     def rank(self) -> int:
@@ -174,16 +192,6 @@ class FiniteQuadraticForm(Record):
 
     def exponent(self) -> int:
         return self.orders[-1] if self.orders else 1
-
-    def q_of(self, coords) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.qn_of(coords), self._n)
-
-    def b_of(self, x, y) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(_b_scaled(self.bn, x, y) % self._n, self._n)
 
     def qn_of(self, coords) -> int:
         """n * q(coords), reduced mod 2n."""
@@ -523,25 +531,13 @@ def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
     return FqfIsometry(form, form, cols, anti=False)
 
 
-def fqf_isometries(
-    source: FiniteQuadraticForm,
-    target: FiniteQuadraticForm,
-    anti: bool = False,
-) -> list[FqfIsometry]:
-    """All isometries (anti=False) or anti-isometries (anti=True) from
-    source to target, sorted canonically.  Enumerates the target group, so
-    its order is capped."""
-    leaves = _isometry_leaves(source, target, anti)
-    return [FqfIsometry(source, target, cols, anti=anti) for cols in leaves(())]
-
-
 def find_isometry(
     source: FiniteQuadraticForm,
     target: FiniteQuadraticForm,
     anti: bool = False,
 ) -> FqfIsometry | None:
     """The least isometry (or anti-isometry) from source to target, the
-    first of `fqf_isometries` found without listing the rest, or None."""
+    first leaf of the isometry search, or None."""
     cols = next(_isometry_leaves(source, target, anti)(()), None)
     return None if cols is None else FqfIsometry(source, target, cols, anti=anti)
 
@@ -664,9 +660,6 @@ class InvolutionClass(Record):
         vars(self).update(
             representative=representative, size=size, members=members
         )
-
-    def contains(self, g: FqfIsometry) -> bool:
-        return g.columns in self.members
 
 
 def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:

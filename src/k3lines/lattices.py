@@ -26,7 +26,6 @@ from .intmat import (
     identity,
     inertia,
     integral_kernel,
-    inverse_unimodular,
     mat_mul,
     mat_vec,
     positive_basis,
@@ -93,9 +92,6 @@ class Lattice(Record):
     def negated(self) -> "Lattice":
         return self.rescaled(-1)
 
-    def norm(self, vec) -> int:
-        return self.pairing(vec, vec)
-
     def pairing(self, x, y) -> int:
         return sum(
             x[i] * self.gram[i][j] * y[j]
@@ -115,17 +111,6 @@ class Isometry(Record):
         if mat_mul(mat_mul(transpose(w), g), w) != g:
             raise ValueError("matrix does not preserve the Gram form")
         vars(self).update(lattice=lattice, matrix=matrix)
-
-    def compose(self, inner: "Isometry") -> "Isometry":
-        """self after inner."""
-        if inner.lattice != self.lattice:
-            raise ValueError("isometries act on different lattices")
-        prod = mat_mul([list(r) for r in self.matrix], [list(r) for r in inner.matrix])
-        return Isometry(self.lattice, tuple(tuple(r) for r in prod))
-
-    def inverse(self) -> "Isometry":
-        inv = inverse_unimodular([list(r) for r in self.matrix])
-        return Isometry(self.lattice, tuple(tuple(r) for r in inv))
 
     def is_involution(self) -> bool:
         prod = mat_mul([list(r) for r in self.matrix], [list(r) for r in self.matrix])
@@ -379,11 +364,6 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     )
 
 
-def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """The finite quadratic form on dual(L)/L; its order is |det L|."""
-    return discriminant_data(lattice).form
-
-
 # -- orthogonal groups of small definite lattices ----------------------------
 
 
@@ -498,19 +478,3 @@ def invariant_sublattice(
     basis = integral_kernel(diff)
     sub = [[lattice.pairing(x, y) for y in basis] for x in basis]
     return Lattice.from_rows(sub), [list(v) for v in basis]
-
-
-def invariants_match(a: Lattice, b: Lattice) -> bool:
-    """Rank, signature, determinant and discriminant-form isometry class all
-    agree.  For the small lattices this package compares (rank <= 3, or any
-    indefinite rank where the genus has one class) this decides isometry."""
-    from .fqf import find_isometry
-
-    if a.rank != b.rank or a.signature != b.signature:
-        return False
-    if a.determinant != b.determinant:
-        return False
-    if a.rank == 0:
-        return True
-    da, db = discriminant_form(a), discriminant_form(b)
-    return find_isometry(da, db) is not None

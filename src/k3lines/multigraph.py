@@ -22,7 +22,7 @@ subgroup, given by a test `keep` at the leaves, comes from the same tree
 also builds Aut of a finite quadratic form (`fqf.automorphism_group`).  The
 cost follows the symmetry, not the labels, and the order is a product of
 orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
-order 60!) never require element enumeration; `elements` stays, capped.
+order 60!) never require element enumeration.
 
 The canonical certificate is the least column-major upper-triangle encoding
 of the multiplicity matrix over the vertex orderings that respect the colour
@@ -181,18 +181,6 @@ class PermutationGroup:
             total *= len(level)
         return total
 
-    def elements(self):
-        if self.order() > ELEMENT_CAP:
-            raise CapExceeded(
-                f"group of order {self.order()} exceeds the cap of {ELEMENT_CAP}"
-            )
-        elems = [tuple(range(self.n))]
-        for level in reversed(self.levels):
-            elems = [
-                compose_perm(t, e) for t in level.values() for e in elems
-            ]
-        return sorted(elems)
-
     def involutions(self) -> list[tuple[int, ...]]:
         """The g with g∘g = 1, identity included, sorted, by a depth-first
         walk of the transversals.  A partial product h = t_0∘…∘t_i completes
@@ -237,17 +225,6 @@ class PermutationGroup:
 
         walk(tuple(range(n)), list(base), 0)
         return sorted(found)
-
-    def contains(self, perm) -> bool:
-        """Sift `perm` through the base points."""
-        current = tuple(perm)
-        if len(current) != self.n:
-            return False
-        for b, level in zip(self.base, self.levels):
-            if current[b] not in level:
-                return False
-            current = compose_perm(invert_perm(level[current[b]]), current)
-        return current == tuple(range(self.n))
 
     def conjugation_orbits(self, seeds) -> list[list[tuple[int, ...]]]:
         """The conjugacy class of each seed, a group member, skipping seeds

@@ -15,7 +15,6 @@ import time
 from itertools import combinations
 from pathlib import Path
 
-from k3lines.configio import read_configuration
 from k3lines.fano import (
     Analysis,
     LineConfiguration,
@@ -23,14 +22,12 @@ from k3lines.fano import (
     catalog_names,
     enumerate_fragments,
 )
-from k3lines.fqf import brown_invariant, fqf_isometries, involution_classes
+from k3lines.fqf import brown_invariant, involution_classes
 from k3lines.lattices import (
     Lattice,
     _vectors_of_norm,
     build_lattice,
-    discriminant_form,
     invariant_sublattice,
-    invariants_match,
     orthogonal_group_definite,
     sign_structure_action,
 )
@@ -48,7 +45,14 @@ from k3lines.realcrit import (
     two_u_involutions,
 )
 
-from helpers import BUILTIN_SPECS
+from helpers import (
+    BUILTIN_SPECS,
+    discriminant_form,
+    fqf_isometries,
+    group_elements,
+    invariants_match,
+    read_configuration,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -272,7 +276,7 @@ def test_criterion_09_real_count_sanity():
             analysis = Analysis(cfg)
             group = graph_automorphism_group(cfg.graph)
             assert group.order() <= 1000
-            elems = group.elements()
+            elems = group_elements(group)
             ident = tuple(range(cfg.graph.n))
             sigma = rng.choice(
                 [g for g in elems if compose_perm(g, g) == ident]

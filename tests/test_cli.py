@@ -135,6 +135,13 @@ class TestLatticeCommand:
         assert report["brown"] == 1
         assert report["milgram"] == "ok"
 
+    def test_square_of_a_large_prime_is_factored(self, capsys):
+        # det U(p) = -p**2: the cofactor left by trial division is p**2
+        code, out, _ = run(capsys, "lattice", "U(1000000007)")
+        assert code == EXIT_OK
+        assert "discriminant group: Z/1000000007 x Z/1000000007" in out
+        assert "ell_1000000007 = 2" in out
+
     def test_large_elementary_two_group_is_not_capped(self, capsys):
         # (Z/2)**20: 2**20 elements, twenty blocks
         code, out, _ = run(capsys, "lattice", "20[2]", "--json")
@@ -786,6 +793,20 @@ class TestStartUp:
         self, argv
     ):
         assert "fractions" not in loaded_modules(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", "[8,4,8]"),
+            ("fragments", str(CORPUS / "k4.json")),
+            ("real", str(CORPUS / "k33_twou3.json")),
+            ("totally-real", str(CORPUS / "k33_generic.json")),
+        ],
+    )
+    def test_text_output_computes_no_digest(self, argv):
+        # only --json prints input_sha256, so only --json loads OpenSSL
+        assert not loaded_modules(*argv) & {"hashlib", "_hashlib"}
+        assert "_hashlib" in loaded_modules(*argv, "--json")
 
     def test_a_kernel_loads_fractions(self):
         modules = loaded_modules("fragments", str(CORPUS / "k33_glued.json"))

@@ -9,15 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from k3lines.configio import (
-    MAX_LINES,
-    load_configuration,
-    parse_fraction,
-    read_configuration,
-)
+from k3lines.configio import MAX_LINES, load_configuration, parse_fraction
 from k3lines.errors import InputError
 from k3lines.fano import LineConfiguration, catalog_graph
 from k3lines.realcrit import Definite2, GenericDiscr, TwoU
+
+from helpers import read_configuration
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -24,7 +24,6 @@ from k3lines.fqf import (
     element_permutation,
     ell,
     finite_quadratic_form,
-    fqf_isometries,
     involution_classes,
     isotropic_quotient,
     minus_identity_isometry,
@@ -41,10 +40,20 @@ from k3lines.lattices import (
     Lattice,
     build_lattice,
     discriminant_data,
-    discriminant_form,
 )
 
-from helpers import coordinates, direct_sum, is_identity
+from helpers import (
+    b_of,
+    coordinates,
+    direct_sum,
+    discriminant_form,
+    fqf_isometries,
+    group_contains,
+    group_elements,
+    is_identity,
+    pairing,
+    q_of,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -186,7 +195,7 @@ def test_property_integer_constructor_matches_fraction_oracle(data):
     except ValueError:
         assert expected is None
     else:
-        assert (form.orders, form.qvalues, form.pairing) == expected
+        assert (form.orders, form.qvalues, pairing(form)) == expected
         assert all(type(x) is int for x in (*form.qn, *sum(form.bn, ())))
 
 
@@ -197,8 +206,8 @@ def test_quadratic_form_polarization():
         x = tuple(rng.randrange(d) for d in form.orders)
         y = tuple(rng.randrange(d) for d in form.orders)
         s = tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
-        lhs = form.q_of(s)
-        rhs = (form.q_of(x) + form.q_of(y) + 2 * form.b_of(x, y)) % 2
+        lhs = q_of(form, s)
+        rhs = (q_of(form, x) + q_of(form, y) + 2 * b_of(form, x, y)) % 2
         assert lhs == rhs
 
 
@@ -374,8 +383,8 @@ def test_fqf_isometries_are_bijective_form_preserving():
         for _ in range(30):
             x = tuple(rng.randrange(d) for d in form.orders)
             y = tuple(rng.randrange(d) for d in form.orders)
-            assert form.q_of(iso.apply(x)) == form.q_of(x)
-            assert form.b_of(iso.apply(x), iso.apply(y)) == form.b_of(x, y)
+            assert q_of(form, iso.apply(x)) == q_of(form, x)
+            assert b_of(form, iso.apply(x), iso.apply(y)) == b_of(form, x, y)
         for el in form.elements():
             seen.add(iso.apply(el))
         assert len(seen) == form.order()
@@ -557,12 +566,26 @@ def test_prime_power_factors_accepts_one_large_prime_cofactor():
     assert prime_power_factors(2**20 * 3**5) == [(2, 2**20), (3, 3**5)]
 
 
+def test_prime_power_factors_accepts_a_power_of_one_large_prime():
+    # the cofactor is an exact power of a provable prime
+    p = 1_000_000_007
+    assert prime_power_factors(p**2) == [(p, p**2)]
+    assert prime_power_factors(p**3) == [(p, p**3)]
+    assert prime_power_factors(6 * p**2) == [(2, 2), (3, 3), (p, p**2)]
+    assert prime_power_factors(1_000_003**2) == [(1_000_003, 1_000_003**2)]
+    mersenne = 2**61 - 1
+    assert prime_power_factors(mersenne**2) == [(mersenne, mersenne**2)]
+
+
 def test_prime_power_factors_caps_two_large_prime_factors():
     with pytest.raises(CapExceeded, match="factoring a 61-bit number"):
         prime_power_factors(2 * 1_000_000_007 * 998_244_353)
-    # the square of a prime just above the limit is not provably prime
+    # a product of two primes just above the limit is no prime power
     with pytest.raises(CapExceeded, match="factoring"):
-        prime_power_factors(1_000_003**2)
+        prime_power_factors(1_000_003 * 1_000_033)
+    # nor is the square of such a product
+    with pytest.raises(CapExceeded, match="not a power of a provable prime"):
+        prime_power_factors((1_000_000_007 * 998_244_353) ** 2)
     # a prime beyond the proven range of the Miller-Rabin bases is refused
     with pytest.raises(CapExceeded, match="factoring a 91-bit number"):
         prime_power_factors(3 * (2**89 - 1))
@@ -593,7 +616,7 @@ def fraction_q(form, c):
     k = form.rank()
     total = sum(c[i] * c[i] * form.qvalues[i] for i in range(k))
     total += 2 * sum(
-        c[i] * c[j] * form.pairing[i][j] for i in range(k) for j in range(i + 1, k)
+        c[i] * c[j] * pairing(form)[i][j] for i in range(k) for j in range(i + 1, k)
     )
     return F(total) % 2
 
@@ -601,7 +624,7 @@ def fraction_q(form, c):
 def fraction_b(form, x, y):
     """b(x, y) recomputed in Fractions from the stored pairing."""
     k = form.rank()
-    total = sum(x[i] * y[j] * form.pairing[i][j] for i in range(k) for j in range(k))
+    total = sum(x[i] * y[j] * pairing(form)[i][j] for i in range(k) for j in range(k))
     return F(total) % 1
 
 
@@ -613,8 +636,8 @@ def test_property_q_and_b_match_fraction_recomputation(lat, rng):
         # unreduced coordinates exercise the reduction mod 2n and mod n
         x = tuple(rng.randrange(-2 * d, 2 * d) for d in form.orders)
         y = tuple(rng.randrange(-2 * d, 2 * d) for d in form.orders)
-        assert form.q_of(x) == fraction_q(form, x)
-        assert form.b_of(x, y) == fraction_b(form, x, y)
+        assert q_of(form, x) == fraction_q(form, x)
+        assert b_of(form, x, y) == fraction_b(form, x, y)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -623,7 +646,7 @@ def test_property_normalization_is_idempotent(a, b):
     # direct_sum normalizes once; normalizing again must change nothing,
     # also where a generator of order 10 or 15 is split into primary parts
     form = direct_sum(discriminant_form(a), discriminant_form(b))
-    assert finite_quadratic_form(form.orders, form.qvalues, form.pairing) == form
+    assert finite_quadratic_form(form.orders, form.qvalues, pairing(form)) == form
     assert direct_sum(form, TRIVIAL_FORM) == form
 
 
@@ -654,8 +677,8 @@ def test_property_invariant_under_a_change_of_generators(lat, rng):
     assert [form.order_of(g) for g in gens] == orders
     changed = finite_quadratic_form(
         orders,
-        [form.q_of(g) for g in gens],
-        [[form.b_of(g, h) for h in gens] for g in gens],
+        [q_of(form, g) for g in gens],
+        [[b_of(form, g, h) for h in gens] for g in gens],
     )
     assert changed.orders == form.orders
     assert fqf_isometries(form, changed)
@@ -684,7 +707,7 @@ def gauss_sum_brown(form):
     """Brown invariant from the Gauss sum S = sum of exp(pi i q(x)) over the
     group, or None for a degenerate form: the form is nondegenerate exactly
     when |S|**2 = |D|, and then S = sqrt|D| exp(2 pi i Brown / 8)."""
-    total = sum(cmath.exp(1j * cmath.pi * form.q_of(x)) for x in form.elements())
+    total = sum(cmath.exp(1j * cmath.pi * q_of(form, x)) for x in form.elements())
     if abs(abs(total) ** 2 - form.order()) > 1e-6 * form.order():
         return None
     return round(cmath.phase(total) / (cmath.pi / 4)) % 8
@@ -822,7 +845,7 @@ def assert_chain_matches_the_listing(form):
     assert 2 ** len(group.strong) <= group.order()
     for iso in listed:
         perm = element_permutation(form, iso.columns)
-        assert group.contains(perm)
+        assert group_contains(group, perm)
         assert permutation_columns(form, perm) == iso.columns
     got = [
         (c.size, c.representative.columns, c.members) for c in involution_classes(form)
@@ -842,7 +865,7 @@ def test_involution_classes_match_all_elements_oracle(spec, order):
         assert len(group.strong) <= 10
         # the strong generators generate the listed group
         listed = fqf_isometries(form, form)
-        assert group.elements() == sorted(
+        assert group_elements(group) == sorted(
             element_permutation(form, g.columns) for g in listed
         )
 
@@ -882,7 +905,7 @@ def test_generic_discr_block_reads_the_same_through_configio():
     assert {
         "factors": list(form.orders),
         "qvalues": [str(q) for q in form.qvalues],
-        "pairing": [[str(x) for x in row] for row in form.pairing],
+        "pairing": [[str(x) for x in row] for row in pairing(form)],
     } == {
         "factors": [2, 2, 2, 10],
         "qvalues": ["1", "1", "1", "9/5"],

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lines import realcrit
-from k3lines.configio import load_configuration, read_configuration
+from k3lines.configio import load_configuration
 from k3lines.errors import InputError
 from k3lines.fano import Analysis
 from k3lines.fqf import (
@@ -23,7 +23,6 @@ from k3lines.fqf import (
     FqfIsometry,
     find_isometry,
     finite_quadratic_form,
-    fqf_isometries,
     involution_classes,
     orthogonal_subgroup,
     square_class_equal,
@@ -35,9 +34,7 @@ from k3lines.lattices import (
     Lattice,
     build_lattice,
     discriminant_data,
-    discriminant_form,
     invariant_sublattice,
-    invariants_match,
     orthogonal_group_definite,
     sign_structure_action,
     _vectors_of_norm,
@@ -58,7 +55,15 @@ from k3lines.realcrit import (
     two_u_involutions,
 )
 
-from helpers import direct_sum
+from helpers import (
+    b_of,
+    direct_sum,
+    discriminant_form,
+    fqf_isometries,
+    invariants_match,
+    q_of,
+    read_configuration,
+)
 
 
 def cyclic(d, q):
@@ -197,8 +202,8 @@ def reference_norm_two_vector_hunt(part2, absn):
     b_of on every order-2 element."""
     twos = part2.two_torsion()
     half = F(3, 2)  # -1/2 mod 2
-    for u in [v for v in twos if part2.q_of(v) == half]:
-        if any(part2.b_of(u, v) != part2.q_of(v) % 1 for v in twos):
+    for u in [v for v in twos if q_of(part2, v) == half]:
+        if any(b_of(part2, u, v) != q_of(part2, v) % 1 for v in twos):
             return "a non-characteristic order-2 vector of square -1/2 exists"
         perp, _ = subgroup_form(part2, orthogonal_subgroup(part2, [u]))
         cands = two_adic_det_classes(perp)
@@ -219,10 +224,10 @@ def reference_hyperbolic_pair(part2) -> bool:
     Fractions."""
     twos = part2.two_torsion()
     for u in twos:
-        if part2.q_of(u) != 0:
+        if q_of(part2, u) != 0:
             continue
         for v in twos:
-            if part2.q_of(v) == 0 and part2.b_of(u, v) == F(1, 2):
+            if q_of(part2, v) == 0 and b_of(part2, u, v) == F(1, 2):
                 return True
     return False
 
@@ -542,8 +547,8 @@ print(time.process_time())
 TWO_U_SEVEN_WALK = """
 import time
 from k3lines.fqf import automorphism_group
-from k3lines.lattices import build_lattice, discriminant_form
-group = automorphism_group(discriminant_form(build_lattice("2U(7)")))
+from k3lines.lattices import build_lattice, discriminant_data
+group = automorphism_group(discriminant_data(build_lattice("2U(7)")).form)
 start = time.process_time()
 involutions = group.involutions()
 spent = time.process_time() - start
