@@ -15,7 +15,7 @@ from k3lines import (
 
 def show(expr: str) -> None:
     lattice = build_lattice(expr)
-    data = discriminant_data(lattice)
+    data = discriminant_data(lattice.gram)
     form = data.form
     pos, neg, _ = lattice.signature
     group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
@@ -31,7 +31,7 @@ print()
 print("The discriminant form remembers the lattice glue.  For the")
 print("intersection form [8,4,8] of the Schur quartic:")
 schur = build_lattice("[8,4,8]")
-form = discriminant_data(schur).form
+form = discriminant_data(schur.gram).form
 print("  invariant factors:", form.orders)
 print("  q on generators:  ", [str(q) for q in form.qvalues])
 print("  minimal generator counts: ell_2 =", ell(form, 2),

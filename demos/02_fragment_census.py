@@ -43,7 +43,7 @@ print("The Fano lattice of the K(3,3) configuration at 2d = 6 is")
 print("degenerate: the class sum of all six lines equals h.")
 k33 = LineConfiguration(6, catalog_graph("K33"))
 data = Analysis(k33)
-print("  radical basis:", data.radical)
+print(f"  rank N: {data.rank_n} of {len(data.gram)} generators")
 print("  quotient signature:", data.quotient_signature)
 
 print()

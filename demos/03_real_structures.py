@@ -52,7 +52,7 @@ print()
 print("The totally-real existence criterion works genus by genus.  The")
 print("Schur quartic transcendental lattice [8,4,8] fails it: no totally")
 print("real configuration exists in that genus.")
-schur = discriminant_data(build_lattice("[8,4,8]")).form
+schur = discriminant_data(build_lattice("[8,4,8]").gram).form
 verdict = totally_real_criterion(schur.negated(), 2, -48)
 print("  verdict:", verdict.kind)
 for reason in verdict.reasons:

@@ -75,11 +75,13 @@ def cmd_lattice(args) -> int:
 
     expr, source = _read_source(args.spec)
     lattice = build_lattice(expr)
-    data = discriminant_data(lattice)
-    form = data.form
-    pos, neg, _ = lattice.signature
+    pos, neg, zero = lattice.signature
+    if zero:
+        raise InputError("degenerate lattice has no discriminant form")
+    form = discriminant_data(lattice.gram).form
     det = lattice.determinant
-    primes = [p for p, _ in prime_power_factors(abs(det))]
+    # the primes of |det| are those of the exponent, which is smaller
+    primes = [p for p, _ in prime_power_factors(form.exponent())]
     ell_table = {str(p): ell(form, p) for p in primes}
     brown = brown_invariant(form)
     qvalues = [_ratio_str(q, form.exponent()) for q in form.qn]

@@ -23,7 +23,7 @@ from .multigraph import Multigraph
 # only to load.  The value rests on cost, not on geometry.  The corpus, the
 # tests and the benchmark use at most 48 lines (the Fermat quartic); at 200
 # lines the slowest input measured, an edgeless graph, runs `fragments` in
-# a fresh process in 2.2-2.4 s of CPU and 55 MB max RSS (2-core host,
+# a fresh process in 1.7-2.0 s of CPU and 49 MB max RSS (2-core host,
 # Python 3.11.7).  Published maxima of line counts per degree are not
 # reproduced or checked in this repository, so none is relied on here.
 MAX_LINES = 200

@@ -6,9 +6,10 @@ degree 2d) together with optional finite-index extension data: rational
 vectors in the span of the lines and h whose classes generate an isotropic
 subgroup of the discriminant form, held as integer numerators over one
 denominator.  The line lattice N is generated by the lines, h and these
-kernel vectors.  `Analysis` builds it as one lattice, the Gram matrix of
-those generators modulo its radical, and reads D_N, det N, the stabilizer
-test and the candidate actions on D_N from its discriminant data.
+kernel vectors.  `Analysis` holds N as the Gram matrix of those generators,
+relations and all: the rank and signature of N are its inertia, and D_N,
+det N, the stabilizer test and the candidate actions on D_N come from its
+discriminant data, one Smith form of that matrix.
 
 A hyperplane-section fragment is a set of 2d lines summing to h.  Pairing
 that equation with a member line forces intra-subset weighted valency exactly
@@ -40,14 +41,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import CapExceeded, InputError
-from .intmat import (
-    inertia,
-    integral_kernel_with_complement,
-    mat_mul,
-    mat_vec,
-    transpose,
-)
-from .lattices import Lattice, discriminant_data
+from .intmat import inertia, mat_vec
+from .lattices import discriminant_data
 from .multigraph import (
     Multigraph,
     PermutationGroup,
@@ -360,14 +355,14 @@ class RealCandidate(Record):
 
 class Analysis:
     """Everything the package derives from one configuration, each item
-    computed on first use and then kept: the line lattice N as one
-    `Lattice`, the Gram matrix of its generators modulo its radical, whose
-    discriminant data give D_N, det N, the stabilizer test, the candidate
-    actions and the screening verdict; the graph automorphism group with
-    the rank of the lines' Gram form and the girth of the graph, the
-    stabilizer of N in the group (one `PermutationGroup` either way), its
-    involution classes and the fragment list, which every candidate's
-    fragment count reuses.
+    computed on first use and then kept: the line lattice N as the Gram
+    matrix of its generators, whose inertia gives the rank and signature
+    of N and whose discriminant data give D_N, det N, the stabilizer test,
+    the candidate actions and the screening verdict; the graph
+    automorphism group with the rank of the lines' Gram form and the girth
+    of the graph, the stabilizer of N in the group (one `PermutationGroup`
+    either way), its involution classes and the fragment list, which every
+    candidate's fragment count reuses.
     An item whose computation raises is not kept, so the next read
     computes it again.
     """
@@ -390,39 +385,15 @@ class Analysis:
         return tuple(map(tuple, rows))
 
     @cached_property
-    def _split(self):
-        radical, complement = integral_kernel_with_complement(self.gram)
-        return tuple(map(tuple, radical)), tuple(map(tuple, complement))
-
-    @property
-    def radical(self) -> tuple[tuple[int, ...], ...]:
-        """Saturated basis of the relations among the generators, the
-        radical of `gram`."""
-        return self._split[0]
-
-    @property
-    def complement(self) -> tuple[tuple[int, ...], ...]:
-        """Vectors completing the radical to a basis of Z^generators; they
-        give the basis of N."""
-        return self._split[1]
-
-    @cached_property
-    def lattice(self) -> Lattice:
-        """N: the generators' form restricted to the complement, i.e.
-        modulo the radical."""
-        c = self.complement
-        gram = mat_mul(mat_mul(c, self.gram), transpose(c))
-        return Lattice(tuple(map(tuple, gram)))
-
-    @property
     def quotient_signature(self) -> tuple[int, int]:
-        """Signature of N, which is that of the Fano form."""
-        pos, neg, _ = self.lattice.signature
+        """Signature of N, that of `gram`: one congruence reduction, whose
+        zero count is the rank of the relations among the generators."""
+        pos, neg, _ = inertia(self.gram)
         return pos, neg
 
     @cached_property
     def warnings(self) -> tuple[str, ...]:
-        """A non-hyperbolic quotient, or a hyperbolic one of rank above 20
+        """A non-hyperbolic N, or a hyperbolic one of rank above 20
         (a Picard lattice has rank at most 20), is flagged with a warning,
         not an error."""
         pos, neg = self.quotient_signature
@@ -440,7 +411,8 @@ class Analysis:
 
     @cached_property
     def data(self):
-        return discriminant_data(self.lattice)
+        """Discriminant data of N, read off `gram` itself."""
+        return discriminant_data(self.gram)
 
     @property
     def dn(self):
@@ -449,11 +421,12 @@ class Analysis:
 
     @property
     def rank_n(self) -> int:
-        return self.lattice.rank
+        return sum(self.quotient_signature)
 
     @property
     def det_n(self) -> int:
-        return self.lattice.determinant
+        """(-1)^neg |D_N|, with neg the negative index of N."""
+        return (-1) ** self.quotient_signature[1] * self.dn.order()
 
     @cached_property
     def r(self) -> int:
@@ -478,7 +451,7 @@ class Analysis:
             if x % den:
                 return None
             full.append(x // den)
-        return self.data.class_of(mat_vec(self.complement, full))
+        return self.data.class_of(full)
 
     # -- symmetries ---------------------------------------------------------
 
@@ -534,11 +507,9 @@ class Analysis:
     @cached_property
     def _generator_pairings(self) -> list[list[int]]:
         """Pairings with (lines..., h) of one lift of each generator of
-        D_N.  Generator i is V[:, i] / d_i on the basis of N, so C^T·V[:, i]
-        / d_i on the generators of N (C the complement rows); its pairings
-        are the first n+1 entries of gram·C^T·V[:, i] / d_i."""
-        top = mat_mul(self.gram[: self.cfg.graph.n + 1], transpose(self.complement))
-        return self.data.generator_pairings(top)
+        D_N: generator i is V[:, i] / d_i on the generators of N, so its
+        pairings are the first n+1 entries of gram·V[:, i] / d_i."""
+        return self.data.generator_pairings(self.gram[: self.cfg.graph.n + 1])
 
     def candidate_action(self, perm) -> FqfIsometry:
         """Action of (perm, sign -1) on D_N, for a graph automorphism perm.

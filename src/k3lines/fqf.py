@@ -458,7 +458,7 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
     ValueError: it has no such splitting.
     """
     total = 0
-    for p, _ in prime_power_factors(form.order()):
+    for p, _ in prime_power_factors(form.exponent()):
         for a, cs in _jordan_blocks(form.p_part(p), p):
             if len(cs) == 2:  # q = 2x, 2z over 2**a; 4a for v_a (x * z odd)
                 total += a * (cs[0] * cs[1] % 8)

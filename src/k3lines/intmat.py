@@ -164,26 +164,15 @@ def _smith(m: Mat, want_u: bool) -> tuple[Mat, Mat | None, Mat]:
     return s, (u if want_u else None), v
 
 
-def integral_kernel_with_complement(m: Mat) -> tuple[list[Vec], list[Vec]]:
-    """Kernel basis plus vectors completing it to a basis of Z^n.
-
-    Both lists together are the columns of the unimodular Smith transform V,
-    so stacking them yields a unimodular matrix.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    s, _, v = _smith(m, want_u=False)
-    rank = sum(1 for t in range(min(rows, cols)) if s[t][t] != 0)
-    kernel = [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-    complement = [[v[i][j] for i in range(cols)] for j in range(rank)]
-    return kernel, complement
-
-
 def integral_kernel(m: Mat) -> list[Vec]:
     """Basis of {x in Z^n : m·x = 0}, saturated (the quotient by its span is
     torsion-free).  The basis consists of the trailing columns of the Smith
     transform V, so it is deterministic."""
-    return integral_kernel_with_complement(m)[0]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    s, _, v = _smith(m, want_u=False)
+    rank = sum(1 for t in range(min(rows, cols)) if s[t][t] != 0)
+    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
 def inverse_unimodular(m: Mat) -> Mat:

@@ -2,10 +2,11 @@
 
 Provides the text notation for standard constructors (root lattices, the
 hyperbolic plane, binary forms, rescaling, repetition, direct sum), the
-discriminant form of a nondegenerate lattice together with the integer map
-that names its classes, orthogonal groups of small definite lattices, the
-sign action on orientations of maximal positive subspaces, and fixed
-sublattices of involutions.
+discriminant form of an even lattice, read off the Gram matrix of a basis or
+of any generating system, together with the integer map that names its
+classes, orthogonal groups of small definite lattices, the sign action on
+orientations of maximal positive subspaces, and fixed sublattices of
+involutions.
 
 Root lattices follow the NEGATIVE definite convention: A2 has Gram matrix
 [[-2, 1], [1, -2]].  Most references use the positive sign; rescale by -1 to
@@ -276,32 +277,32 @@ def build_lattice(spec: str) -> Lattice:
 
 
 class DiscriminantData(Record):
-    """Discriminant form of a nondegenerate even lattice L, with the integer
-    map that names its elements.
+    """Discriminant form of an even lattice L, with the integer map that
+    names its elements.  L is given by the Gram matrix G of a generating
+    system, which may be degenerate: the Gram matrix of a basis, or that
+    of generators with relations among them.
 
-    Let G be the Gram matrix and U·G·V = S its Smith form.  A class of
-    dual(L)/L is carried by its pairings t = G·w with the basis of L, an
-    integer vector, and its coordinates are (U·t)_i mod d_i over the Smith
-    invariants d_i > 1 (`class_of`).  Generator i is the dual vector
-    V[:, i] / d_i.  Isometries of the lattice (`act`) enter through this
-    one map."""
+    Let U·G·V = S be the Smith form of G.  The torsion of coker G is
+    dual(L)/L, whether or not G is degenerate.  A class is carried by its
+    pairings t with the generators, an integer vector, and its coordinates
+    are (U·t)_i mod d_i over the Smith invariants d_i > 1 (`class_of`).
+    Generator i is the dual vector V[:, i] / d_i on the generators.
+    Isometries of a lattice (`act`) enter through this one map."""
 
-    _fields = ("lattice", "form", "smith_u", "smith_v")
+    _fields = ("gram", "form", "smith_u", "smith_v")
 
     def __init__(
         self,
-        lattice: Lattice,
+        gram: tuple[tuple[int, ...], ...],
         form: FiniteQuadraticForm,
         smith_u: tuple[tuple[int, ...], ...],  # the rows of U at each d_i > 1
         smith_v: tuple[tuple[int, ...], ...],  # the columns of V at each d_i > 1
     ):
-        vars(self).update(
-            lattice=lattice, form=form, smith_u=smith_u, smith_v=smith_v
-        )
+        vars(self).update(gram=gram, form=form, smith_u=smith_u, smith_v=smith_v)
 
     def class_of(self, pairings) -> tuple[int, ...]:
-        """Coordinates of the class whose pairings with the lattice basis
-        are the integers `pairings`."""
+        """Coordinates of the class whose pairings with the generators are
+        the integers `pairings`."""
         return tuple(
             sum(map(operator.mul, row, pairings)) % d
             for row, d in zip(self.smith_u, self.form.orders)
@@ -318,9 +319,9 @@ class DiscriminantData(Record):
         """Induced automorphism of the discriminant form."""
         from .fqf import FqfIsometry
 
-        if isometry.lattice != self.lattice:
+        if isometry.lattice.gram != self.gram:
             raise ValueError("isometry acts on a different lattice")
-        gw = mat_mul([list(r) for r in self.lattice.gram], isometry.matrix)
+        gw = mat_mul(self.gram, isometry.matrix)
         cols = tuple(self.class_of(t) for t in self.generator_pairings(gw))
         return FqfIsometry(self.form, self.form, cols, anti=False)
 
@@ -332,18 +333,17 @@ def _pushed(matrix, columns, orders) -> list[list[int]]:
     ]
 
 
-def discriminant_data(lattice: Lattice) -> DiscriminantData:
+def discriminant_data(gram) -> DiscriminantData:
+    """The discriminant data of the even lattice generated by a system with
+    Gram rows `gram`, degenerate or not (`DiscriminantData`)."""
     from .fqf import FiniteQuadraticForm
 
-    if not lattice.is_nondegenerate():
-        raise InputError("degenerate lattice has no discriminant form")
-    n = lattice.rank
-    g = [list(r) for r in lattice.gram]
-    s, u, v = smith_decompose(g)
-    keep = [i for i in range(n) if s[i][i] > 1]
+    gram = tuple(map(tuple, gram))
+    s, u, v = smith_decompose(gram)
+    keep = [i for i in range(len(gram)) if s[i][i] > 1]
     orders = tuple(s[i][i] for i in keep)
     smith_v = tuple(tuple(row[i] for row in v) for i in keep)
-    pairs = _pushed(g, smith_v, orders)  # G·w for each generator w
+    pairs = _pushed(gram, smith_v, orders)  # G·w for each generator w
 
     e = orders[-1] if orders else 1  # the exponent of D
 
@@ -359,9 +359,7 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
         tuple(scaled(a, a) % (2 * e) for a in range(k)),
         tuple(tuple(scaled(a, b) % e for b in range(k)) for a in range(k)),
     )
-    return DiscriminantData(
-        lattice, form, tuple(tuple(u[i]) for i in keep), smith_v
-    )
+    return DiscriminantData(gram, form, tuple(tuple(u[i]) for i in keep), smith_v)
 
 
 # -- orthogonal groups of small definite lattices ----------------------------

@@ -155,7 +155,7 @@ def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
     and returns whether all of them pass."""
     target = "-2|det N|" if factor == 2 else "-|det N|"
     ok = True
-    for p in [q for q, _ in prime_power_factors(absn) if q != 2]:
+    for p in [q for q, _ in prime_power_factors(d_n.exponent()) if q != 2]:
         part = d_n.p_part(p)
         length = part.rank()
         head = f"{case} case, p={p}: length {length}"
@@ -287,7 +287,7 @@ class GenericDiscr(Record):
     def __init__(self, form: FiniteQuadraticForm, rank_: int):
         if rank_ < 1:
             raise InputError("rank must be positive")
-        for p, _ in prime_power_factors(form.order()):
+        for p, _ in prime_power_factors(form.exponent()):
             if ell(form, p) > rank_:
                 raise InputError(
                     f"rank {rank_} is below the {p}-length of the form"
@@ -393,7 +393,7 @@ def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
         return None
     if isinstance(spec, Definite2):
         lat = spec.lattice
-        data = discriminant_data(lat)
+        data = discriminant_data(lat.gram)
         images = frozenset(
             data.act(g).columns
             for g in orthogonal_group_definite(lat)
@@ -407,7 +407,7 @@ def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
         )
     if isinstance(spec, TwoU):
         lat = build_lattice(f"2U({spec.scale})")
-        data = discriminant_data(lat)
+        data = discriminant_data(lat.gram)
         images = frozenset(
             data.act(Isometry(lat, g.matrix)).columns
             for _, g in two_u_involutions()

@@ -94,7 +94,7 @@ def class_sum_in_radical(cfg: LineConfiguration, vertices) -> bool:
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """The finite quadratic form on dual(L)/L; its order is |det L|."""
-    return discriminant_data(lattice).form
+    return discriminant_data(lattice.gram).form
 
 
 def invariants_match(a: Lattice, b: Lattice) -> bool:
@@ -204,9 +204,9 @@ def kernel_vectors(cfg) -> tuple[tuple[Fraction, ...], ...]:
 
 def coordinates(data: DiscriminantData, dual_vector) -> tuple[int, ...]:
     """Coordinates in the generator presentation of a vector of the dual
-    lattice, given in lattice coordinates with rational entries: `class_of`
-    on its pairings with the lattice basis."""
-    pair = mat_vec(data.lattice.gram, [Fraction(x) for x in dual_vector])
+    lattice, given with rational entries on the rows of the Gram matrix:
+    `class_of` on its pairings with them."""
+    pair = mat_vec(data.gram, [Fraction(x) for x in dual_vector])
     if any(x.denominator != 1 for x in pair):
         raise ValueError("vector is not in the dual lattice")
     return data.class_of([int(x) for x in pair])
@@ -222,8 +222,8 @@ def direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadrati
 
 
 def dual_vectors(data: DiscriminantData) -> tuple[tuple[Fraction, ...], ...]:
-    """The generators of the discriminant form as dual vectors in lattice
-    coordinates: V[:, i] / d_i."""
+    """The generators of the discriminant form as dual vectors on the rows
+    of the Gram matrix, a basis or a generating system: V[:, i] / d_i."""
     return tuple(
         tuple(Fraction(x, d) for x in col)
         for col, d in zip(data.smith_v, data.form.orders)

@@ -136,8 +136,12 @@ class TestLatticeCommand:
         assert report["milgram"] == "ok"
 
     def test_square_of_a_large_prime_is_factored(self, capsys):
-        # det U(p) = -p**2: the cofactor left by trial division is p**2
+        # det U(p) = -p**2, but D has exponent p: factoring the exponent
+        # stops trial division at the square root of p, while factoring
+        # p**2 ran it to the limit of 10**6 (0.16 s in-process)
+        start = time.process_time()
         code, out, _ = run(capsys, "lattice", "U(1000000007)")
+        assert time.process_time() - start < 0.1
         assert code == EXIT_OK
         assert "discriminant group: Z/1000000007 x Z/1000000007" in out
         assert "ell_1000000007 = 2" in out

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lines import fano
+from k3lines import fano, intmat, lattices
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import (
     Analysis,
@@ -31,13 +31,14 @@ from k3lines.fano import (
 )
 from k3lines.fqf import (
     FqfIsometry,
+    find_isometry,
     isotropic_quotient,
     minus_identity_isometry,
     solve_mod,
     subgroup_form,
 )
 from k3lines.intmat import (
-    integral_kernel_with_complement,
+    integral_kernel,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -233,30 +234,22 @@ class TestFanoLattice:
         g = empty_graph(1)
         data = Analysis(LineConfiguration(2, g))
         assert data.gram == ((-2, 1), (1, 2))
-        assert data.radical == ()
+        assert len(data.gram) - data.rank_n == 0
         assert data.quotient_signature == (1, 1)
         assert data.warnings == ()
 
     def test_k33_radical_and_signature(self):
+        # a radical of rank 1 holding the primitive vector (1, ..., 1, -1)
+        # is spanned by it: the six lines sum to h
         data = Analysis(LineConfiguration(6, catalog_graph("K33")))
-        assert len(data.radical) == 1
-        vec = data.radical[0]
-        scaled = tuple(-x for x in vec) if vec[-1] > 0 else vec
-        assert scaled == (1, 1, 1, 1, 1, 1, -1) or vec == (
-            1,
-            1,
-            1,
-            1,
-            1,
-            1,
-            -1,
-        )
+        assert len(data.gram) - data.rank_n == 1
+        assert mat_vec(data.gram, (1, 1, 1, 1, 1, 1, -1)) == [0] * 7
         assert data.quotient_signature == (1, 5)
         assert data.warnings == ()
 
     def test_prism_radical_and_signature(self):
         data = Analysis(LineConfiguration(6, catalog_graph("prism")))
-        assert len(data.radical) == 1
+        assert len(data.gram) - data.rank_n == 1
         assert data.quotient_signature == (1, 5)
         assert data.warnings == ()
 
@@ -308,7 +301,7 @@ class TestClassSumInRadical:
         seen = {True: 0, False: 0}
         for cfg in configs:
             n = cfg.graph.n
-            radical, _ = integral_kernel_with_complement(fano_gram(cfg))
+            radical = integral_kernel(fano_gram(cfg))
             for size in range(n + 1):
                 for subset in combinations(range(n), size):
                     x = [int(v in subset) for v in range(n)] + [-1]
@@ -943,12 +936,17 @@ class DescentRoute:
     def __init__(self, cfg: LineConfiguration):
         self.cfg = cfg
         self.gram = gram = fano_gram(cfg)
-        radical, self.complement = integral_kernel_with_complement(gram)
+        # the columns of the Smith transform V: the trailing ones span the
+        # radical, the leading ones complete them to a basis
+        s, _, v = smith_decompose(gram)
+        rank = sum(1 for i in range(len(gram)) if s[i][i])
+        columns = transpose(v)
+        self.complement, radical = columns[:rank], columns[rank:]
         self.q = Lattice.from_rows(
             mat_mul(mat_mul(self.complement, gram), transpose(self.complement))
         )
         self.back = inverse_unimodular(transpose(self.complement + radical))
-        self.data = discriminant_data(self.q)
+        self.data = discriminant_data(self.q.gram)
         form = self.data.form
         self.kernel = [
             self.data.class_of(mat_vec(self.complement, t))
@@ -1030,16 +1028,19 @@ def assert_routes_agree(cfg):
     """`Analysis` and `DescentRoute` give the same stabilizer and |D_N|,
     and reading each generator of `Analysis.dn` off its pairing vector
     with (lines..., h) into the descent's D_N is an isometry that
-    intertwines the two candidate actions."""
+    intertwines the two candidate actions.  N has the rank and signature
+    of the descent's Fano quotient Q, and det Q = det N·|K|^2."""
     analysis = Analysis(cfg)
     ref = DescentRoute(cfg)
     elems = group_elements(analysis.stabilizer)
     assert set(elems) == ref.stabilizer()
     assert analysis.dn.order() == ref.dn.order()
+    assert analysis.rank_n == ref.q.rank
+    assert analysis.quotient_signature == ref.q.signature[:2]
     assert ref.q.determinant == analysis.det_n * len(ref.subgroup) ** 2
-    # generator i of D_N is V[:, i] / d_i on the basis of N, the rows of
-    # the complement over the generators (lines..., h, kernel vectors...)
-    lift = mat_mul(analysis.gram[: cfg.graph.n + 1], transpose(analysis.complement))
+    # generator i of D_N is V[:, i] / d_i on the generators (lines..., h,
+    # kernel vectors...); the first n+1 rows of gram give its pairings
+    lift = analysis.gram[: cfg.graph.n + 1]
     columns = []
     for w in dual_vectors(analysis.data):
         t = mat_vec(lift, w)
@@ -1112,6 +1113,20 @@ class TestExtensionContext:
                 for h in elems:
                     assert plus[compose_perm(g, h)] == plus[g].compose(plus[h])
 
+    def test_descent_route_agrees_on_degenerate_fano_forms(self):
+        # no kernel, and relations among the generators: the six lines of
+        # K33 or of the prism sum to h; prism + K33 is nondegenerate but
+        # not hyperbolic
+        for graph, relations in (
+            (catalog_graph("K33"), 1),
+            (catalog_graph("prism"), 1),
+            (prism_plus_k33(), 0),
+        ):
+            cfg = LineConfiguration(6, graph)
+            analysis = Analysis(cfg)
+            assert len(analysis.gram) - analysis.rank_n == relations
+            assert_routes_agree(cfg)
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(half_kernel_configurations())
     def test_descent_route_agrees_on_random_kernels(self, cfg):
@@ -1156,41 +1171,55 @@ class TestExtensionContext:
         assert glued.dn.order() == 20
         # the glued form still admits an anti-isometry test against itself
         negated = discriminant_data(
-            Lattice(
-                tuple(
-                    tuple(-x for x in row) for row in glued.lattice.gram
-                )
-            )
+            tuple(tuple(-x for x in row) for row in glued.gram)
         )
-        del negated
+        assert find_isometry(negated.form, glued.dn, anti=True) is not None
 
 
 class TestAnalysis:
     def test_one_search_per_configuration(self, monkeypatch):
-        # every candidate reads the same fragment list and the same split of
-        # the Fano form; nothing is recomputed per candidate
-        calls = {"enumerate_fragments": 0, "integral_kernel_with_complement": 0}
+        # every candidate reads the same fragment list and the same Smith
+        # form of the generators' Gram matrix; nothing is recomputed per
+        # candidate
+        calls = {"enumerate_fragments": 0, "smith_decompose": 0}
 
-        def counted(name):
-            inner = getattr(fano, name)
+        def counted(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return inner(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(fano, name, counted(name))
+        counted(fano, "enumerate_fragments")
+        counted(lattices, "smith_decompose")
         cfg = LineConfiguration(
             6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
         )
         cands = candidates(cfg)
         assert len(cands) > 1
-        assert calls == {
-            "enumerate_fragments": 1,
-            "integral_kernel_with_complement": 1,
-        }
+        assert calls == {"enumerate_fragments": 1, "smith_decompose": 1}
+
+    def test_fragments_read_runs_no_smith_form(self, monkeypatch):
+        # what the `fragments` command reads: the warnings come from the
+        # inertia of the generators' Gram matrix, the rank from that of
+        # the lines' own
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Smith form was computed")
+
+        monkeypatch.setattr(intmat, "_smith", refuse)
+        for graph in (prism_plus_k33(), catalog_graph("K33")):
+            analysis = Analysis(LineConfiguration(6, graph))
+            analysis.warnings
+            analysis.lines_rank
+            analysis.automorphisms
+            analysis.fragments
+        glued = Analysis(LineConfiguration(
+            6, catalog_graph("K33"), kernel=(K33_ISOTROPIC_KERNEL,)
+        ))
+        assert glued.warnings == ()
+        assert len(glued.fragments) == 1
 
     def test_items_match_the_search_and_a_fresh_analysis(self):
         # items read in any order give what a fresh analysis gives

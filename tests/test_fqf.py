@@ -347,7 +347,7 @@ def test_isotropic_quotient_rejects_non_isotropic():
 def test_isotropic_quotient_matches_overlattice():
     # Index-2 overlattice of U(2)+U(2) glued along (u1+u2)/2.
     big = build_lattice("2U(2)")
-    data = discriminant_data(big)
+    data = discriminant_data(big.gram)
     kappa = coordinates(data, (F(1, 2), F(0), F(1, 2), F(0)))
     quot, _ = isotropic_quotient(data.form, [kappa])
     # Explicit Gram of the overlattice in basis (kappa, v1, u2, v2).

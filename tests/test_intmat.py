@@ -15,7 +15,6 @@ from k3lines.intmat import (
     identity,
     inertia,
     integral_kernel,
-    integral_kernel_with_complement,
     inverse_unimodular,
     mat_mul,
     mat_vec,
@@ -126,13 +125,10 @@ def test_kernel_saturation_random():
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
         m = random_matrix(rng, rows, cols, bound=9)
-        kernel, complement = integral_kernel_with_complement(m)
+        kernel = integral_kernel(m)
         for x in kernel:
             assert mat_vec(m, x) == [0] * rows
-        assert len(kernel) + len(complement) == cols
-        assert matrix_rank(m) == len(complement)
-        stacked = transpose(complement + kernel)
-        assert abs(det(stacked)) == 1
+        assert len(kernel) == cols - matrix_rank(m)
         if kernel:
             s, _, _ = smith_decompose(transpose(kernel))
             assert all(s[i][i] == 1 for i in range(len(kernel)))
@@ -287,12 +283,12 @@ def test_integer_reduction_matches_the_fraction_oracle(m):
         assert [Fraction(x) for x in vec] == [ratio * x for x in want]
 
 
-def test_inertia_of_the_largest_edgeless_quotient_within_budget():
-    # the 201 x 201 Fano quotient that `Analysis.warnings` reduces for the
-    # edgeless configuration at the line limit: 8.8 s in Fraction
-    # arithmetic, 0.35 s fraction-free on a 2-core host
+def test_inertia_of_the_largest_edgeless_gram_within_budget():
+    # the 201 x 201 Gram matrix of the generators that `Analysis.warnings`
+    # reduces for the edgeless configuration at the line limit: 8.8 s in
+    # Fraction arithmetic, 0.35 s fraction-free on a 2-core host
     cfg = LineConfiguration(4, Multigraph.from_edges(MAX_LINES, []))
-    gram = [list(row) for row in Analysis(cfg).lattice.gram]
+    gram = [list(row) for row in Analysis(cfg).gram]
     start = time.process_time()
     assert inertia(gram) == (1, MAX_LINES, 0)
     assert time.process_time() - start < 3.0
@@ -442,10 +438,8 @@ def test_smith_matches_the_dense_routine(m):
     assert smith_decompose(m) == (s, u, v)
     cols = len(m[0]) if m else 0
     rank = sum(1 for t in range(min(len(m), cols)) if s[t][t])
-    kernel, complement = integral_kernel_with_complement(m)
     columns = [[v[i][j] for i in range(cols)] for j in range(cols)]
-    assert kernel == columns[rank:]
-    assert complement == columns[:rank]
+    assert integral_kernel(m) == columns[rank:]
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -463,14 +457,16 @@ def test_products_match_the_dense_routines(rows, inner, cols, exact, data):
     assert mat_vec(a, vec) == dense_mat_vec(a, vec)
 
 
-def test_largest_edgeless_quotient_product_within_budget():
-    # C·G·Cᵀ for the edgeless configuration at the line limit: 1.07 s with
-    # dense products, 0.025 s skipping the zero entries of C and C·G
+def test_largest_edgeless_discriminant_form_within_budget():
+    # D_N and the warnings for the edgeless configuration at the line
+    # limit: one Smith form and one congruence reduction of the 201 x 201
+    # Gram matrix of the generators, about 1.1 s on a 2-core host
     cfg = LineConfiguration(4, Multigraph.from_edges(MAX_LINES, []))
     analysis = Analysis(cfg)
-    c = [list(row) for row in analysis.complement]
-    gram = [list(row) for row in analysis.gram]
     start = time.process_time()
-    product = mat_mul(mat_mul(c, gram), transpose(c))
-    assert time.process_time() - start < 0.3
-    assert product == [list(row) for row in analysis.lattice.gram]
+    assert analysis.dn.orders == (2,) * (MAX_LINES - 2) + (416,)
+    assert analysis.warnings == (
+        f"line lattice rank {MAX_LINES + 1} exceeds 20; no polarized K3 "
+        "surface realizes this configuration",
+    )
+    assert time.process_time() - start < 3.0

@@ -221,10 +221,16 @@ def test_discriminant_frozen_examples():
     assert a2.qvalues == (F(4, 3),)
 
 
-def test_discriminant_rejects_degenerate():
-    degenerate = Lattice.from_rows([[2, 2], [2, 2]])
-    with pytest.raises(ValueError):
-        discriminant_form(degenerate)
+def test_degenerate_gram_gives_the_form_of_the_lattice_it_generates():
+    # e1 = e2 modulo the radical of [[2, 2], [2, 2]], so it generates [2];
+    # a, b and a + b in A2 generate A2.  A degenerate lattice given as one
+    # is refused by the `lattice` command, not here.
+    for gram, spec in (
+        (((2, 2), (2, 2)), "[2]"),
+        (((-2, 1, -1), (1, -2, -1), (-1, -1, -2)), "A2"),
+    ):
+        form = discriminant_data(gram).form
+        assert fqf_isometries(form, discriminant_form(build_lattice(spec)))
 
 
 def _random_even_lattice(rng, max_rank=6, bound=8, det_cap=600):
@@ -262,8 +268,8 @@ def test_discriminant_identities_on_builtins_and_random():
 
 def test_coordinates_roundtrip():
     for spec in ("[8,4,8]", "U(2)+A2", "2U(3)"):
-        data = discriminant_data(build_lattice(spec))
-        n = data.lattice.rank
+        data = discriminant_data(build_lattice(spec).gram)
+        n = len(data.gram)
         duals = dual_vectors(data)
         for el in data.form.elements():
             vec = [
@@ -274,14 +280,14 @@ def test_coordinates_roundtrip():
 
 
 def test_coordinates_rejects_non_dual_vectors():
-    data = discriminant_data(build_lattice("U(2)"))
+    data = discriminant_data(build_lattice("U(2)").gram)
     with pytest.raises(ValueError):
         coordinates(data, (F(1, 3), F(0)))
 
 
 def test_act_pushes_isometries_to_the_form():
     schur = build_lattice("[8,4,8]")
-    data = discriminant_data(schur)
+    data = discriminant_data(schur.gram)
     group = orthogonal_group_definite(schur)
     ident = identity_isometry(schur)
     assert is_identity(data.act(ident))
@@ -332,7 +338,7 @@ def _isometries_of_double(lat):
 def test_property_integer_class_map_matches_the_rational_route(seed):
     rng = random.Random(seed)
     lat = _random_even_lattice(rng, max_rank=3, det_cap=60)
-    data = discriminant_data(lat)
+    data = discriminant_data(lat.gram)
     n = lat.rank
     duals = dual_vectors(data)
     for _ in range(10):
@@ -346,7 +352,7 @@ def test_property_integer_class_map_matches_the_rational_route(seed):
         pairings = [int(x) for x in mat_vec(lat.gram, w)]
         assert data.class_of(pairings) == coordinates(data, w) == data.form.reduce(el)
     double, isometries = _isometries_of_double(lat)
-    data = discriminant_data(double)
+    data = discriminant_data(double.gram)
     for g in isometries:
         assert data.act(g).columns == rational_act(data, g)
 

@@ -117,7 +117,7 @@ RECORDS = {
     "InvolutionClass": lambda: involution_classes(_form())[0],
     "Lattice": lambda: build_lattice("A2"),
     "Isometry": lambda: identity_isometry(build_lattice("A2")),
-    "DiscriminantData": lambda: discriminant_data(build_lattice("A2")),
+    "DiscriminantData": lambda: discriminant_data(build_lattice("A2").gram),
     "Verdict": lambda: Verdict("NO", ("a reason",)),
     "Definite2": lambda: Definite2(build_lattice("[2,1,2]")),
     "TwoU": lambda: TwoU(3),

@@ -452,7 +452,7 @@ def test_t_side_for_definite_rank_two():
 
 def test_match_unknown_without_transcendental_data():
     d_n = discriminant_form(build_lattice("U(2)"))
-    tau = discriminant_data(build_lattice("U(2)")).act(
+    tau = discriminant_data(build_lattice("U(2)").gram).act(
         Isometry(build_lattice("U(2)"), ((-1, 0), (0, -1)))
     )
     status, _ = match_real_structure(tau, None)
@@ -461,7 +461,7 @@ def test_match_unknown_without_transcendental_data():
 
 def test_match_reports_genus_mismatch():
     lat = build_lattice("[2]")
-    tau = discriminant_data(lat).act(Isometry(lat, ((-1,),)))
+    tau = discriminant_data(lat.gram).act(Isometry(lat, ((-1,),)))
     status, reason = match_real_structure(tau, t_side_involution_classes(TwoU(3)))
     assert status == INADMISSIBLE
     assert "genus mismatch" in reason
@@ -472,7 +472,7 @@ def test_match_admits_a_glued_involution():
     # the transcendental classes of the same lattice: the swap is one of the
     # five constructions, so it must glue.
     lat = build_lattice("2U(3)")
-    data = discriminant_data(lat)
+    data = discriminant_data(lat.gram)
     swap = Isometry(
         lat,
         (
@@ -548,7 +548,7 @@ TWO_U_SEVEN_WALK = """
 import time
 from k3lines.fqf import automorphism_group
 from k3lines.lattices import build_lattice, discriminant_data
-group = automorphism_group(discriminant_data(build_lattice("2U(7)")).form)
+group = automorphism_group(discriminant_data(build_lattice("2U(7)").gram).form)
 start = time.process_time()
 involutions = group.involutions()
 spent = time.process_time() - start
@@ -649,7 +649,7 @@ def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
             continue
         t = Lattice(((a, b), (b, c)))
         n = t.negated()
-        data = discriminant_data(n)
+        data = discriminant_data(n.gram)
         tside = t_side_involution_classes(Definite2(t))
         phi = tside.gluing(data.form)[0]
         for g in orthogonal_group_definite(n):
