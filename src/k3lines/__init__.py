@@ -28,35 +28,34 @@ _MODULE_OF = {
     "classify_fragment": "fano",
     "enumerate_fragments": "fano",
     "FiniteQuadraticForm": "fqf",
-    "FqfIsometry": "fqf",
     "brown_invariant": "fqf",
     "ell": "fqf",
     "finite_quadratic_form": "fqf",
-    "involution_classes": "fqf",
     "isotropic_quotient": "fqf",
+    "ADMISSIBLE": "gluing",
+    "INADMISSIBLE": "gluing",
+    "UNKNOWN": "gluing",
+    "Definite2": "gluing",
+    "FqfIsometry": "gluing",
+    "GenericDiscr": "gluing",
+    "Isometry": "gluing",
+    "TwoU": "gluing",
+    "invariant_sublattice": "gluing",
+    "match_real_structure": "gluing",
+    "orthogonal_group_definite": "gluing",
+    "t_side_involution_classes": "gluing",
+    "two_u_involutions": "gluing",
     "DiscriminantData": "lattices",
-    "Isometry": "lattices",
     "Lattice": "lattices",
     "build_lattice": "lattices",
     "discriminant_data": "lattices",
-    "invariant_sublattice": "lattices",
-    "orthogonal_group_definite": "lattices",
     "Multigraph": "multigraph",
     "PermutationGroup": "multigraph",
     "canonical_certificate": "multigraph",
     "girth": "multigraph",
     "graph_automorphism_group": "multigraph",
-    "ADMISSIBLE": "realcrit",
-    "INADMISSIBLE": "realcrit",
-    "UNKNOWN": "realcrit",
-    "Definite2": "realcrit",
-    "GenericDiscr": "realcrit",
-    "TwoU": "realcrit",
     "Verdict": "realcrit",
-    "match_real_structure": "realcrit",
-    "t_side_involution_classes": "realcrit",
     "totally_real_criterion": "realcrit",
-    "two_u_involutions": "realcrit",
 }
 
 

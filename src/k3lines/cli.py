@@ -198,7 +198,7 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
-    from .realcrit import UNKNOWN
+    from .gluing import UNKNOWN
 
     cfg, source = _load(args)
     candidates = shared_analysis(cfg).real_structure_candidates(
@@ -239,7 +239,7 @@ def cmd_real(args) -> int:
 
 
 def cmd_totally_real(args) -> int:
-    from .realcrit import UNKNOWN
+    from .realcrit import VERDICT_UNKNOWN
 
     cfg, source = _load(args)
     analysis = shared_analysis(cfg)
@@ -266,7 +266,7 @@ def cmd_totally_real(args) -> int:
     for w in warnings:
         lines.append(f"warning: {w}")
     _emit(report, lines, args.json, source)
-    if args.strict and verdict.kind == UNKNOWN:
+    if args.strict and verdict.kind == VERDICT_UNKNOWN:
         return EXIT_STRICT
     return EXIT_OK
 

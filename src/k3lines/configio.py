@@ -123,7 +123,7 @@ def _parse_transcendental(raw) -> TranscendentalSpec:
     # Loaded here: a configuration without a transcendental block, the
     # fragment census's usual input, needs neither module.
     from .fqf import finite_quadratic_form
-    from .realcrit import Definite2, GenericDiscr, TwoU
+    from .gluing import Definite2, GenericDiscr, TwoU
 
     if not isinstance(raw, dict):
         raise InputError("transcendental must be an object")

@@ -7,7 +7,8 @@ vectors in the span of the lines and h whose classes generate an isotropic
 subgroup of the discriminant form, held as integer numerators over one
 denominator.  The line lattice N is generated by the lines, h and these
 kernel vectors.  `Analysis` holds N as the Gram matrix of those generators,
-relations and all: the rank and signature of N are its inertia, and D_N,
+relations and all: the rank and signature of N are its inertia, read off
+one congruence reduction that also gives the rank of the lines, and D_N,
 det N, the stabilizer test and the candidate actions on D_N come from its
 discriminant data, one Smith form of that matrix.
 
@@ -27,8 +28,9 @@ candidates are one per conjugacy class of involutions in S, each an orbit
 under conjugation by the strong generators of S (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, section 4.1).  Admissibility
 of a candidate is decided by gluing its discriminant action to a
-sign-reversing involution on the transcendental side, or by the arithmetic
-screening rules when no transcendental representative is supplied.
+sign-reversing involution on the transcendental side (`gluing`), or by the
+arithmetic screening rules (`realcrit`) when no transcendental
+representative is supplied.
 
 `Analysis` holds all of this for one configuration and computes each part
 once.
@@ -41,7 +43,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import CapExceeded, InputError
-from .intmat import inertia, mat_vec
+from .intmat import leading_rank_and_inertia, mat_vec
 from .lattices import discriminant_data
 from .multigraph import (
     Multigraph,
@@ -53,7 +55,7 @@ from .multigraph import (
 )
 from .records import Record
 
-# `fqf` and `realcrit` are imported inside the methods that use them: the
+# `realcrit` and `gluing` are imported inside the methods that use them: the
 # fragment census needs neither, and a fresh process would pay to load them.
 
 K3_RANK = 22
@@ -132,17 +134,13 @@ class LineConfiguration(Record):
         return self.graph.n
 
 
-def _lines_gram(graph: Multigraph) -> list[list[int]]:
-    """Pairings among the lines: -2 on the diagonal, multiplicities off it."""
-    return [
-        [m - 2 * (i == j) for j, m in enumerate(row)]
-        for i, row in enumerate(graph.mult)
-    ]
-
-
 def _fano_gram(cfg: LineConfiguration) -> list[list[int]]:
-    """Pairings among (lines..., h)."""
-    rows = [row + [1] for row in _lines_gram(cfg.graph)]
+    """Pairings among (lines..., h): among the lines -2 on the diagonal and
+    multiplicities off it."""
+    rows = [
+        [m - 2 * (i == j) for j, m in enumerate(row)] + [1]
+        for i, row in enumerate(cfg.graph.mult)
+    ]
     return rows + [[1] * cfg.graph.n + [cfg.degree]]
 
 
@@ -385,10 +383,17 @@ class Analysis:
         return tuple(map(tuple, rows))
 
     @cached_property
+    def _reduction(self) -> tuple[int, tuple[int, int, int]]:
+        """(rank of the lines' Gram form, inertia of `gram`): one congruence
+        reduction, which exhausts the lines block before h and the kernel
+        rows.  The zero count is the rank of the relations among the
+        generators."""
+        return leading_rank_and_inertia(self.gram, self.cfg.graph.n)
+
+    @property
     def quotient_signature(self) -> tuple[int, int]:
-        """Signature of N, that of `gram`: one congruence reduction, whose
-        zero count is the rank of the relations among the generators."""
-        pos, neg, _ = inertia(self.gram)
+        """Signature of N, that of `gram`."""
+        pos, neg, _ = self._reduction[1]
         return pos, neg
 
     @cached_property
@@ -459,11 +464,10 @@ class Analysis:
     def automorphisms(self) -> PermutationGroup:
         return graph_automorphism_group(self.cfg.graph)
 
-    @cached_property
+    @property
     def lines_rank(self) -> int:
         """Rank of the Gram form of the lines alone, without h."""
-        pos, neg, _ = inertia(_lines_gram(self.cfg.graph))
-        return pos + neg
+        return self._reduction[0]
 
     @cached_property
     def girth(self) -> int | None:
@@ -514,7 +518,7 @@ class Analysis:
     def candidate_action(self, perm) -> FqfIsometry:
         """Action of (perm, sign -1) on D_N, for a graph automorphism perm.
         One that does not map N onto itself raises ValueError."""
-        from .fqf import FqfIsometry, minus_identity_isometry
+        from .gluing import FqfIsometry, minus_identity_isometry
 
         if not self._preserves(perm):
             raise ValueError("permutation does not map N onto itself")
@@ -561,7 +565,7 @@ class Analysis:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
         increasing order of sigma, each with its fragment counts and gluing
         admissibility against the transcendental spec (None for none)."""
-        from .realcrit import (
+        from .gluing import (
             ADMISSIBLE,
             INADMISSIBLE,
             UNKNOWN,

@@ -2,15 +2,14 @@
 form and the Q/Z-valued pairing it polarizes.
 
 These arise as dual quotients of even lattices.  The module provides p-parts
-and their length invariants, one isometry and anti-isometry search, whose
-first leaves also build Aut(D) as a `multigraph.PermutationGroup` on the
-elements, involution conjugacy classes from that group's chain, subgroup and
-isotropic-quotient forms, and a Jordan splitting of each p-part into cyclic
-blocks and, at p = 2, the rank-two blocks u_a and v_a, each block's
-complement taken by `orthogonal_subgroup`.  The local determinant square
-classes and the signature residue mod 8 (the Brown invariant, summed block
-by block by the oddity formula and used to cross-check signatures) are
-folds over those blocks.
+and their length invariants, subgroup and isotropic-quotient forms, and a
+Jordan splitting of each p-part into cyclic blocks and, at p = 2, the
+rank-two blocks u_a and v_a, each block's complement taken by
+`orthogonal_subgroup`.  The local determinant square classes and the
+signature residue mod 8 (the Brown invariant, summed block by block by the
+oddity formula and used to cross-check signatures) are folds over those
+blocks.  Isometries between forms and Aut(D) live in `gluing`, their one
+user.
 
 Conventions: a form is stored on an independent generating set with orders in
 an ascending divisor chain d1 | d2 | ..., as integers over its exponent n:
@@ -469,214 +468,6 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
                 nonsquare = pow(cs[0] // 2, (p - 1) // 2, p) != 1
                 total += 2 * (p % 4 == 3) + 4 * nonsquare
     return total % 8
-
-
-# -- isometries and anti-isometries -----------------------------------------
-
-
-class FqfIsometry(Record):
-    """Group isomorphism between two forms, with q(image) = q or q(image) =
-    -q according to `anti`.  Columns hold target coordinates of the source
-    generators."""
-
-    _fields = ("source", "target", "columns", "anti")
-
-    def __init__(
-        self,
-        source: FiniteQuadraticForm,
-        target: FiniteQuadraticForm,
-        columns: tuple[tuple[int, ...], ...],
-        anti: bool = False,
-    ):
-        vars(self).update(
-            source=source, target=target, columns=columns, anti=anti
-        )
-
-    def apply(self, coords) -> tuple[int, ...]:
-        k = self.target.rank()
-        out = [0] * k
-        for c, col in zip(coords, self.columns):
-            if c:
-                for i in range(k):
-                    out[i] += c * col[i]
-        return self.target.reduce(out)
-
-    def compose(self, inner: "FqfIsometry") -> "FqfIsometry":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition forms do not match")
-        cols = tuple(self.apply(col) for col in inner.columns)
-        return FqfIsometry(
-            inner.source, self.target, cols, anti=self.anti ^ inner.anti
-        )
-
-    def inverse(self) -> "FqfIsometry":
-        cols = []
-        for e in _basis(self.source.rank()):
-            pre = solve_mod(
-                list(self.columns), list(e), list(self.target.orders)
-            )
-            if pre is None:
-                raise ValueError("isometry is not invertible")
-            cols.append(self.source.reduce(pre))
-        return FqfIsometry(self.target, self.source, tuple(cols), anti=self.anti)
-
-
-def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
-    k = form.rank()
-    cols = tuple(
-        tuple((-1 if i == j else 0) % form.orders[i] for i in range(k))
-        for j in range(k)
-    )
-    return FqfIsometry(form, form, cols, anti=False)
-
-
-def find_isometry(
-    source: FiniteQuadraticForm,
-    target: FiniteQuadraticForm,
-    anti: bool = False,
-) -> FqfIsometry | None:
-    """The least isometry (or anti-isometry) from source to target, the
-    first leaf of the isometry search, or None."""
-    cols = next(_isometry_leaves(source, target, anti)(()), None)
-    return None if cols is None else FqfIsometry(source, target, cols, anti=anti)
-
-
-def _isometry_leaves(source, target, anti):
-    """The isometry search as `leaves(prefix)`, a generator of the columns,
-    in increasing order, of every isometry (or anti-isometry) that takes
-    the first generators of the source to the target elements `prefix`.
-    The target's (order, n * q) buckets are built once, for every call."""
-    if source.order() != target.order() or source.exponent() != target.exponent():
-        return lambda prefix: iter(())
-    # Both forms are scaled by the same n, so every test is on integers.
-    n = target._n
-    keys = {el: (target.order_of(el), target.qn_of(el)) for el in target.elements()}
-    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for el, key in keys.items():
-        buckets.setdefault(key, []).append(el)
-
-    k = source.rank()
-    sign = -1 if anti else 1
-    want_q = [sign * q % (2 * n) for q in source.qn]
-    want_b = [[sign * x % n for x in row] for row in source.bn]
-    # A pairing-preserving map out of a nondegenerate form is injective, so
-    # with equal orders every leaf is onto; only a degenerate source needs
-    # its images to span the target.
-    check_onto = not _nondegenerate(source)
-
-    def leaves(prefix):
-        images: list = [None] * k
-        duals: list[tuple[int, ...]] = []  # duals[j]: the dual of images[j]
-
-        def extend(i: int):
-            if i == k:
-                if (
-                    not check_onto
-                    or subgroup_form(target, images)[0].order() == target.order()
-                ):
-                    yield tuple(images)
-                return
-            want = (source.orders[i], want_q[i])
-            if i < len(prefix):
-                found = [prefix[i]] if keys[prefix[i]] == want else []
-            else:
-                found = buckets.get(want, [])
-            for dual, w in zip(duals, want_b[i]):  # n * b is a dot product
-                found = [el for el in found if sum(map(operator.mul, el, dual)) % n == w]
-            for el in found:
-                images[i] = el
-                duals.append(target.dual_of(el))
-                yield from extend(i + 1)
-                duals.pop()
-
-        return extend(0)
-
-    return leaves
-
-
-def _nondegenerate(form: FiniteQuadraticForm) -> bool:
-    radical = orthogonal_subgroup(form, _basis(form.rank()))
-    return all(form.order_of(v) == 1 for v in radical)
-
-
-def automorphism_group(form: FiniteQuadraticForm):
-    """Aut(form) as a `multigraph.PermutationGroup` on the elements,
-    numbered in `elements()` order, with the generators e_0..e_{k-1} as its
-    base.  The chain asks for one automorphism fixing e_0..e_{i-1} and
-    taking e_i to w, the first leaf of the isometry search with those
-    images pinned, so no group element is listed.  Each call builds the
-    chain afresh; a caller that needs it twice keeps it."""
-    from .multigraph import chain
-
-    elements = list(form.elements())
-    basis = _basis(form.rank())
-    leaves = _isometry_leaves(form, form, False)
-
-    def extend(i, w):
-        cols = next(leaves((*basis[:i], elements[w])), None)
-        return None if cols is None else element_permutation(form, cols)
-
-    return chain(len(elements), _strides(form.orders), extend)
-
-
-def _strides(orders) -> list[int]:
-    """The index of each generator e_i in `elements()` order; the index of
-    any element is the dot product of its coordinates with these."""
-    out = [1] * len(orders)
-    for i in reversed(range(len(orders) - 1)):
-        out[i] = out[i + 1] * orders[i + 1]
-    return out
-
-
-def element_permutation(form: FiniteQuadraticForm, columns) -> tuple[int, ...]:
-    """The endomorphism with these columns as a map of the elements,
-    numbered in `elements()` order."""
-    strides = _strides(form.orders)
-    apply = FqfIsometry(form, form, columns).apply
-    return tuple(
-        sum(map(operator.mul, apply(x), strides)) for x in form.elements()
-    )
-
-
-def permutation_columns(form: FiniteQuadraticForm, perm) -> tuple[tuple[int, ...], ...]:
-    """The columns of an element permutation from `element_permutation`."""
-    strides = _strides(form.orders)
-    return tuple(
-        tuple(perm[s] // t % d for t, d in zip(strides, form.orders))
-        for s in strides
-    )
-
-
-class InvolutionClass(Record):
-    _fields = ("representative", "size", "members")
-
-    def __init__(
-        self,
-        representative: FqfIsometry,
-        size: int,
-        members: frozenset[tuple[tuple[int, ...], ...]],
-    ):
-        vars(self).update(
-            representative=representative, size=size, members=members
-        )
-
-
-def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:
-    """Conjugacy classes of self-inverse automorphisms, the identity and the
-    negation map included, each represented by its least columns.  Sorted
-    by (class size, representative).
-
-    The involutions come from the walk of `PermutationGroup.involutions`
-    and the classes are their `conjugation_orbits`, so Aut is not listed."""
-    group = automorphism_group(form)
-    classes = []
-    for orbit in group.conjugation_orbits(group.involutions()):
-        members = frozenset(permutation_columns(form, g) for g in orbit)
-        rep = FqfIsometry(form, form, min(members), anti=False)
-        classes.append(InvolutionClass(rep, len(members), members))
-    classes.sort(key=lambda c: (c.size, c.representative.columns))
-    return classes
 
 
 # -- local determinant square classes ----------------------------------------

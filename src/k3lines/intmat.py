@@ -187,8 +187,16 @@ def inverse_unimodular(m: Mat) -> Mat:
 def inertia(m) -> tuple[int, int, int]:
     """Counts of positive, negative, and zero eigenvalues of a symmetric
     integer matrix, computed exactly by congruence reduction."""
-    norms = [d for _, d in _diagonal_basis(m, vectors=False)]
-    return (
+    return leading_rank_and_inertia(m, 0)[1]
+
+
+def leading_rank_and_inertia(m, k: int) -> tuple[int, tuple[int, int, int]]:
+    """The rank of the leading k x k block of a symmetric integer matrix and
+    the `inertia` of the whole, from one congruence reduction that exhausts
+    that block before it touches a later row."""
+    pairs, rank = _diagonal_basis(m, vectors=False, lead=k)
+    norms = [d for _, d in pairs]
+    return rank, (
         sum(d > 0 for d in norms),
         sum(d < 0 for d in norms),
         sum(d == 0 for d in norms),
@@ -198,10 +206,10 @@ def inertia(m) -> tuple[int, int, int]:
 def positive_basis(m) -> list[list[int]]:
     """Integer basis of a maximal positive definite subspace of a symmetric
     integer form, from the same congruence reduction as `inertia`."""
-    return [v for v, d in _diagonal_basis(m, vectors=True) if d > 0]
+    return [v for v, d in _diagonal_basis(m, vectors=True)[0] if d > 0]
 
 
-def _diagonal_basis(m, vectors: bool) -> list[tuple[list[int] | None, int]]:
+def _diagonal_basis(m, vectors: bool, lead: int = 0):
     """A basis of Q^n orthogonal for the symmetric integer form m, as pairs
     of an integer vector and a positive multiple of its norm, by
     fraction-free congruence reduction.
@@ -217,23 +225,37 @@ def _diagonal_basis(m, vectors: bool) -> list[tuple[list[int] | None, int]]:
     remaining vector is isotropic, one of a pair x, y with x·y != 0 is
     replaced by x + y, of norm 2 x·y.  The vectors left when no pair pairs
     span the radical.  Without `vectors` only the norms are kept, and each
-    vector is None."""
+    vector is None.
+
+    Pivots and pairs are taken among the first `lead` rows while their
+    block is nonzero, so those vectors stay in the span of e_0..e_{lead-1}
+    and the pivots split off before that block is exhausted count its rank.
+    Returns (pairs, that rank)."""
     if not is_symmetric(m):
         raise ValueError("congruence reduction requires a symmetric matrix")
     n = len(m)
     # The remaining block and its vectors; a split-off vector is removed.
+    # The first `head` remaining rows are those of the leading block.
     gram = copy_mat(m)
     vecs = identity(n) if vectors else [None] * n
     out = []
+    head = rank = lead
     while gram:
-        k = next((i for i, row in enumerate(gram) if row[i]), None)
+        scope = head or len(gram)
+        k = next((i for i in range(scope) if gram[i][i]), None)
         if k is None:
             nonzero = (
-                (i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x
+                (i, j)
+                for i, row in enumerate(gram[:scope])
+                for j, x in enumerate(row[:scope])
+                if x
             )
             pair = next(nonzero, None)
             if pair is None:
-                return out + [(v, 0) for v in vecs]
+                if head:  # the leading block is exhausted
+                    rank, head = rank - head, 0
+                    continue
+                return out + [(v, 0) for v in vecs], rank
             i, j = pair
             if vectors:
                 vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
@@ -245,6 +267,8 @@ def _diagonal_basis(m, vectors: bool) -> list[tuple[list[int] | None, int]]:
         vk = vecs.pop(k)
         d = krow.pop(k)
         out.append((vk, d))
+        if head:  # k < scope = head: a row of the leading block
+            head -= 1
         scale, sign = abs(d), (1 if d > 0 else -1)
         for a, row in enumerate(gram):
             f = sign * row.pop(k)
@@ -258,4 +282,4 @@ def _diagonal_basis(m, vectors: bool) -> list[tuple[list[int] | None, int]]:
                 break
         if content > 1:
             gram = [[x // content for x in row] for row in gram]
-    return out
+    return out, rank

@@ -1,12 +1,11 @@
 """Even integer lattices presented by Gram matrices.
 
 Provides the text notation for standard constructors (root lattices, the
-hyperbolic plane, binary forms, rescaling, repetition, direct sum), the
+hyperbolic plane, binary forms, rescaling, repetition, direct sum) and the
 discriminant form of an even lattice, read off the Gram matrix of a basis or
 of any generating system, together with the integer map that names its
-classes, orthogonal groups of small definite lattices, the sign action on
-orientations of maximal positive subspaces, and fixed sublattices of
-involutions.
+classes.  Isometries of lattices and the automorphisms of the discriminant
+form they induce live in `gluing`.
 
 Root lattices follow the NEGATIVE definite convention: A2 has Gram matrix
 [[-2, 1], [1, -2]].  Most references use the positive sign; rescale by -1 to
@@ -15,27 +14,14 @@ convert.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import cached_property
-from math import isqrt, prod
 
-from .errors import CapExceeded, InputError
-from .intmat import (
-    block_diag,
-    det,
-    identity,
-    inertia,
-    integral_kernel,
-    mat_mul,
-    mat_vec,
-    positive_basis,
-    smith_decompose,
-    transpose,
-)
+from .errors import InputError
+from .intmat import block_diag, det, inertia, mat_vec, smith_decompose
 from .records import Record
 
-# `fqf` is imported inside the functions that build discriminant forms, so
+# `fqf` is imported inside the function that builds discriminant forms, so
 # that a lattice used only for its signature does not load it.
 
 
@@ -98,28 +84,6 @@ class Lattice(Record):
             x[i] * self.gram[i][j] * y[j]
             for i in range(self.rank)
             for j in range(self.rank)
-        )
-
-
-class Isometry(Record):
-    """Self-map of a lattice preserving the form: matrixᵀ·G·matrix = G."""
-
-    _fields = ("lattice", "matrix")
-
-    def __init__(self, lattice: Lattice, matrix: tuple[tuple[int, ...], ...]):
-        w = [list(r) for r in matrix]
-        g = [list(r) for r in lattice.gram]
-        if mat_mul(mat_mul(transpose(w), g), w) != g:
-            raise ValueError("matrix does not preserve the Gram form")
-        vars(self).update(lattice=lattice, matrix=matrix)
-
-    def is_involution(self) -> bool:
-        prod = mat_mul([list(r) for r in self.matrix], [list(r) for r in self.matrix])
-        return prod == identity(self.lattice.rank)
-
-    def negated(self) -> "Isometry":
-        return Isometry(
-            self.lattice, tuple(tuple(-x for x in row) for row in self.matrix)
         )
 
 
@@ -287,7 +251,8 @@ class DiscriminantData(Record):
     pairings t with the generators, an integer vector, and its coordinates
     are (U·t)_i mod d_i over the Smith invariants d_i > 1 (`class_of`).
     Generator i is the dual vector V[:, i] / d_i on the generators.
-    Isometries of a lattice (`act`) enter through this one map."""
+    Isometries of a lattice (`gluing.discriminant_action`) enter through
+    this one map."""
 
     _fields = ("gram", "form", "smith_u", "smith_v")
 
@@ -314,16 +279,6 @@ class DiscriminantData(Record):
         division is exact).  With matrix = G·W this gives the pairings of
         the generators' images under an isometry W."""
         return _pushed(matrix, self.smith_v, self.form.orders)
-
-    def act(self, isometry: Isometry) -> FqfIsometry:
-        """Induced automorphism of the discriminant form."""
-        from .fqf import FqfIsometry
-
-        if isometry.lattice.gram != self.gram:
-            raise ValueError("isometry acts on a different lattice")
-        gw = mat_mul(self.gram, isometry.matrix)
-        cols = tuple(self.class_of(t) for t in self.generator_pairings(gw))
-        return FqfIsometry(self.form, self.form, cols, anti=False)
 
 
 def _pushed(matrix, columns, orders) -> list[list[int]]:
@@ -360,119 +315,3 @@ def discriminant_data(gram) -> DiscriminantData:
         tuple(tuple(scaled(a, b) % e for b in range(k)) for a in range(k)),
     )
     return DiscriminantData(gram, form, tuple(tuple(u[i]) for i in keep), smith_v)
-
-
-# -- orthogonal groups of small definite lattices ----------------------------
-
-
-# Largest box of integer vectors `orthogonal_group_definite` may walk for
-# one norm.  Coordinate i ranges over |x_i| <= isqrt(norm·cof_ii / det), so
-# the box grows with the square root of the Gram entries: [10^12, 3, 6]
-# gives 2.4 million points (5.4 s on a 2-core host) and [10^16, 3, 6]
-# 2.4 x 10^8.  The shipped inputs need at most a few dozen points.
-MAX_NORM_BOX = 100_000
-
-
-def _vectors_of_norm(gram_pos, cofactors, det_g, norm: int) -> list[tuple[int, ...]]:
-    """The vectors x with x·G·x = norm, searched in the box x_i^2 <=
-    cofactors[i] * norm / det_g.  A box of more than `MAX_NORM_BOX` points
-    raises CapExceeded before any is tested."""
-    n = len(gram_pos)
-    bounds = [isqrt(cof * norm // det_g) for cof in cofactors]
-    box = prod(2 * b + 1 for b in bounds)
-    if box > MAX_NORM_BOX:
-        raise CapExceeded(
-            f"orthogonal group of a definite lattice: {box} vectors to test "
-            f"for norm {norm} exceed the cap of {MAX_NORM_BOX}"
-        )
-    out = []
-    for vec in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        val = sum(
-            vec[i] * gram_pos[i][j] * vec[j] for i in range(n) for j in range(n)
-        )
-        if val == norm:
-            out.append(vec)
-    return out
-
-
-def orthogonal_group_definite(lattice: Lattice) -> list[Isometry]:
-    """The full orthogonal group of a definite lattice of rank at most 4,
-    by bounded vector enumeration and Gram-constrained assignment."""
-    if not lattice.is_definite() or lattice.rank == 0:
-        raise ValueError("orthogonal group enumeration needs a definite lattice")
-    if lattice.rank > 4:
-        raise ValueError(
-            "orthogonal group enumeration is limited to rank <= 4; "
-            f"got rank {lattice.rank}"
-        )
-    n = lattice.rank
-    plus = lattice.signature[0] > 0
-    gpos = [
-        [x if plus else -x for x in row] for row in lattice.gram
-    ]
-    # Coordinate bound: x_i^2 <= (G^-1)_ii * norm for positive definite G,
-    # with (G^-1)_ii the integer cofactor over det G.
-    det_g = det(gpos)
-    cofactors = [
-        det([[gpos[r][c] for c in range(n) if c != i] for r in range(n) if r != i])
-        for i in range(n)
-    ]
-    norms = [gpos[i][i] for i in range(n)]
-    candidates = {
-        m: _vectors_of_norm(gpos, cofactors, det_g, m) for m in sorted(set(norms))
-    }
-
-    results = []
-    images: list[tuple[int, ...]] = []
-
-    def extend(i: int):
-        if i == n:
-            results.append(tuple(zip(*images)))  # the images are columns
-            return
-        for vec in candidates[norms[i]]:
-            if all(
-                lattice.pairing(vec, images[j]) == lattice.gram[i][j]
-                for j in range(i)
-            ):
-                images.append(vec)
-                extend(i + 1)
-                images.pop()
-
-    extend(0)
-    results.sort()
-    return [Isometry(lattice, mat) for mat in results]
-
-
-# -- sign structure and fixed sublattices ------------------------------------
-
-
-def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
-    """+1 if the isometry preserves the orientation of a maximal positive
-    definite subspace, -1 if it reverses it."""
-    if not lattice.is_nondegenerate():
-        raise ValueError("sign structure needs a nondegenerate lattice")
-    basis = positive_basis([list(r) for r in lattice.gram])
-    if not basis:
-        return 1
-    images = [mat_vec(isometry.matrix, vec) for vec in basis]
-    value = det([[lattice.pairing(u, w) for w in images] for u in basis])
-    if value == 0:
-        raise ValueError("isometry degenerates the positive subspace pairing")
-    return 1 if value > 0 else -1
-
-
-def invariant_sublattice(
-    lattice: Lattice, isometry: Isometry
-) -> tuple[Lattice, list[list[int]]]:
-    """The saturated fixed sublattice of an involution, with a basis given in
-    lattice coordinates (one vector per output row)."""
-    if not isometry.is_involution():
-        raise ValueError("invariant sublattice is defined for involutions")
-    n = lattice.rank
-    diff = [
-        [isometry.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    basis = integral_kernel(diff)
-    sub = [[lattice.pairing(x, y) for y in basis] for x in basis]
-    return Lattice.from_rows(sub), [list(v) for v in basis]

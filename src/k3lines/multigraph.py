@@ -19,7 +19,7 @@ transversal of level i and no Schreier-Sims step is needed.  Each generator
 at least doubles the group, so there are at most log2 |Aut| of them.  A
 subgroup, given by a test `keep` at the leaves, comes from the same tree
 (Leon's subgroup backtrack, J. Symbolic Comput. 12, 1991, unpruned); `chain`
-also builds Aut of a finite quadratic form (`fqf.automorphism_group`).  The
+also builds Aut of a finite quadratic form (`gluing.automorphism_group`).  The
 cost follows the symmetry, not the labels, and the order is a product of
 orbit lengths: highly symmetric graphs (an edgeless graph on 60 vertices has
 order 60!) never require element enumeration.

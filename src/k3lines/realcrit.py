@@ -11,41 +11,23 @@ The rules work prime by prime on the discriminant form.  They are exact but
 not complete: one 2-adic profile (2-length exactly r-1) falls outside the
 stated dichotomy and is reported as UNKNOWN rather than guessed.
 
-The module also provides the structured transcendental-side data used when an
-explicit representative T is known: the five standard involutions of the rank
-4 even unimodular lattice of signature (2,2), their pushforwards to rescaled
-discriminants, and orthogonal-group enumeration for positive definite rank 2
-lattices.
+This is the existence criterion alone.  Whether one given real structure
+glues to an explicit representative T is decided in `gluing`.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 from .errors import InputError
 from .fqf import (
     FiniteQuadraticForm,
-    FqfIsometry,
-    automorphism_group,
-    element_permutation,
-    find_isometry,
     odd_p_det_class,
     orthogonal_subgroup,
-    permutation_columns,
+    prime_power_factors,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
-    ell,
-    prime_power_factors,
-)
-from .lattices import (
-    Isometry,
-    Lattice,
-    build_lattice,
-    discriminant_data,
-    orthogonal_group_definite,
-    sign_structure_action,
 )
 from .records import Record
 
@@ -54,10 +36,6 @@ VERDICT_YES_U2 = "YES_CONTAINS_U2"
 VERDICT_NO = "NO"
 VERDICT_UNKNOWN = "UNKNOWN"
 VERDICT_KINDS = (VERDICT_YES_2, VERDICT_YES_U2, VERDICT_NO, VERDICT_UNKNOWN)
-
-ADMISSIBLE = "ADMISSIBLE"
-INADMISSIBLE = "INADMISSIBLE"
-UNKNOWN = "UNKNOWN"
 
 
 class Verdict(Record):
@@ -243,209 +221,3 @@ def _hyperbolic_case(d_n, part2, r, absn, reasons) -> bool:
         )
         ok = False
     return ok
-
-
-# -- transcendental-side representations -------------------------------------
-
-
-class Definite2(Record):
-    """Explicit positive definite rank-2 transcendental lattice."""
-
-    _fields = ("lattice",)
-
-    def __init__(self, lattice: Lattice):
-        if lattice.rank != 2 or lattice.signature != (2, 0, 0):
-            raise InputError(
-                "transcendental lattice must be positive definite of rank 2"
-            )
-        vars(self)["lattice"] = lattice
-
-    def rank(self) -> int:
-        return 2
-
-
-class TwoU(Record):
-    """Transcendental lattice 2U(scale): two hyperbolic planes rescaled."""
-
-    _fields = ("scale",)
-
-    def __init__(self, scale: int = 1):
-        if scale < 1:
-            raise InputError("scale must be a positive integer")
-        vars(self)["scale"] = scale
-
-    def rank(self) -> int:
-        return 4
-
-
-class GenericDiscr(Record):
-    """Transcendental side known only through its discriminant form and rank.
-    No involution data can be derived from this; matching reports UNKNOWN."""
-
-    _fields = ("form", "rank_")
-
-    def __init__(self, form: FiniteQuadraticForm, rank_: int):
-        if rank_ < 1:
-            raise InputError("rank must be positive")
-        for p, _ in prime_power_factors(form.exponent()):
-            if ell(form, p) > rank_:
-                raise InputError(
-                    f"rank {rank_} is below the {p}-length of the form"
-                )
-        vars(self).update(form=form, rank_=rank_)
-
-    def rank(self) -> int:
-        return self.rank_
-
-
-TranscendentalSpec = Definite2 | TwoU | GenericDiscr
-
-
-TWO_U_LABELS = ("[2]", "U", "U(2)", "[2]+[-2]", "U+[-2]")
-
-
-def two_u_involutions() -> tuple[tuple[str, Isometry], ...]:
-    """Five involutions of the even unimodular lattice of signature (2,2),
-    labeled by the isometry class of their fixed sublattice.  Each reverses
-    the positive sign structure, and each fixed sublattice has exactly one
-    positive square direction."""
-    lat = build_lattice("2U")
-    swap = ((0, 1), (1, 0))
-    ident = ((1, 0), (0, 1))
-    neg = ((-1, 0), (0, -1))
-    negswap = ((0, -1), (-1, 0))
-
-    def blocks(a, b):
-        return (
-            (a[0][0], a[0][1], 0, 0),
-            (a[1][0], a[1][1], 0, 0),
-            (0, 0, b[0][0], b[0][1]),
-            (0, 0, b[1][0], b[1][1]),
-        )
-
-    summand_swap = (
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-    )
-    mats = {
-        "[2]": blocks(swap, neg),
-        "U": blocks(ident, neg),
-        "U(2)": summand_swap,
-        "[2]+[-2]": blocks(swap, negswap),
-        "U+[-2]": blocks(ident, negswap),
-    }
-    return tuple(
-        (label, Isometry(lat, mats[label])) for label in TWO_U_LABELS
-    )
-
-
-class TSideClasses(Record):
-    """Involutions on the transcendental discriminant form that honest
-    representatives realize.
-
-    `images` holds the realizable involutions pushed to the form.
-    `members`, their closure under conjugation by Aut(form), and
-    `class_count`, the number of conjugacy classes it meets, are computed
-    on first use.  `outside` is the reason given for an involution that
-    lands outside `members`.
-    """
-
-    _fields = ("form", "images", "outside")
-
-    def __init__(
-        self, form: FiniteQuadraticForm, images: frozenset, outside: str
-    ):
-        vars(self).update(form=form, images=images, outside=outside, _antis={})
-
-    @cached_property
-    def _classes(self) -> list[list]:
-        form = self.form
-        seeds = [element_permutation(form, cols) for cols in sorted(self.images)]
-        return [
-            [permutation_columns(form, g) for g in orbit]
-            for orbit in automorphism_group(form).conjugation_orbits(seeds)
-        ]
-
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(x for cls in self._classes for x in cls)
-
-    @property
-    def class_count(self) -> int:
-        return len(self._classes)
-
-    def gluing(self, source: FiniteQuadraticForm) -> tuple:
-        """(phi, phi^-1) for one anti-isometry phi from `source` to the
-        form, or (None, None) when there is none; searched and inverted
-        once per source form."""
-        if source not in self._antis:
-            phi = find_isometry(source, self.form, anti=True)
-            self._antis[source] = (phi, None if phi is None else phi.inverse())
-        return self._antis[source]
-
-
-def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
-    """Realizable sign-reversing involution images on discr T, or None when
-    the transcendental data is too generic to derive them."""
-    if isinstance(spec, GenericDiscr):
-        return None
-    if isinstance(spec, Definite2):
-        lat = spec.lattice
-        data = discriminant_data(lat.gram)
-        images = frozenset(
-            data.act(g).columns
-            for g in orthogonal_group_definite(lat)
-            if g.is_involution() and sign_structure_action(lat, g) == -1
-        )
-        return TSideClasses(
-            data.form,
-            images,
-            "no anti-isometry carries the induced involution to a "
-            "realizable image",
-        )
-    if isinstance(spec, TwoU):
-        lat = build_lattice(f"2U({spec.scale})")
-        data = discriminant_data(lat.gram)
-        images = frozenset(
-            data.act(Isometry(lat, g.matrix)).columns
-            for _, g in two_u_involutions()
-        )
-        return TSideClasses(
-            data.form,
-            images,
-            "the induced involution lands outside every realizable "
-            "conjugacy class",
-        )
-    raise InputError(f"unsupported transcendental data {spec!r}")
-
-
-def match_real_structure(
-    tau_n: FqfIsometry, tside: TSideClasses | None
-) -> tuple[str, str]:
-    """Glue test for a candidate real structure: the induced involution on
-    the line-side discriminant form must be carried to a realizable
-    transcendental-side involution by some anti-isometry phi.
-
-    Any other anti-isometry is g.phi with g in Aut(discr T), and
-    `tside.members` is closed under conjugation by Aut(discr T), so one phi
-    decides.  Nothing on the transcendental side beyond the images is
-    computed when no anti-isometry exists.
-
-    Returns (admissibility, reason)."""
-    if tside is None:
-        return (UNKNOWN, "no usable transcendental representative")
-    phi, phi_inv = tside.gluing(tau_n.source)
-    if phi is None:
-        return (
-            INADMISSIBLE,
-            "no anti-isometry between the discriminant forms (genus mismatch)",
-        )
-    conj = phi.compose(tau_n).compose(phi_inv)
-    if conj.columns in tside.members:
-        return (
-            ADMISSIBLE,
-            "a compatible transcendental involution exists",
-        )
-    return (INADMISSIBLE, tside.outside)

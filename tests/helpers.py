@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from k3lines import multigraph
 from k3lines.configio import load_configuration
 from k3lines.errors import CapExceeded, InputError, read_utf8
 from k3lines.fano import LineConfiguration, _fano_gram
-from k3lines.fqf import (
-    FiniteQuadraticForm,
+from k3lines.fqf import FiniteQuadraticForm, finite_quadratic_form
+from k3lines.gluing import (
     FqfIsometry,
+    Isometry,
     _isometry_leaves,
+    automorphism_group,
     find_isometry,
-    finite_quadratic_form,
+    permutation_columns,
 )
 from k3lines.intmat import (
     identity,
@@ -23,18 +26,14 @@ from k3lines.intmat import (
     mat_vec,
     smith_decompose,
 )
-from k3lines.lattices import (
-    DiscriminantData,
-    Isometry,
-    Lattice,
-    discriminant_data,
-)
+from k3lines.lattices import DiscriminantData, Lattice, discriminant_data
 from k3lines.multigraph import (
     Multigraph,
     PermutationGroup,
     compose_perm,
     invert_perm,
 )
+from k3lines.records import Record
 
 # Lattice expressions that the lattice and acceptance suites sweep.
 BUILTIN_SPECS: tuple[str, ...] = (
@@ -156,6 +155,37 @@ def fqf_isometries(
     return [FqfIsometry(source, target, cols, anti=anti) for cols in leaves(())]
 
 
+class InvolutionClass(Record):
+    _fields = ("representative", "size", "members")
+
+    def __init__(
+        self,
+        representative: FqfIsometry,
+        size: int,
+        members: frozenset[tuple[tuple[int, ...], ...]],
+    ):
+        vars(self).update(
+            representative=representative, size=size, members=members
+        )
+
+
+def involution_classes(form: FiniteQuadraticForm) -> list[InvolutionClass]:
+    """Conjugacy classes of self-inverse automorphisms, the identity and the
+    negation map included, each represented by its least columns.  Sorted
+    by (class size, representative).
+
+    The involutions come from the walk of `PermutationGroup.involutions`
+    and the classes are their `conjugation_orbits`, so Aut is not listed."""
+    group = automorphism_group(form)
+    classes = []
+    for orbit in group.conjugation_orbits(group.involutions()):
+        members = frozenset(permutation_columns(form, g) for g in orbit)
+        rep = FqfIsometry(form, form, min(members), anti=False)
+        classes.append(InvolutionClass(rep, len(members), members))
+    classes.sort(key=lambda c: (c.size, c.representative.columns))
+    return classes
+
+
 def group_elements(group: PermutationGroup) -> list[tuple[int, ...]]:
     """Every element, sorted, as products of transversal elements; capped
     at `multigraph.ELEMENT_CAP`, read at the call."""
@@ -263,3 +293,97 @@ def bfs_girth(graph: Multigraph) -> int | None:
                             best = cycle
             queue = nxt
     return best
+
+
+# -- the 48 lines of the Fermat quartic ---------------------------------------
+# Line (p, a, b) is x_i = z^a x_j, x_k = z^b x_l on x0^4 + x1^4 + x2^4 + x3^4
+# = 0, with ((i, j), (k, l)) = FERMAT_PAIRINGS[p], z = exp(pi i / 4) and a, b
+# odd, numbered in the order of `fermat_lines`, as in tests/data/fermat48.json.
+# Everything is exponent arithmetic mod 8 on these labels.
+
+FERMAT_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def fermat_lines() -> list[tuple[int, int, int]]:
+    return [(p, a, b) for p in range(3) for a in (1, 3, 5, 7) for b in (1, 3, 5, 7)]
+
+
+def fermat_equations(line) -> list[tuple[int, int, int]]:
+    """The two equations x_i = z^e x_j of a line, as (i, j, e)."""
+    p, a, b = line
+    (i, j), (k, l) = FERMAT_PAIRINGS[p]
+    return [(i, j, a), (k, l, b)]
+
+
+def fermat_lines_meet(x, y) -> bool:
+    """Whether two lines share a point: their four equations x_i = z^e x_j
+    have a common nonzero solution.  The equations are the edges of a graph
+    on the coordinates, and a connected component carries a nonzero
+    solution exactly when z-potentials along its edges agree, that is
+    when every cycle's exponent sum is 0 mod 8."""
+    adjacency: dict[int, list] = {v: [] for v in range(4)}
+    for i, j, e in fermat_equations(x) + fermat_equations(y):
+        adjacency[j].append((i, e))
+        adjacency[i].append((j, -e))
+    potential: dict[int, int] = {}
+    for root in range(4):
+        if root in potential:
+            continue
+        potential[root], stack, agree = 0, [root], True
+        while stack:
+            v = stack.pop()
+            for w, e in adjacency[v]:
+                if w not in potential:
+                    potential[w] = (potential[v] + e) % 8
+                    stack.append(w)
+                elif potential[w] != (potential[v] + e) % 8:
+                    agree = False
+        if agree:
+            return True
+    return False
+
+
+def fermat_real_structures() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(P, e) for each real structure x -> D·P·conj(x) of the Fermat
+    quartic, with (D·P·y)_m = z^e_m y_P(m): P an involutive permutation of
+    the coordinates, e_0 = 0, every e_m even (so that D keeps the quartic),
+    and e_m - e_P(m) constant (so that the map squares to a scalar).
+
+    These are all of them.  A real structure that keeps the plane section
+    is A·conj with A a projective automorphism of the quartic, since conj
+    keeps it, and A is monomial: it keeps the quartic's Hessian, a multiple
+    of (x0 x1 x2 x3)^2, so it permutes the coordinate planes.  The group of
+    such A, of order 4^3 · 24 = 1,536, is the automorphism group of the
+    Fermat hypersurface (Kontogeorgis, *Automorphisms of Fermat-like
+    varieties*, Manuscripta Math. 107, 2002)."""
+    out = []
+    for perm in itertools.permutations(range(4)):
+        if any(perm[perm[m]] != m for m in range(4)):
+            continue
+        for tail in itertools.product(range(0, 8, 2), repeat=3):
+            e = (0, *tail)
+            if len({(e[m] - e[perm[m]]) % 8 for m in range(4)}) == 1:
+                out.append((perm, e))
+    return out
+
+
+def fermat_image(structure, equation) -> tuple[int, int, int]:
+    """The image of the plane x_i = z^a x_j under a real structure (P, e):
+    y_P(i) = z^(e_P(i) - e_P(j) - a) y_P(j), with i < j."""
+    perm, e = structure
+    i, j, a = equation
+    u, v, c = perm[i], perm[j], e[perm[i]] - e[perm[j]] - a
+    return (u, v, c % 8) if u < v else (v, u, -c % 8)
+
+
+def fermat_line_image(structure, line) -> tuple[int, int, int]:
+    """The label of the image of a line under a real structure (P, e)."""
+    image = dict(
+        ((i, j), c)
+        for i, j, c in (fermat_image(structure, eq) for eq in fermat_equations(line))
+    )
+    for p, (first, second) in enumerate(FERMAT_PAIRINGS):
+        if set(image) == {first, second}:
+            return (p, image[first], image[second])
+    raise AssertionError(f"{line} has no image line")
+

@@ -22,28 +22,25 @@ from k3lines.fano import (
     catalog_names,
     enumerate_fragments,
 )
-from k3lines.fqf import brown_invariant, involution_classes
-from k3lines.lattices import (
-    Lattice,
+from k3lines.fqf import brown_invariant
+from k3lines.gluing import (
+    TWO_U_LABELS,
+    TwoU,
     _vectors_of_norm,
-    build_lattice,
     invariant_sublattice,
     orthogonal_group_definite,
     sign_structure_action,
+    t_side_involution_classes,
+    two_u_involutions,
 )
+from k3lines.lattices import Lattice, build_lattice
 from k3lines.multigraph import (
     Multigraph,
     compose_perm,
     graph_automorphism_group,
     invert_perm,
 )
-from k3lines.realcrit import (
-    TWO_U_LABELS,
-    TwoU,
-    t_side_involution_classes,
-    totally_real_criterion,
-    two_u_involutions,
-)
+from k3lines.realcrit import totally_real_criterion
 
 from helpers import (
     BUILTIN_SPECS,
@@ -51,6 +48,7 @@ from helpers import (
     fqf_isometries,
     group_elements,
     invariants_match,
+    involution_classes,
     read_configuration,
 )
 

@@ -764,12 +764,21 @@ class TestStartUp:
             "k3lines.multigraph",
             "k3lines.realcrit",
             "k3lines.configio",
+            "k3lines.gluing",
         }
 
     def test_fragments_loads_no_discriminant_form_module(self):
         modules = loaded_modules("fragments", str(CORPUS / "k4.json"))
         assert "k3lines.fano" in modules
-        assert not modules & {"k3lines.fqf", "k3lines.realcrit"}
+        assert not modules & {"k3lines.fqf", "k3lines.realcrit", "k3lines.gluing"}
+
+    def test_criterion_without_a_transcendental_block_loads_no_gluing(self):
+        modules = loaded_modules("totally-real", str(CORPUS / "k33.json"))
+        assert "k3lines.realcrit" in modules
+        assert "k3lines.gluing" not in modules
+
+    def test_real_loads_gluing(self):
+        assert "k3lines.gluing" in loaded_modules("real", str(CORPUS / "k33_twou3.json"))
 
     @pytest.mark.parametrize(
         "argv",
@@ -978,9 +987,9 @@ class TestProcessTable:
         self, capsys, monkeypatch
     ):
         # the first call takes the signature of N and the rank of the lines'
-        # Gram form, one inertia each, and the girth; the second reads all
-        # three from the kept analysis
-        calls = {"inertia": 0, "girth": 0}
+        # Gram form, from one congruence reduction, and the girth; the
+        # second reads all three from the kept analysis
+        calls = {"leading_rank_and_inertia": 0, "inertia": 0, "girth": 0}
 
         def counted(name, inner):
             def wrapper(*args):
@@ -989,13 +998,17 @@ class TestProcessTable:
 
             return wrapper
 
-        for module, name in ((fano, "inertia"), (lattices, "inertia"), (fano, "girth")):
+        for module, name in (
+            (fano, "leading_rank_and_inertia"),
+            (lattices, "inertia"),
+            (fano, "girth"),
+        ):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         argv = ("fragments", str(DATA / "fermat48.json"), "--json")
         first, second = run(capsys, *argv), run(capsys, *argv)
         assert first == second
         assert first[0] == EXIT_OK
-        assert calls == {"inertia": 2, "girth": 1}
+        assert calls == {"leading_rank_and_inertia": 1, "inertia": 0, "girth": 1}
 
     def test_real_then_totally_real_screen_once(self, capsys, monkeypatch):
         # `real` screens the identity candidate and `totally-real` reads the

@@ -12,7 +12,7 @@ import pytest
 from k3lines.configio import MAX_LINES, load_configuration, parse_fraction
 from k3lines.errors import InputError
 from k3lines.fano import LineConfiguration, catalog_graph
-from k3lines.realcrit import Definite2, GenericDiscr, TwoU
+from k3lines.gluing import Definite2, GenericDiscr, TwoU
 
 from helpers import read_configuration
 

@@ -22,20 +22,25 @@ from k3lines import fano, intmat, lattices
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import (
     Analysis,
-    Fragment,
     LineConfiguration,
     catalog_graph,
     catalog_names,
     classify_fragment,
     enumerate_fragments,
 )
-from k3lines.fqf import (
+from k3lines.fqf import isotropic_quotient, solve_mod, subgroup_form
+from k3lines.gluing import (
+    ADMISSIBLE,
+    INADMISSIBLE,
+    UNKNOWN,
+    Definite2,
     FqfIsometry,
+    GenericDiscr,
+    Isometry,
+    TwoU,
+    discriminant_action,
     find_isometry,
-    isotropic_quotient,
     minus_identity_isometry,
-    solve_mod,
-    subgroup_form,
 )
 from k3lines.intmat import (
     integral_kernel,
@@ -45,21 +50,13 @@ from k3lines.intmat import (
     smith_decompose,
     transpose,
 )
-from k3lines.lattices import Isometry, Lattice, build_lattice, discriminant_data
+from k3lines.lattices import Lattice, discriminant_data
 from k3lines.multigraph import (
     Multigraph,
     PermutationGroup,
     compose_perm,
     graph_automorphism_group,
     invert_perm,
-)
-from k3lines.realcrit import (
-    ADMISSIBLE,
-    INADMISSIBLE,
-    UNKNOWN,
-    Definite2,
-    GenericDiscr,
-    TwoU,
 )
 
 from helpers import (
@@ -969,7 +966,7 @@ class DescentRoute:
         w = Isometry(
             self.q, tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
         )
-        return self.data.act(w)
+        return discriminant_action(self.data, w)
 
     def stabilizer(self, perms=None) -> set[tuple[int, ...]]:
         """The members of `perms`, graph automorphisms, that map K into
@@ -1220,6 +1217,24 @@ class TestAnalysis:
         ))
         assert glued.warnings == ()
         assert len(glued.fragments) == 1
+
+    def test_warnings_and_lines_rank_share_one_reduction(self, monkeypatch):
+        # the lines block is exhausted first, so the reduction that gives
+        # the signature of N also gives the lines' rank
+        calls = []
+        inner = intmat._diagonal_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(intmat, "_diagonal_basis", counted)
+        for graph in (prism_plus_k33(), catalog_graph("K33")):
+            calls.clear()
+            analysis = Analysis(LineConfiguration(6, graph))
+            analysis.warnings
+            analysis.lines_rank
+            assert len(calls) == 1
 
     def test_items_match_the_search_and_a_fresh_analysis(self):
         # items read in any order give what a fresh analysis gives

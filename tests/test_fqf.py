@@ -19,22 +19,23 @@ from k3lines.errors import CapExceeded
 from k3lines.fqf import (
     TRIAL_DIVISION_LIMIT,
     TRIVIAL_FORM,
-    automorphism_group,
     brown_invariant,
-    element_permutation,
     ell,
     finite_quadratic_form,
-    involution_classes,
     isotropic_quotient,
-    minus_identity_isometry,
     odd_p_det_class,
     orthogonal_subgroup,
-    permutation_columns,
     prime_power_factors,
     solve_mod,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
+)
+from k3lines.gluing import (
+    automorphism_group,
+    element_permutation,
+    minus_identity_isometry,
+    permutation_columns,
 )
 from k3lines.lattices import (
     Lattice,
@@ -50,6 +51,7 @@ from helpers import (
     fqf_isometries,
     group_contains,
     group_elements,
+    involution_classes,
     is_identity,
     pairing,
     q_of,

@@ -16,6 +16,7 @@ from k3lines.intmat import (
     inertia,
     integral_kernel,
     inverse_unimodular,
+    leading_rank_and_inertia,
     mat_mul,
     mat_vec,
     positive_basis,
@@ -281,6 +282,18 @@ def test_integer_reduction_matches_the_fraction_oracle(m):
         ratio = vec[lead] / want[lead]
         assert ratio > 0
         assert [Fraction(x) for x in vec] == [ratio * x for x in want]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.integers(min_value=0, max_value=7))
+@example(U_PLUS_U, 2)
+@example(block_diag([[0, 0], [0, 0]], [[2]]), 2)
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 2]], 2)
+def test_leading_rank_matches_the_smith_form_of_the_block(m, k):
+    k = min(k, len(m))
+    block = [row[:k] for row in m[:k]]
+    rank = matrix_rank(block) if k else 0
+    assert leading_rank_and_inertia(m, k) == (rank, inertia(m))
 
 
 def test_inertia_of_the_largest_edgeless_gram_within_budget():

@@ -24,7 +24,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from k3lines import multigraph
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import catalog_graph, catalog_names
-from k3lines.fqf import automorphism_group
+from k3lines.gluing import automorphism_group
 from k3lines.lattices import build_lattice
 from k3lines.multigraph import (
     Multigraph,

@@ -17,22 +17,19 @@ from k3lines.fano import (
     RealCandidate,
     catalog_graph,
 )
-from k3lines.fqf import (
-    finite_quadratic_form,
-    involution_classes,
-    minus_identity_isometry,
-)
-from k3lines.lattices import build_lattice, discriminant_data
-from k3lines.multigraph import Multigraph
-from k3lines.realcrit import (
+from k3lines.fqf import finite_quadratic_form
+from k3lines.gluing import (
     Definite2,
     GenericDiscr,
     TwoU,
-    Verdict,
+    minus_identity_isometry,
     t_side_involution_classes,
 )
+from k3lines.lattices import build_lattice, discriminant_data
+from k3lines.multigraph import Multigraph
+from k3lines.realcrit import Verdict
 
-from helpers import identity_isometry
+from helpers import identity_isometry, involution_classes
 
 
 def test_every_export_resolves():
@@ -64,6 +61,7 @@ MOVED = {
     "fqf_isometries",
     "discriminant_form",
     "invariants_match",
+    "involution_classes",
 }
 
 

@@ -1,6 +1,9 @@
 """Totally-real decision rules, the five standard involutions of the rank-4
-hyperbolic sum, and transcendental-side involution classes."""
+hyperbolic sum, transcendental-side involution classes, and the Fermat
+quartic's real structures as an oracle for the gluing answers."""
 
+import collections
+import itertools
 import json
 import random
 import subprocess
@@ -14,53 +17,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lines import realcrit
+from k3lines import gluing, realcrit
 from k3lines.configio import load_configuration
 from k3lines.errors import InputError
 from k3lines.fano import Analysis
 from k3lines.fqf import (
     TRIVIAL_FORM,
-    FqfIsometry,
-    find_isometry,
     finite_quadratic_form,
-    involution_classes,
     orthogonal_subgroup,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
 )
-from k3lines.lattices import (
-    Isometry,
-    Lattice,
-    build_lattice,
-    discriminant_data,
-    invariant_sublattice,
-    orthogonal_group_definite,
-    sign_structure_action,
-    _vectors_of_norm,
-)
-from k3lines.realcrit import (
+from k3lines.gluing import (
     ADMISSIBLE,
     INADMISSIBLE,
     UNKNOWN,
     Definite2,
+    FqfIsometry,
     GenericDiscr,
-    TSideClasses,
+    Isometry,
     TwoU,
     TWO_U_LABELS,
-    Verdict,
+    discriminant_action,
+    find_isometry,
+    invariant_sublattice,
     match_real_structure,
+    orthogonal_group_definite,
+    sign_structure_action,
     t_side_involution_classes,
-    totally_real_criterion,
     two_u_involutions,
+    _vectors_of_norm,
 )
+from k3lines.lattices import Lattice, build_lattice, discriminant_data
+from k3lines.realcrit import Verdict, totally_real_criterion
 
 from helpers import (
     b_of,
     direct_sum,
     discriminant_form,
     fqf_isometries,
+    fermat_equations,
+    fermat_image,
+    fermat_line_image,
+    fermat_lines,
+    fermat_lines_meet,
+    fermat_real_structures,
+    group_contains,
     invariants_match,
+    involution_classes,
     q_of,
     read_configuration,
 )
@@ -452,8 +457,9 @@ def test_t_side_for_definite_rank_two():
 
 def test_match_unknown_without_transcendental_data():
     d_n = discriminant_form(build_lattice("U(2)"))
-    tau = discriminant_data(build_lattice("U(2)").gram).act(
-        Isometry(build_lattice("U(2)"), ((-1, 0), (0, -1)))
+    tau = discriminant_action(
+        discriminant_data(build_lattice("U(2)").gram),
+        Isometry(build_lattice("U(2)"), ((-1, 0), (0, -1))),
     )
     status, _ = match_real_structure(tau, None)
     assert status == UNKNOWN
@@ -461,7 +467,7 @@ def test_match_unknown_without_transcendental_data():
 
 def test_match_reports_genus_mismatch():
     lat = build_lattice("[2]")
-    tau = discriminant_data(lat.gram).act(Isometry(lat, ((-1,),)))
+    tau = discriminant_action(discriminant_data(lat.gram), Isometry(lat, ((-1,),)))
     status, reason = match_real_structure(tau, t_side_involution_classes(TwoU(3)))
     assert status == INADMISSIBLE
     assert "genus mismatch" in reason
@@ -482,7 +488,7 @@ def test_match_admits_a_glued_involution():
             (0, 1, 0, 0),
         ),
     )
-    tau = data.act(swap)
+    tau = discriminant_action(data, swap)
     status, _ = match_real_structure(tau, t_side_involution_classes(TwoU(3)))
     assert status == ADMISSIBLE
 
@@ -525,19 +531,19 @@ def test_two_u_closure_agrees_with_every_anti_isometry():
 
 TWO_U_FIVE = """
 import time
-from k3lines.fqf import involution_classes
-from k3lines.realcrit import TwoU, t_side_involution_classes
+from k3lines.gluing import TwoU, automorphism_group, t_side_involution_classes
 tside = t_side_involution_classes(TwoU(5))
 assert len(tside.members) == 570
 assert tside.gluing(tside.form.negated())[0] is not None
-assert len(involution_classes(tside.form)) == 8
+group = automorphism_group(tside.form)
+assert len(group.conjugation_orbits(group.involutions())) == 8
 print(time.process_time())
 """
 
 
 TWO_U_SEVEN = """
 import time
-from k3lines.realcrit import TwoU, t_side_involution_classes
+from k3lines.gluing import TwoU, t_side_involution_classes
 tside = t_side_involution_classes(TwoU(7))
 assert (tside.class_count, len(tside.members)) == (3, 1904)
 print(time.process_time())
@@ -546,7 +552,7 @@ print(time.process_time())
 
 TWO_U_SEVEN_WALK = """
 import time
-from k3lines.fqf import automorphism_group
+from k3lines.gluing import automorphism_group
 from k3lines.lattices import build_lattice, discriminant_data
 group = automorphism_group(discriminant_data(build_lattice("2U(7)").gram).form)
 start = time.process_time()
@@ -655,7 +661,7 @@ def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
         for g in orthogonal_group_definite(n):
             if not g.is_involution():
                 continue
-            tau = data.act(g)
+            tau = discriminant_action(data, g)
             status, reason = match_real_structure(tau, tside)
             assert status == every_anti_isometry_verdict(tau, tside)
             seen[status] += 1
@@ -715,7 +721,7 @@ def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
         calls.append(anti)
         return find_isometry(source, target, anti=anti)
 
-    monkeypatch.setattr(realcrit, "find_isometry", counted)
+    monkeypatch.setattr(gluing, "find_isometry", counted)
     cfg = fermat_with_definite2()
     candidates = Analysis(cfg).real_structure_candidates(cfg.transcendental)
     assert len(candidates) == 28
@@ -742,7 +748,7 @@ def test_genus_mismatch_computes_no_closure(monkeypatch):
     def refused(form):
         raise AssertionError("Aut(D_T) computed for a genus mismatch")
 
-    monkeypatch.setattr(realcrit, "automorphism_group", refused)
+    monkeypatch.setattr(gluing, "automorphism_group", refused)
     for cfg in (
         read_configuration(CORPUS / "k33_twou3.json"),
         with_transcendental(CORPUS / "k33.json", {"twoU": 7}),
@@ -760,3 +766,77 @@ def test_inadmissible_reasons_keep_their_wording():
     assert t_side_involution_classes(TwoU(3)).outside == (
         "the induced involution lands outside every realizable conjugacy class"
     )
+
+
+# -- the Fermat quartic's real structures, from its equation ------------------
+
+
+FERMAT_DEFINITE2 = Path(__file__).resolve().parent / "data" / "fermat48_definite2.json"
+
+
+def test_fermat_line_labels_give_the_recorded_edges():
+    lines = fermat_lines()
+    edges = [
+        [x, y, 1]
+        for x, y in itertools.combinations(range(len(lines)), 2)
+        if fermat_lines_meet(lines[x], lines[y])
+    ]
+    assert edges == json.loads(FERMAT_DEFINITE2.read_text())["edges"]
+
+
+def test_fermat_real_structures_are_the_admissible_candidates():
+    # An oracle from geometry for the gluing answers (ROADMAP item 5): each
+    # real structure x -> D·P·conj(x) of the quartic acts on its 48 lines
+    # as a member of S, and the classes they hit must be exactly those the
+    # gluing to T = [8,0,8] admits, with the numR and numRR that the 24
+    # planes x_i = z^a x_j, each cut in 4 lines, give.
+    start = time.process_time()
+    cfg = read_configuration(FERMAT_DEFINITE2)
+    analysis = Analysis(cfg)
+    candidates = analysis.real_structure_candidates(cfg.transcendental)
+    stabilizer = analysis.stabilizer
+    class_of = {
+        member: index
+        for index, orbit in enumerate(
+            stabilizer.conjugation_orbits(
+                [c.isometry.permutation for c in candidates]
+            )
+        )
+        for member in orbit
+    }
+    lines = fermat_lines()
+    index = {line: x for x, line in enumerate(lines)}
+    planes = {}  # (i, j, a) -> the 4 lines in x_i = z^a x_j
+    for x, line in enumerate(lines):
+        for equation in fermat_equations(line):
+            planes.setdefault(equation, set()).add(x)
+    assert sorted(map(sorted, planes.values())) == sorted(
+        sorted(f.vertices) for f in analysis.fragments
+    )
+
+    structures = fermat_real_structures()
+    assert len(structures) == 64 + 6 * 16 + 3 * 8
+    hits = collections.Counter()
+    for structure in structures:
+        sigma = tuple(index[fermat_line_image(structure, line)] for line in lines)
+        assert group_contains(stabilizer, sigma)
+        cls = class_of[sigma]
+        real = [e for e in planes if fermat_image(structure, e) == e]
+        num_rr = sum(all(sigma[x] == x for x in planes[e]) for e in real)
+        assert (len(real), num_rr) == (candidates[cls].num_r, candidates[cls].num_rr)
+        hits[cls] += 1
+        if structure == ((0, 1, 2, 3), (0, 0, 0, 0)):
+            standard = cls
+    admissible = {i for i, c in enumerate(candidates) if c.admissibility == ADMISSIBLE}
+    assert set(hits) == admissible
+    assert sorted(
+        ((candidates[cls].num_r, candidates[cls].num_rr), count)
+        for cls, count in hits.items()
+    ) == sorted([
+        ((8, 8), 12), ((6, 2), 48), ((8, 0), 24), ((0, 0), 12),
+        ((4, 0), 48), ((6, 0), 32), ((0, 0), 8),
+    ])
+    # the standard conjugation: the real Fermat quartic has no real point
+    assert (candidates[standard].num_r, hits[standard]) == (0, 8)
+    assert time.process_time() - start < 2.0
+
