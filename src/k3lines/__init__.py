@@ -35,18 +35,18 @@ _MODULE_OF = {
     "ADMISSIBLE": "gluing",
     "INADMISSIBLE": "gluing",
     "UNKNOWN": "gluing",
-    "Definite2": "gluing",
     "FqfIsometry": "gluing",
-    "GenericDiscr": "gluing",
     "Isometry": "gluing",
-    "TwoU": "gluing",
     "invariant_sublattice": "gluing",
     "match_real_structure": "gluing",
     "orthogonal_group_definite": "gluing",
     "t_side_involution_classes": "gluing",
     "two_u_involutions": "gluing",
+    "Definite2": "lattices",
     "DiscriminantData": "lattices",
+    "GenericDiscr": "lattices",
     "Lattice": "lattices",
+    "TwoU": "lattices",
     "build_lattice": "lattices",
     "discriminant_data": "lattices",
     "Multigraph": "multigraph",

@@ -3,10 +3,12 @@
 The on-disk format is JSON with a fixed field set: `degree`, `vertices`,
 `edges`, and optional `kernel` and `transcendental` blocks.  Unknown fields
 are rejected so that typos fail loudly instead of being ignored.  Fractions
-are written as strings "a/b"; plain integers are also accepted.  `fractions`
-is imported by the parsers that read a rational, so a configuration with no
-kernel and no `discr` block does not load it.  `load_configuration` parses
-text; the caller reads the file (the CLI with `errors.read_utf8`, once).
+are written as strings "a/b"; plain integers are also accepted.  A
+`transcendental` block becomes one of the `lattices` specs.  `fractions` is
+imported by the parsers that read a rational and `fqf` by the one that
+builds a `discr` form, so a configuration with no kernel and no `discr`
+block loads neither.  `load_configuration` parses text; the caller reads
+the file (the CLI with `errors.read_utf8`, once).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 
 from .errors import InputError
 from .fano import LineConfiguration
-from .lattices import Lattice
+from .lattices import Definite2, GenericDiscr, Lattice, TwoU
 from .multigraph import Multigraph
 
 # The largest line count accepted, checked before the n x n multiplicity
@@ -120,11 +122,6 @@ def _parse_kernel(raw, n: int):
 
 
 def _parse_transcendental(raw) -> TranscendentalSpec:
-    # Loaded here: a configuration without a transcendental block, the
-    # fragment census's usual input, needs neither module.
-    from .fqf import finite_quadratic_form
-    from .gluing import Definite2, GenericDiscr, TwoU
-
     if not isinstance(raw, dict):
         raise InputError("transcendental must be an object")
     keys = set(raw)
@@ -139,6 +136,8 @@ def _parse_transcendental(raw) -> TranscendentalSpec:
     if keys == {"twoU"}:
         return TwoU(_require_int(raw["twoU"], "twoU scale"))
     if keys == {"discr", "rank"}:
+        from .fqf import finite_quadratic_form  # loaded only for a form
+
         block = raw["discr"]
         _check_fields(block, _DISCR_FIELDS, "discr block")
         if _DISCR_FIELDS - set(block):

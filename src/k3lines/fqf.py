@@ -192,6 +192,12 @@ class FiniteQuadraticForm(Record):
     def exponent(self) -> int:
         return self.orders[-1] if self.orders else 1
 
+    def is_nondegenerate(self) -> bool:
+        """Whether the pairing has trivial radical, as the discriminant
+        form of every lattice does."""
+        radical = orthogonal_subgroup(self, _basis(self.rank()))
+        return all(self.order_of(v) == 1 for v in radical)
+
     def qn_of(self, coords) -> int:
         """n * q(coords), reduced mod 2n."""
         return _q_scaled(self.qn, self.bn, coords) % (2 * self._n)

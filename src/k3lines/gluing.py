@@ -8,9 +8,9 @@ sign-reversing involution of the transcendental lattice T (Nikulin,
 module holds that decision and what only it uses: isometries of forms, one
 search whose first leaves find one and build Aut(D) as a stabilizer chain;
 isometries of lattices and the automorphisms of D they induce; orthogonal
-groups of small definite lattices, the sign action on positive subspaces
-and fixed sublattices; and the transcendental side, whose realizable
-involution images are closed under conjugation by Aut(D_T).
+groups of small definite lattices and fixed sublattices; and the
+transcendental side, whose realizable involution images, for each
+`lattices.TranscendentalSpec`, are closed under conjugation by Aut(D_T).
 """
 
 from __future__ import annotations
@@ -21,18 +21,18 @@ from functools import cached_property
 from math import isqrt, prod
 
 from .errors import CapExceeded, InputError
-from .fqf import (
-    FiniteQuadraticForm,
-    ell,
-    orthogonal_subgroup,
-    prime_power_factors,
-    solve_mod,
-    subgroup_form,
+from .fqf import FiniteQuadraticForm, solve_mod, subgroup_form
+from .intmat import det, identity, integral_kernel, mat_mul, transpose
+from .lattices import (
+    Definite2,
+    DiscriminantData,
+    GenericDiscr,
+    Lattice,
+    TranscendentalSpec,
+    TwoU,
+    build_lattice,
+    discriminant_data,
 )
-from .intmat import (
-    det, identity, integral_kernel, mat_mul, mat_vec, positive_basis, transpose
-)
-from .lattices import DiscriminantData, Lattice, build_lattice, discriminant_data
 from .multigraph import chain
 from .records import Record
 
@@ -131,7 +131,7 @@ def _isometry_leaves(source, target, anti):
     # A pairing-preserving map out of a nondegenerate form is injective, so
     # with equal orders every leaf is onto; only a degenerate source needs
     # its images to span the target.
-    check_onto = not _nondegenerate(source)
+    check_onto = not source.is_nondegenerate()
 
     def leaves(prefix):
         images: list = [None] * k
@@ -161,11 +161,6 @@ def _isometry_leaves(source, target, anti):
         return extend(0)
 
     return leaves
-
-
-def _nondegenerate(form: FiniteQuadraticForm) -> bool:
-    radical = orthogonal_subgroup(form, identity(form.rank()))
-    return all(form.order_of(v) == 1 for v in radical)
 
 
 def automorphism_group(form: FiniteQuadraticForm):
@@ -328,21 +323,6 @@ def orthogonal_group_definite(lattice: Lattice) -> list[Isometry]:
     return [Isometry(lattice, mat) for mat in results]
 
 
-def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
-    """+1 if the isometry preserves the orientation of a maximal positive
-    definite subspace, -1 if it reverses it."""
-    if not lattice.is_nondegenerate():
-        raise ValueError("sign structure needs a nondegenerate lattice")
-    basis = positive_basis([list(r) for r in lattice.gram])
-    if not basis:
-        return 1
-    images = [mat_vec(isometry.matrix, vec) for vec in basis]
-    value = det([[lattice.pairing(u, w) for w in images] for u in basis])
-    if value == 0:
-        raise ValueError("isometry degenerates the positive subspace pairing")
-    return 1 if value > 0 else -1
-
-
 def invariant_sublattice(
     lattice: Lattice, isometry: Isometry
 ) -> tuple[Lattice, list[list[int]]]:
@@ -361,59 +341,6 @@ def invariant_sublattice(
 
 
 # -- transcendental-side representations -------------------------------------
-
-
-class Definite2(Record):
-    """Explicit positive definite rank-2 transcendental lattice."""
-
-    _fields = ("lattice",)
-
-    def __init__(self, lattice: Lattice):
-        if lattice.rank != 2 or lattice.signature != (2, 0, 0):
-            raise InputError(
-                "transcendental lattice must be positive definite of rank 2"
-            )
-        vars(self)["lattice"] = lattice
-
-    def rank(self) -> int:
-        return 2
-
-
-class TwoU(Record):
-    """Transcendental lattice 2U(scale): two hyperbolic planes rescaled."""
-
-    _fields = ("scale",)
-
-    def __init__(self, scale: int = 1):
-        if scale < 1:
-            raise InputError("scale must be a positive integer")
-        vars(self)["scale"] = scale
-
-    def rank(self) -> int:
-        return 4
-
-
-class GenericDiscr(Record):
-    """Transcendental side known only through its discriminant form and rank.
-    No involution data can be derived from this; matching reports UNKNOWN."""
-
-    _fields = ("form", "rank_")
-
-    def __init__(self, form: FiniteQuadraticForm, rank_: int):
-        if rank_ < 1:
-            raise InputError("rank must be positive")
-        for p, _ in prime_power_factors(form.exponent()):
-            if ell(form, p) > rank_:
-                raise InputError(
-                    f"rank {rank_} is below the {p}-length of the form"
-                )
-        vars(self).update(form=form, rank_=rank_)
-
-    def rank(self) -> int:
-        return self.rank_
-
-
-TranscendentalSpec = Definite2 | TwoU | GenericDiscr
 
 
 TWO_U_LABELS = ("[2]", "U", "U(2)", "[2]+[-2]", "U+[-2]")
@@ -503,37 +430,33 @@ class TSideClasses(Record):
 
 def t_side_involution_classes(spec: TranscendentalSpec) -> TSideClasses | None:
     """Realizable sign-reversing involution images on discr T, or None when
-    the transcendental data is too generic to derive them."""
+    the transcendental data is too generic to derive them.  For a positive
+    definite binary T the positive subspace is T itself, so they are the
+    isometries of determinant -1, its reflections; for 2U(k) they are the
+    five `two_u_involutions`."""
     if isinstance(spec, GenericDiscr):
         return None
     if isinstance(spec, Definite2):
         lat = spec.lattice
-        data = discriminant_data(lat.gram)
-        images = frozenset(
-            discriminant_action(data, g).columns
-            for g in orthogonal_group_definite(lat)
-            if g.is_involution() and sign_structure_action(lat, g) == -1
-        )
-        return TSideClasses(
-            data.form,
-            images,
+        involutions = [
+            g for g in orthogonal_group_definite(lat) if det(g.matrix) == -1
+        ]
+        outside = (
             "no anti-isometry carries the induced involution to a "
-            "realizable image",
+            "realizable image"
         )
-    if isinstance(spec, TwoU):
+    elif isinstance(spec, TwoU):
         lat = build_lattice(f"2U({spec.scale})")
-        data = discriminant_data(lat.gram)
-        images = frozenset(
-            discriminant_action(data, Isometry(lat, g.matrix)).columns
-            for _, g in two_u_involutions()
-        )
-        return TSideClasses(
-            data.form,
-            images,
+        involutions = [Isometry(lat, g.matrix) for _, g in two_u_involutions()]
+        outside = (
             "the induced involution lands outside every realizable "
-            "conjugacy class",
+            "conjugacy class"
         )
-    raise InputError(f"unsupported transcendental data {spec!r}")
+    else:
+        raise InputError(f"unsupported transcendental data {spec!r}")
+    data = discriminant_data(lat.gram)
+    images = frozenset(discriminant_action(data, g).columns for g in involutions)
+    return TSideClasses(data.form, images, outside)
 
 
 def match_real_structure(

@@ -194,8 +194,7 @@ def leading_rank_and_inertia(m, k: int) -> tuple[int, tuple[int, int, int]]:
     """The rank of the leading k x k block of a symmetric integer matrix and
     the `inertia` of the whole, from one congruence reduction that exhausts
     that block before it touches a later row."""
-    pairs, rank = _diagonal_basis(m, vectors=False, lead=k)
-    norms = [d for _, d in pairs]
+    norms, rank = _diagonal_basis(m, lead=k)
     return rank, (
         sum(d > 0 for d in norms),
         sum(d < 0 for d in norms),
@@ -203,16 +202,10 @@ def leading_rank_and_inertia(m, k: int) -> tuple[int, tuple[int, int, int]]:
     )
 
 
-def positive_basis(m) -> list[list[int]]:
-    """Integer basis of a maximal positive definite subspace of a symmetric
-    integer form, from the same congruence reduction as `inertia`."""
-    return [v for v, d in _diagonal_basis(m, vectors=True)[0] if d > 0]
-
-
-def _diagonal_basis(m, vectors: bool, lead: int = 0):
-    """A basis of Q^n orthogonal for the symmetric integer form m, as pairs
-    of an integer vector and a positive multiple of its norm, by
-    fraction-free congruence reduction.
+def _diagonal_basis(m, lead: int = 0):
+    """The norms, each up to a positive factor, of a basis of Q^n
+    orthogonal for the symmetric integer form m, by fraction-free
+    congruence reduction.
 
     A vector e_k of nonzero norm d is split off, and every other vector e_a
     is replaced by |d|·e_a - sign(d)·g_ak·e_k, which is orthogonal to it.
@@ -224,21 +217,19 @@ def _diagonal_basis(m, vectors: bool, lead: int = 0):
     as the minors that fraction-free elimination divides out.  When every
     remaining vector is isotropic, one of a pair x, y with x·y != 0 is
     replaced by x + y, of norm 2 x·y.  The vectors left when no pair pairs
-    span the radical.  Without `vectors` only the norms are kept, and each
-    vector is None.
+    span the radical, and each counts as norm 0.  Only the block is kept,
+    not the vectors.
 
     Pivots and pairs are taken among the first `lead` rows while their
     block is nonzero, so those vectors stay in the span of e_0..e_{lead-1}
     and the pivots split off before that block is exhausted count its rank.
-    Returns (pairs, that rank)."""
+    Returns (norms, that rank)."""
     if not is_symmetric(m):
         raise ValueError("congruence reduction requires a symmetric matrix")
-    n = len(m)
-    # The remaining block and its vectors; a split-off vector is removed.
+    # The remaining block; a split-off vector's row and column are removed.
     # The first `head` remaining rows are those of the leading block.
     gram = copy_mat(m)
-    vecs = identity(n) if vectors else [None] * n
-    out = []
+    norms = []
     head = rank = lead
     while gram:
         scope = head or len(gram)
@@ -255,26 +246,21 @@ def _diagonal_basis(m, vectors: bool, lead: int = 0):
                 if head:  # the leading block is exhausted
                     rank, head = rank - head, 0
                     continue
-                return out + [(v, 0) for v in vecs], rank
+                return norms + [0] * len(gram), rank
             i, j = pair
-            if vectors:
-                vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
             for row in gram:
                 row[i] += row[j]
             gram[i] = [x + y for x, y in zip(gram[i], gram[j])]
             continue
         krow = gram.pop(k)
-        vk = vecs.pop(k)
         d = krow.pop(k)
-        out.append((vk, d))
+        norms.append(d)
         if head:  # k < scope = head: a row of the leading block
             head -= 1
         scale, sign = abs(d), (1 if d > 0 else -1)
         for a, row in enumerate(gram):
             f = sign * row.pop(k)
             gram[a] = [scale * x - f * y for x, y in zip(row, krow)]
-            if vectors:
-                vecs[a] = [scale * x - f * y for x, y in zip(vecs[a], vk)]
         content = 0
         for row in gram:
             content = gcd(content, *row)
@@ -282,4 +268,4 @@ def _diagonal_basis(m, vectors: bool, lead: int = 0):
                 break
         if content > 1:
             gram = [[x // content for x in row] for row in gram]
-    return out, rank
+    return norms, rank

@@ -5,7 +5,10 @@ hyperbolic plane, binary forms, rescaling, repetition, direct sum) and the
 discriminant form of an even lattice, read off the Gram matrix of a basis or
 of any generating system, together with the integer map that names its
 classes.  Isometries of lattices and the automorphisms of the discriminant
-form they induce live in `gluing`.
+form they induce live in `gluing`.  The three kinds of transcendental
+lattice data a configuration may carry (`TranscendentalSpec`) are here too:
+an explicit positive definite binary lattice, 2U(k), or a discriminant form
+with a rank.
 
 Root lattices follow the NEGATIVE definite convention: A2 has Gram matrix
 [[-2, 1], [1, -2]].  Most references use the positive sign; rescale by -1 to
@@ -21,8 +24,8 @@ from .errors import InputError
 from .intmat import block_diag, det, inertia, mat_vec, smith_decompose
 from .records import Record
 
-# `fqf` is imported inside the function that builds discriminant forms, so
-# that a lattice used only for its signature does not load it.
+# `fqf` is imported inside the functions that build or check discriminant
+# forms, so that a lattice used only for its signature does not load it.
 
 
 class Lattice(Record):
@@ -58,9 +61,6 @@ class Lattice(Record):
     def signature(self) -> tuple[int, int, int]:
         """(positive, negative, zero) inertia indices."""
         return inertia([list(r) for r in self.gram])
-
-    def is_nondegenerate(self) -> bool:
-        return self.signature[2] == 0
 
     def is_definite(self) -> bool:
         plus, minus, zero = self.signature
@@ -315,3 +315,63 @@ def discriminant_data(gram) -> DiscriminantData:
         tuple(tuple(scaled(a, b) % e for b in range(k)) for a in range(k)),
     )
     return DiscriminantData(gram, form, tuple(tuple(u[i]) for i in keep), smith_v)
+
+
+# -- transcendental lattices -------------------------------------------------
+
+
+class Definite2(Record):
+    """Explicit positive definite rank-2 transcendental lattice."""
+
+    _fields = ("lattice",)
+
+    def __init__(self, lattice: Lattice):
+        if lattice.rank != 2 or lattice.signature != (2, 0, 0):
+            raise InputError(
+                "transcendental lattice must be positive definite of rank 2"
+            )
+        vars(self)["lattice"] = lattice
+
+    def rank(self) -> int:
+        return 2
+
+
+class TwoU(Record):
+    """Transcendental lattice 2U(scale): two hyperbolic planes rescaled."""
+
+    _fields = ("scale",)
+
+    def __init__(self, scale: int = 1):
+        if scale < 1:
+            raise InputError("scale must be a positive integer")
+        vars(self)["scale"] = scale
+
+    def rank(self) -> int:
+        return 4
+
+
+class GenericDiscr(Record):
+    """Transcendental side known only through its discriminant form and rank.
+    No involution data can be derived from this; matching reports UNKNOWN."""
+
+    _fields = ("form", "rank_")
+
+    def __init__(self, form: FiniteQuadraticForm, rank_: int):
+        from .fqf import ell, prime_power_factors
+
+        if rank_ < 1:
+            raise InputError("rank must be positive")
+        for p, _ in prime_power_factors(form.exponent()):
+            if ell(form, p) > rank_:
+                raise InputError(
+                    f"rank {rank_} is below the {p}-length of the form"
+                )
+        if not form.is_nondegenerate():
+            raise InputError("discriminant form must be nondegenerate")
+        vars(self).update(form=form, rank_=rank_)
+
+    def rank(self) -> int:
+        return self.rank_
+
+
+TranscendentalSpec = Definite2 | TwoU | GenericDiscr

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from math import lcm
 
 from k3lines import multigraph
 from k3lines.configio import load_configuration
@@ -20,6 +21,7 @@ from k3lines.gluing import (
     permutation_columns,
 )
 from k3lines.intmat import (
+    det,
     identity,
     inverse_unimodular,
     mat_mul,
@@ -111,6 +113,64 @@ def invariants_match(a: Lattice, b: Lattice) -> bool:
 
 def norm(lattice: Lattice, vec) -> int:
     return lattice.pairing(vec, vec)
+
+
+def fraction_diagonal_basis(m):
+    """Test-only oracle: rational congruence reduction, as (vector, norm)
+    pairs.  A vector of nonzero norm is split off and the others are made
+    orthogonal to it; when every remaining vector is isotropic, one of a
+    pair x, y with x·y != 0 becomes x + y."""
+    n = len(m)
+    gram = [[Fraction(x) for x in row] for row in m]
+    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    idx = list(range(n))
+    out = []
+    while idx:
+        k = next((i for i in idx if gram[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in idx for j in idx if gram[i][j] != 0), None
+            )
+            if pair is None:
+                return out + [(vecs[i], Fraction(0)) for i in idx]
+            i, j = pair
+            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
+            for r in idx:
+                gram[r][i] += gram[r][j]
+            for c in idx:
+                gram[i][c] += gram[j][c]
+            continue
+        d = gram[k][k]
+        out.append((vecs[k], d))
+        idx.remove(k)
+        for a in idx:
+            f = gram[a][k] / d
+            if f:
+                vecs[a] = [x - f * y for x, y in zip(vecs[a], vecs[k])]
+                for b in idx:
+                    gram[a][b] -= f * gram[k][b]
+    return out
+
+
+def sign_structure_action(lattice: Lattice, isometry: Isometry) -> int:
+    """+1 if the isometry preserves the orientation of a maximal positive
+    definite subspace, -1 if it reverses it.  The subspace is spanned by the
+    positive vectors of `fraction_diagonal_basis`, each cleared of its
+    denominators, which keeps its direction."""
+    if lattice.signature[2]:
+        raise ValueError("sign structure needs a nondegenerate lattice")
+    basis = [
+        [int(x * lcm(*(y.denominator for y in vec))) for x in vec]
+        for vec, d in fraction_diagonal_basis(lattice.gram)
+        if d > 0
+    ]
+    if not basis:
+        return 1
+    images = [mat_vec(isometry.matrix, vec) for vec in basis]
+    value = det([[lattice.pairing(u, w) for w in images] for u in basis])
+    if value == 0:
+        raise ValueError("isometry degenerates the positive subspace pairing")
+    return 1 if value > 0 else -1
 
 
 def compose_isometries(outer: Isometry, inner: Isometry) -> Isometry:

@@ -25,15 +25,13 @@ from k3lines.fano import (
 from k3lines.fqf import brown_invariant
 from k3lines.gluing import (
     TWO_U_LABELS,
-    TwoU,
     _vectors_of_norm,
     invariant_sublattice,
     orthogonal_group_definite,
-    sign_structure_action,
     t_side_involution_classes,
     two_u_involutions,
 )
-from k3lines.lattices import Lattice, build_lattice
+from k3lines.lattices import Lattice, TwoU, build_lattice
 from k3lines.multigraph import (
     Multigraph,
     compose_perm,
@@ -50,6 +48,7 @@ from helpers import (
     invariants_match,
     involution_classes,
     read_configuration,
+    sign_structure_action,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

@@ -610,6 +610,14 @@ class TestMalformedTranscendental:
                 "positive\n"
             )
 
+    def test_degenerate_discr_form_is_rejected(self, capsys, tmp_path):
+        block = {"factors": [2], "qvalues": ["0"], "pairing": [["0"]]}
+        path = with_transcendental(tmp_path, {"discr": block, "rank": 3})
+        for cmd in ("fragments", "real", "totally-real"):
+            code, out, err = run(capsys, cmd, path)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == "error: discriminant form must be nondegenerate\n"
+
     @pytest.mark.parametrize("entries", [[-1, 3, 6], [2, 1, 3]])
     def test_definite2_diagonal_must_be_even(self, capsys, tmp_path, entries):
         path = with_transcendental(tmp_path, {"definite2": entries})
@@ -774,6 +782,24 @@ class TestStartUp:
 
     def test_criterion_without_a_transcendental_block_loads_no_gluing(self):
         modules = loaded_modules("totally-real", str(CORPUS / "k33.json"))
+        assert "k3lines.realcrit" in modules
+        assert "k3lines.gluing" not in modules
+
+    @pytest.mark.parametrize("name", ["k33_twou3.json", "triangle_def2.json"])
+    def test_fragments_on_a_transcendental_lattice_loads_no_form_module(
+        self, name
+    ):
+        # the fragment census never reads the T block it parses
+        modules = loaded_modules("fragments", str(CORPUS / name))
+        assert not modules & {"k3lines.fqf", "k3lines.gluing"}
+
+    def test_fragments_on_a_discr_block_loads_no_gluing(self):
+        modules = loaded_modules("fragments", str(CORPUS / "k33_generic.json"))
+        assert "k3lines.fqf" in modules
+        assert "k3lines.gluing" not in modules
+
+    def test_criterion_with_a_transcendental_block_loads_no_gluing(self):
+        modules = loaded_modules("totally-real", str(CORPUS / "k33_twou3.json"))
         assert "k3lines.realcrit" in modules
         assert "k3lines.gluing" not in modules
 

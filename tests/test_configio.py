@@ -12,7 +12,7 @@ import pytest
 from k3lines.configio import MAX_LINES, load_configuration, parse_fraction
 from k3lines.errors import InputError
 from k3lines.fano import LineConfiguration, catalog_graph
-from k3lines.gluing import Definite2, GenericDiscr, TwoU
+from k3lines.lattices import Definite2, GenericDiscr, TwoU
 
 from helpers import read_configuration
 
@@ -234,6 +234,16 @@ class TestTranscendentalParsing:
             InputError,
             match="bad discriminant form: generator orders must be positive",
         ):
+            load_configuration(doc(transcendental=spec))
+
+    def test_rejects_degenerate_discr_form(self):
+        # q = 0 and b = 0 on Z/2: the generator pairs to 0 with everything,
+        # which no lattice's discriminant form allows
+        spec = {
+            "discr": {"factors": [2], "qvalues": ["0"], "pairing": [["0"]]},
+            "rank": 3,
+        }
+        with pytest.raises(InputError, match="must be nondegenerate"):
             load_configuration(doc(transcendental=spec))
 
     def test_rejects_unknown_discr_field(self):

@@ -33,11 +33,8 @@ from k3lines.gluing import (
     ADMISSIBLE,
     INADMISSIBLE,
     UNKNOWN,
-    Definite2,
     FqfIsometry,
-    GenericDiscr,
     Isometry,
-    TwoU,
     discriminant_action,
     find_isometry,
     minus_identity_isometry,
@@ -50,7 +47,13 @@ from k3lines.intmat import (
     smith_decompose,
     transpose,
 )
-from k3lines.lattices import Lattice, discriminant_data
+from k3lines.lattices import (
+    Definite2,
+    GenericDiscr,
+    Lattice,
+    TwoU,
+    discriminant_data,
+)
 from k3lines.multigraph import (
     Multigraph,
     PermutationGroup,

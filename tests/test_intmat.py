@@ -19,13 +19,12 @@ from k3lines.intmat import (
     leading_rank_and_inertia,
     mat_mul,
     mat_vec,
-    positive_basis,
     smith_decompose,
     transpose,
 )
 from k3lines.multigraph import Multigraph
 
-from helpers import matrix_rank
+from helpers import fraction_diagonal_basis, matrix_rank
 
 
 def random_matrix(rng, rows, cols, bound=20):
@@ -179,62 +178,6 @@ def test_inertia_against_leading_minors_definite():
         assert inertia(neg) == (0, n, 0)
 
 
-def test_positive_basis_spans_positive_part():
-    rng = random.Random(515151)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n, n, bound=6)
-        g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        pos, _, _ = inertia(g)
-        basis = positive_basis(g)
-        assert len(basis) == pos
-        for a in range(len(basis)):
-            va = basis[a]
-            norm = sum(va[i] * g[i][j] * va[j] for i in range(n) for j in range(n))
-            assert norm > 0
-            for b in range(a + 1, len(basis)):
-                vb = basis[b]
-                cross = sum(va[i] * g[i][j] * vb[j] for i in range(n) for j in range(n))
-                assert cross == 0
-
-
-def fraction_diagonal_basis(m):
-    """Test-only oracle: rational congruence reduction, as (vector, norm)
-    pairs.  A vector of nonzero norm is split off and the others are made
-    orthogonal to it; when every remaining vector is isotropic, one of a
-    pair x, y with x·y != 0 becomes x + y."""
-    n = len(m)
-    gram = [[Fraction(x) for x in row] for row in m]
-    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    idx = list(range(n))
-    out = []
-    while idx:
-        k = next((i for i in idx if gram[i][i] != 0), None)
-        if k is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if gram[i][j] != 0), None
-            )
-            if pair is None:
-                return out + [(vecs[i], Fraction(0)) for i in idx]
-            i, j = pair
-            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
-            for r in idx:
-                gram[r][i] += gram[r][j]
-            for c in idx:
-                gram[i][c] += gram[j][c]
-            continue
-        d = gram[k][k]
-        out.append((vecs[k], d))
-        idx.remove(k)
-        for a in idx:
-            f = gram[a][k] / d
-            if f:
-                vecs[a] = [x - f * y for x, y in zip(vecs[a], vecs[k])]
-                for b in idx:
-                    gram[a][b] -= f * gram[k][b]
-    return out
-
-
 U_PLUS_U = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
@@ -272,16 +215,6 @@ def test_integer_reduction_matches_the_fraction_oracle(m):
         sum(d < 0 for d in norms),
         sum(d == 0 for d in norms),
     )
-    # the same pivots in the same order: each integer vector is a positive
-    # multiple of the rational one, so orientations agree
-    basis = positive_basis(m)
-    assert len(basis) == sum(d > 0 for d in norms)
-    for vec, want in zip(basis, (v for v, d in expected if d > 0)):
-        assert all(isinstance(x, int) for x in vec)
-        lead = next(i for i, x in enumerate(want) if x)
-        ratio = vec[lead] / want[lead]
-        assert ratio > 0
-        assert [Fraction(x) for x in vec] == [ratio * x for x in want]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

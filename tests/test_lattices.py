@@ -16,7 +16,6 @@ from k3lines.gluing import (
     discriminant_action,
     invariant_sublattice,
     orthogonal_group_definite,
-    sign_structure_action,
 )
 from k3lines.intmat import identity, mat_vec
 from k3lines.lattices import Lattice, build_lattice, discriminant_data
@@ -35,6 +34,7 @@ from helpers import (
     is_identity,
     norm,
     pairing,
+    sign_structure_action,
 )
 
 

@@ -18,14 +18,14 @@ from k3lines.fano import (
     catalog_graph,
 )
 from k3lines.fqf import finite_quadratic_form
-from k3lines.gluing import (
+from k3lines.gluing import minus_identity_isometry, t_side_involution_classes
+from k3lines.lattices import (
     Definite2,
     GenericDiscr,
     TwoU,
-    minus_identity_isometry,
-    t_side_involution_classes,
+    build_lattice,
+    discriminant_data,
 )
-from k3lines.lattices import build_lattice, discriminant_data
 from k3lines.multigraph import Multigraph
 from k3lines.realcrit import Verdict
 

@@ -33,23 +33,26 @@ from k3lines.gluing import (
     ADMISSIBLE,
     INADMISSIBLE,
     UNKNOWN,
-    Definite2,
     FqfIsometry,
-    GenericDiscr,
     Isometry,
-    TwoU,
     TWO_U_LABELS,
     discriminant_action,
     find_isometry,
     invariant_sublattice,
     match_real_structure,
     orthogonal_group_definite,
-    sign_structure_action,
     t_side_involution_classes,
     two_u_involutions,
     _vectors_of_norm,
 )
-from k3lines.lattices import Lattice, build_lattice, discriminant_data
+from k3lines.lattices import (
+    Definite2,
+    GenericDiscr,
+    Lattice,
+    TwoU,
+    build_lattice,
+    discriminant_data,
+)
 from k3lines.realcrit import Verdict, totally_real_criterion
 
 from helpers import (
@@ -68,6 +71,7 @@ from helpers import (
     involution_classes,
     q_of,
     read_configuration,
+    sign_structure_action,
 )
 
 
@@ -452,6 +456,30 @@ def test_t_side_for_definite_rank_two():
     assert square.members
 
 
+def test_definite_t_side_reflections_are_the_sign_reversing_involutions():
+    # oracle: the involutions that reverse the orientation of a maximal
+    # positive subspace, found by the Fraction congruence reduction
+    rng = random.Random(30303)
+    grams = set()
+    while len(grams) < 300:
+        a, c = 2 * rng.randint(1, 8), 2 * rng.randint(1, 8)
+        b = rng.randint(-8, 8)
+        if a * c > b * b:
+            grams.add((a, b, c))
+    grams |= {(8, 0, 8), (8, 4, 8), (6, 3, 6)}  # (6, 3, 6): triangle_def2
+    start = time.process_time()
+    for a, b, c in sorted(grams):
+        lat = Lattice(((a, b), (b, c)))
+        data = discriminant_data(lat.gram)
+        filtered = frozenset(
+            discriminant_action(data, g).columns
+            for g in orthogonal_group_definite(lat)
+            if g.is_involution() and sign_structure_action(lat, g) == -1
+        )
+        assert t_side_involution_classes(Definite2(lat)).images == filtered
+    assert time.process_time() - start < 1
+
+
 # -- gluing -------------------------------------------------------------------
 
 
@@ -531,7 +559,8 @@ def test_two_u_closure_agrees_with_every_anti_isometry():
 
 TWO_U_FIVE = """
 import time
-from k3lines.gluing import TwoU, automorphism_group, t_side_involution_classes
+from k3lines.gluing import automorphism_group, t_side_involution_classes
+from k3lines.lattices import TwoU
 tside = t_side_involution_classes(TwoU(5))
 assert len(tside.members) == 570
 assert tside.gluing(tside.form.negated())[0] is not None
@@ -543,7 +572,8 @@ print(time.process_time())
 
 TWO_U_SEVEN = """
 import time
-from k3lines.gluing import TwoU, t_side_involution_classes
+from k3lines.gluing import t_side_involution_classes
+from k3lines.lattices import TwoU
 tside = t_side_involution_classes(TwoU(7))
 assert (tside.class_count, len(tside.members)) == (3, 1904)
 print(time.process_time())
