@@ -516,16 +516,16 @@ class Analysis:
         return self.data.generator_pairings(self.gram[: self.cfg.graph.n + 1])
 
     def candidate_action(self, perm) -> FqfIsometry:
-        """Action of (perm, sign -1) on D_N, for a graph automorphism perm.
-        One that does not map N onto itself raises ValueError."""
-        from .gluing import FqfIsometry, minus_identity_isometry
+        """Action of (perm, sign -1) on D_N, for a graph automorphism perm:
+        the class of -v is -class(v), so the sign negates the moved
+        pairings.  One that does not map N onto itself raises ValueError."""
+        from .gluing import FqfIsometry
 
         if not self._preserves(perm):
             raise ValueError("permutation does not map N onto itself")
-        images = (_moved(perm, t) for t in self._generator_pairings)
-        cols = tuple(map(self._class_of, images))
-        action = FqfIsometry(self.dn, self.dn, cols)
-        return minus_identity_isometry(self.dn).compose(action)
+        pairings = self._generator_pairings
+        images = ([-x for x in _moved(perm, t)] for t in pairings)
+        return FqfIsometry(self.dn, self.dn, tuple(map(self._class_of, images)))
 
     # -- fragments and real structures ---------------------------------------
 
@@ -559,7 +559,10 @@ class Analysis:
         """The screening verdict of D_N (`totally_real_criterion`)."""
         from .realcrit import totally_real_criterion
 
-        return totally_real_criterion(self.dn, self.r, self.det_n)
+        try:
+            return totally_real_criterion(self.dn, self.r, self.det_n)
+        except CapExceeded as exc:
+            raise CapExceeded(f"totally real criterion: {exc}") from None
 
     def real_structure_candidates(self, spec) -> list[RealCandidate]:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in

@@ -227,6 +227,12 @@ class FiniteQuadraticForm(Record):
         return itertools.product(*[range(d) for d in self.orders])
 
     def two_torsion(self) -> list[tuple[int, ...]]:
+        """The elements of order 2; more than `ELEMENT_CAP` raise CapExceeded."""
+        count = 2 ** sum(d % 2 == 0 for d in self.orders) - 1
+        if count > ELEMENT_CAP:
+            raise CapExceeded(
+                f"{count} elements of order 2 exceed the cap of {ELEMENT_CAP}"
+            )
         choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in self.orders]
         return list(itertools.product(*choices))[1:]  # order 2: all but zero
 
@@ -326,30 +332,6 @@ def _chain(gens) -> list[tuple[int, list[int]]]:
                 vec = [a + b for a, b in zip(vec, comps[at][1])]
         out.append((order, vec))
     return out
-
-
-# -- coordinate solving ----------------------------------------------------
-
-
-def solve_mod(columns, target, orders) -> list[int] | None:
-    """Integer coefficients c with sum(c_i * columns_i) = target in the group
-    with the given cyclic orders, or None when no solution exists."""
-    k = len(orders)
-    m = len(columns)
-    if k == 0:
-        return [0] * m
-    mat = [[columns[j][i] for j in range(m)] + [orders[i] if t == i else 0 for t in range(k)]
-           for i in range(k)]
-    s, u, v = smith_decompose(mat)
-    rhs = [sum(u[i][j] * target[j] for j in range(k)) for i in range(k)]
-    z = [0] * (m + k)
-    for i in range(k):  # diag(orders) in mat gives full row rank: d != 0
-        d = s[i][i]
-        if rhs[i] % d != 0:
-            return None
-        z[i] = rhs[i] // d
-    full = [sum(v[i][j] * z[j] for j in range(m + k)) for i in range(m + k)]
-    return full[:m]
 
 
 def subgroup_form(form: FiniteQuadraticForm, gens):

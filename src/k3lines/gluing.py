@@ -1,16 +1,17 @@
 """Gluing real structures across the K3 lattice.
 
 A candidate real structure (sigma, -1) acts on the discriminant form D_N of
-the line lattice N.  It extends to the K3 lattice exactly when some
-anti-isometry phi: D_N -> D_T carries that action to the action of a
+the line lattice N by tau.  It extends to the K3 lattice exactly when some
+anti-isometry phi: D_N -> D_T gives phi.tau = g.phi for the action g of a
 sign-reversing involution of the transcendental lattice T (Nikulin,
 *Integral symmetric bilinear forms*, Math. USSR Izv. 14, 1980).  This
-module holds that decision and what only it uses: isometries of forms, one
-search whose first leaves find one and build Aut(D) as a stabilizer chain;
-isometries of lattices and the automorphisms of D they induce; orthogonal
-groups of small definite lattices and fixed sublattices; and the
-transcendental side, whose realizable involution images, for each
-`lattices.TranscendentalSpec`, are closed under conjugation by Aut(D_T).
+module holds that decision and what only it uses: isometries of
+nondegenerate forms, one search whose first leaves find one and build
+Aut(D) as a stabilizer chain; isometries of lattices and the automorphisms
+of D they induce; orthogonal groups of small definite lattices and fixed
+sublattices; and the transcendental side, whose realizable involution
+images, for each `lattices.TranscendentalSpec`, are closed under
+conjugation by Aut(D_T).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from math import isqrt, prod
 
 from .errors import CapExceeded, InputError
-from .fqf import FiniteQuadraticForm, solve_mod, subgroup_form
+from .fqf import FiniteQuadraticForm
 from .intmat import det, identity, integral_kernel, mat_mul, transpose
 from .lattices import (
     Definite2,
@@ -80,32 +81,14 @@ class FqfIsometry(Record):
             inner.source, self.target, cols, anti=self.anti ^ inner.anti
         )
 
-    def inverse(self) -> "FqfIsometry":
-        cols = []
-        for e in identity(self.source.rank()):
-            pre = solve_mod(list(self.columns), e, list(self.target.orders))
-            if pre is None:
-                raise ValueError("isometry is not invertible")
-            cols.append(self.source.reduce(pre))
-        return FqfIsometry(self.target, self.source, tuple(cols), anti=self.anti)
-
-
-def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
-    k = form.rank()
-    cols = tuple(
-        tuple((-1 if i == j else 0) % form.orders[i] for i in range(k))
-        for j in range(k)
-    )
-    return FqfIsometry(form, form, cols, anti=False)
-
 
 def find_isometry(
     source: FiniteQuadraticForm,
     target: FiniteQuadraticForm,
     anti: bool = False,
 ) -> FqfIsometry | None:
-    """The least isometry (or anti-isometry) from source to target, the
-    first leaf of the isometry search, or None."""
+    """The least isometry (or anti-isometry) from a nondegenerate source to
+    target, the first leaf of the isometry search, or None."""
     cols = next(_isometry_leaves(source, target, anti)(()), None)
     return None if cols is None else FqfIsometry(source, target, cols, anti=anti)
 
@@ -114,7 +97,12 @@ def _isometry_leaves(source, target, anti):
     """The isometry search as `leaves(prefix)`, a generator of the columns,
     in increasing order, of every isometry (or anti-isometry) that takes
     the first generators of the source to the target elements `prefix`.
-    The target's (order, n * q) buckets are built once, for every call."""
+    The target's (order, n * q) buckets are built once, for every call.  A
+    pairing-preserving map out of a nondegenerate source is injective, so
+    with equal orders every leaf is onto; a degenerate source, which no
+    discriminant form is, raises ValueError."""
+    if not source.is_nondegenerate():
+        raise ValueError("isometry search needs a nondegenerate source form")
     if source.order() != target.order() or source.exponent() != target.exponent():
         return lambda prefix: iter(())
     # Both forms are scaled by the same n, so every test is on integers.
@@ -128,10 +116,6 @@ def _isometry_leaves(source, target, anti):
     sign = -1 if anti else 1
     want_q = [sign * q % (2 * n) for q in source.qn]
     want_b = [[sign * x % n for x in row] for row in source.bn]
-    # A pairing-preserving map out of a nondegenerate form is injective, so
-    # with equal orders every leaf is onto; only a degenerate source needs
-    # its images to span the target.
-    check_onto = not source.is_nondegenerate()
 
     def leaves(prefix):
         images: list = [None] * k
@@ -139,11 +123,7 @@ def _isometry_leaves(source, target, anti):
 
         def extend(i: int):
             if i == k:
-                if (
-                    not check_onto
-                    or subgroup_form(target, images)[0].order() == target.order()
-                ):
-                    yield tuple(images)
+                yield tuple(images)
                 return
             want = (source.orders[i], want_q[i])
             if i < len(prefix):
@@ -164,12 +144,12 @@ def _isometry_leaves(source, target, anti):
 
 
 def automorphism_group(form: FiniteQuadraticForm):
-    """Aut(form) as a `multigraph.PermutationGroup` on the elements,
-    numbered in `elements()` order, with the generators e_0..e_{k-1} as its
-    base.  The chain asks for one automorphism fixing e_0..e_{i-1} and
-    taking e_i to w, the first leaf of the isometry search with those
-    images pinned, so no group element is listed.  Each call builds the
-    chain afresh; a caller that needs it twice keeps it."""
+    """Aut(form) of a nondegenerate form as a `multigraph.PermutationGroup`
+    on the elements, numbered in `elements()` order, with the generators
+    e_0..e_{k-1} as its base.  The chain asks for one automorphism fixing
+    e_0..e_{i-1} and taking e_i to w, the first leaf of the isometry search
+    with those images pinned, so no group element is listed.  Each call
+    builds the chain afresh; a caller that needs it twice keeps it."""
     elements = list(form.elements())
     basis = [tuple(e) for e in identity(form.rank())]
     leaves = _isometry_leaves(form, form, False)
@@ -419,12 +399,16 @@ class TSideClasses(Record):
         return len(self._classes)
 
     def gluing(self, source: FiniteQuadraticForm) -> tuple:
-        """(phi, phi^-1) for one anti-isometry phi from `source` to the
-        form, or (None, None) when there is none; searched and inverted
-        once per source form."""
+        """(phi, pulled): the first anti-isometry phi from `source` to the
+        form and the frozen set of the columns of g.phi for every g in
+        `members`, or (None, None) when there is none; once per source."""
         if source not in self._antis:
             phi = find_isometry(source, self.form, anti=True)
-            self._antis[source] = (phi, None if phi is None else phi.inverse())
+            pulled = None if phi is None else frozenset(
+                FqfIsometry(self.form, self.form, g).compose(phi).columns
+                for g in self.members
+            )
+            self._antis[source] = (phi, pulled)
         return self._antis[source]
 
 
@@ -468,22 +452,20 @@ def match_real_structure(
 
     Any other anti-isometry is g.phi with g in Aut(discr T), and
     `tside.members` is closed under conjugation by Aut(discr T), so one phi
-    decides.  Nothing on the transcendental side beyond the images is
-    computed when no anti-isometry exists.
+    decides: tau glues exactly when phi.tau = g.phi for a member g, a
+    lookup among the columns `tside.gluing` pulled back through phi.
+    Nothing on the transcendental side beyond the images is computed when
+    no anti-isometry exists.
 
     Returns (admissibility, reason)."""
     if tside is None:
         return (UNKNOWN, "no usable transcendental representative")
-    phi, phi_inv = tside.gluing(tau_n.source)
+    phi, pulled = tside.gluing(tau_n.source)
     if phi is None:
         return (
             INADMISSIBLE,
             "no anti-isometry between the discriminant forms (genus mismatch)",
         )
-    conj = phi.compose(tau_n).compose(phi_inv)
-    if conj.columns in tside.members:
-        return (
-            ADMISSIBLE,
-            "a compatible transcendental involution exists",
-        )
+    if phi.compose(tau_n).columns in pulled:
+        return (ADMISSIBLE, "a compatible transcendental involution exists")
     return (INADMISSIBLE, tside.outside)

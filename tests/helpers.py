@@ -203,6 +203,47 @@ def pairing(form: FiniteQuadraticForm) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x, n) for x in row) for row in form.bn)
 
 
+def solve_mod(columns, target, orders) -> list[int] | None:
+    """Integer coefficients c with sum(c_i * columns_i) = target in the group
+    with the given cyclic orders, or None when no solution exists."""
+    k = len(orders)
+    m = len(columns)
+    if k == 0:
+        return [0] * m
+    mat = [[columns[j][i] for j in range(m)] + [orders[i] if t == i else 0 for t in range(k)]
+           for i in range(k)]
+    s, u, v = smith_decompose(mat)
+    rhs = [sum(u[i][j] * target[j] for j in range(k)) for i in range(k)]
+    z = [0] * (m + k)
+    for i in range(k):  # diag(orders) in mat gives full row rank: d != 0
+        d = s[i][i]
+        if rhs[i] % d != 0:
+            return None
+        z[i] = rhs[i] // d
+    full = [sum(v[i][j] * z[j] for j in range(m + k)) for i in range(m + k)]
+    return full[:m]
+
+
+def inverse_fqf_isometry(phi: FqfIsometry) -> FqfIsometry:
+    """phi^-1, each column a preimage of a target generator (`solve_mod`)."""
+    cols = []
+    for e in identity(phi.source.rank()):
+        pre = solve_mod(list(phi.columns), e, list(phi.target.orders))
+        if pre is None:
+            raise ValueError("isometry is not invertible")
+        cols.append(phi.source.reduce(pre))
+    return FqfIsometry(phi.target, phi.source, tuple(cols), anti=phi.anti)
+
+
+def minus_identity_isometry(form: FiniteQuadraticForm) -> FqfIsometry:
+    k = form.rank()
+    cols = tuple(
+        tuple((-1 if i == j else 0) % form.orders[i] for i in range(k))
+        for j in range(k)
+    )
+    return FqfIsometry(form, form, cols, anti=False)
+
+
 def fqf_isometries(
     source: FiniteQuadraticForm,
     target: FiniteQuadraticForm,

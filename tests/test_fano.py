@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lines import fano, intmat, lattices
+from k3lines import fano, fqf, intmat, lattices
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import (
     Analysis,
@@ -28,7 +28,7 @@ from k3lines.fano import (
     classify_fragment,
     enumerate_fragments,
 )
-from k3lines.fqf import isotropic_quotient, solve_mod, subgroup_form
+from k3lines.fqf import isotropic_quotient, subgroup_form
 from k3lines.gluing import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -37,7 +37,6 @@ from k3lines.gluing import (
     Isometry,
     discriminant_action,
     find_isometry,
-    minus_identity_isometry,
 )
 from k3lines.intmat import (
     integral_kernel,
@@ -70,9 +69,11 @@ from helpers import (
     group_elements,
     kernel_vectors,
     matrix_rank,
+    minus_identity_isometry,
     q_of,
     read_configuration,
     relabel,
+    solve_mod,
 )
 
 
@@ -1200,6 +1201,16 @@ class TestAnalysis:
         cands = candidates(cfg)
         assert len(cands) > 1
         assert calls == {"enumerate_fragments": 1, "smith_decompose": 1}
+
+    def test_two_torsion_cap_names_the_criterion_stage(self, monkeypatch):
+        # 11 edgeless lines: the hyperbolic case scans the 1,023 order-2
+        # elements of a 2-part of length 10, here above a lowered cap
+        monkeypatch.setattr(fqf, "ELEMENT_CAP", 1000)
+        cfg = read_configuration(Path(__file__).parent / "data" / "edgeless11.json")
+        with pytest.raises(
+            CapExceeded, match="^totally real criterion: 1023 elements of order 2"
+        ):
+            Analysis(cfg).verdict
 
     def test_fragments_read_runs_no_smith_form(self, monkeypatch):
         # what the `fragments` command reads: the warnings come from the

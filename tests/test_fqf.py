@@ -26,7 +26,6 @@ from k3lines.fqf import (
     odd_p_det_class,
     orthogonal_subgroup,
     prime_power_factors,
-    solve_mod,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
@@ -34,7 +33,7 @@ from k3lines.fqf import (
 from k3lines.gluing import (
     automorphism_group,
     element_permutation,
-    minus_identity_isometry,
+    find_isometry,
     permutation_columns,
 )
 from k3lines.lattices import (
@@ -51,10 +50,13 @@ from helpers import (
     fqf_isometries,
     group_contains,
     group_elements,
+    inverse_fqf_isometry,
     involution_classes,
     is_identity,
+    minus_identity_isometry,
     pairing,
     q_of,
+    solve_mod,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -399,7 +401,7 @@ def test_automorphisms_form_a_group():
     ident = minus_identity_isometry(form).compose(minus_identity_isometry(form))
     assert ident.columns in columns
     for g in group:
-        assert g.inverse().columns in columns
+        assert inverse_fqf_isometry(g).columns in columns
         for h in group[:6]:
             assert g.compose(h).columns in columns
 
@@ -803,13 +805,16 @@ def test_property_isometries_match_brute_force(lat, anti, negate):
     assert all(g.anti == anti for g in fqf_isometries(form, target, anti=anti))
 
 
-def test_isometries_out_of_a_degenerate_form_must_be_onto():
+def test_isometries_out_of_a_degenerate_form_are_refused():
     # On (Z/2)^2 with q = 0 and b = 0 every pair of nonzero images preserves
-    # the form; only the 6 invertible ones are isometries.
+    # the form, so a leaf need not be onto; no discriminant form is
+    # degenerate, and the search refuses one.
     zero = finite_quadratic_form((2, 2), (0, 0), [[0, 0], [0, 0]])
-    auts = fqf_isometries(zero, zero)
-    assert len(auts) == 6
-    assert [g.columns for g in auts] == brute_force_isometries(zero, zero, False)
+    assert len(brute_force_isometries(zero, zero, False)) == 6
+    with pytest.raises(ValueError, match="nondegenerate"):
+        fqf_isometries(zero, zero)
+    with pytest.raises(ValueError, match="nondegenerate"):
+        find_isometry(zero, zero)
 
 
 def test_isometries_need_equal_exponents():
@@ -827,7 +832,7 @@ def all_elements_involution_classes(form):
     """(size, least member, members) of every involution class, sorted, by
     conjugating with every automorphism and its Smith-form inverse."""
     group = fqf_isometries(form, form)
-    inverses = [g.inverse() for g in group]
+    inverses = [inverse_fqf_isometry(g) for g in group]
     seen, out = set(), []
     for s in group:
         if s.columns in seen or not is_identity(s.compose(s)):

@@ -18,7 +18,7 @@ from k3lines.fano import (
     catalog_graph,
 )
 from k3lines.fqf import finite_quadratic_form
-from k3lines.gluing import minus_identity_isometry, t_side_involution_classes
+from k3lines.gluing import t_side_involution_classes
 from k3lines.lattices import (
     Definite2,
     GenericDiscr,
@@ -29,7 +29,7 @@ from k3lines.lattices import (
 from k3lines.multigraph import Multigraph
 from k3lines.realcrit import Verdict
 
-from helpers import identity_isometry, involution_classes
+from helpers import identity_isometry, involution_classes, minus_identity_isometry
 
 
 def test_every_export_resolves():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from k3lines import gluing, realcrit
 from k3lines.configio import load_configuration
-from k3lines.errors import InputError
+from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import Analysis
 from k3lines.fqf import (
     TRIVIAL_FORM,
@@ -68,6 +68,7 @@ from helpers import (
     fermat_real_structures,
     group_contains,
     invariants_match,
+    inverse_fqf_isometry,
     involution_classes,
     q_of,
     read_configuration,
@@ -322,6 +323,22 @@ def test_hyperbolic_scan_budget():
     assert spent <= 0.25
 
 
+def test_two_torsion_scan_is_capped():
+    # (Z/4)^14 with q = 1/4 and r = 14 has 16,383 order-2 elements, above
+    # ELEMENT_CAP, so the criterion raises before listing them.  Uncapped,
+    # the scans cost 4x per generator: about 11 s at 13, minutes at 14.
+    k = 14
+    form = finite_quadratic_form(
+        (4,) * k,
+        (F(1, 4),) * k,
+        [[F(1, 4) if i == j else 0 for j in range(k)] for i in range(k)],
+    )
+    start = time.process_time()
+    with pytest.raises(CapExceeded, match="16383 elements of order 2"):
+        totally_real_criterion(form, k, 4**k)
+    assert time.process_time() - start <= 0.5
+
+
 def _random_positive_times_negative(rng, extra):
     """Even lattice of signature (1, extra): one positive square or a
     hyperbolic plane, padded with negative even squares."""
@@ -535,7 +552,7 @@ def every_anti_isometry_verdict(tau, tside) -> str:
         return UNKNOWN
     antis = fqf_isometries(tau.source, tside.form, anti=True)
     for phi in antis:
-        if phi.compose(tau).compose(phi.inverse()).columns in tside.images:
+        if phi.compose(tau).compose(inverse_fqf_isometry(phi)).columns in tside.images:
             return ADMISSIBLE
     return INADMISSIBLE
 
@@ -696,7 +713,7 @@ def test_one_anti_isometry_agrees_with_every_one_on_random_pairs():
             assert status == every_anti_isometry_verdict(tau, tside)
             seen[status] += 1
             if status == ADMISSIBLE:
-                image = phi.compose(tau).compose(phi.inverse()).columns
+                image = phi.compose(tau).compose(inverse_fqf_isometry(phi)).columns
                 outside_images += image not in tside.images
             else:
                 assert reason == tside.outside
@@ -758,20 +775,22 @@ def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
     assert calls == [True]
 
 
-def test_fermat_real_inverts_the_anti_isometry_once(monkeypatch):
-    # the 28 candidates share one phi, and each conjugates by phi^-1
-    inverses = []
-    invert = FqfIsometry.inverse
+def test_fermat_real_composes_once_per_candidate_and_member(monkeypatch):
+    # the 28 candidates share one phi: each composes phi.tau once, and the
+    # 4 members g of the closure are pulled back once, as g.phi; the sign
+    # of a candidate and a conjugation by phi^-1 compose nothing
+    calls = []
+    compose = FqfIsometry.compose
 
-    def counted(phi):
-        inverses.append(phi)
-        return invert(phi)
+    def counted(outer, inner):
+        calls.append(outer)
+        return compose(outer, inner)
 
-    monkeypatch.setattr(FqfIsometry, "inverse", counted)
+    monkeypatch.setattr(FqfIsometry, "compose", counted)
     cfg = fermat_with_definite2()
     candidates = Analysis(cfg).real_structure_candidates(cfg.transcendental)
     assert len(candidates) == 28
-    assert len(inverses) == 1
+    assert len(calls) <= 32
 
 
 def test_genus_mismatch_computes_no_closure(monkeypatch):
