@@ -18,6 +18,9 @@ _MODULE_OF = {
     "load_configuration": "configio",
     "CapExceeded": "errors",
     "InputError": "errors",
+    "ADMISSIBLE": "fano",
+    "INADMISSIBLE": "fano",
+    "UNKNOWN": "fano",
     "Analysis": "fano",
     "Fragment": "fano",
     "LineConfiguration": "fano",
@@ -32,9 +35,6 @@ _MODULE_OF = {
     "ell": "fqf",
     "finite_quadratic_form": "fqf",
     "isotropic_quotient": "fqf",
-    "ADMISSIBLE": "gluing",
-    "INADMISSIBLE": "gluing",
-    "UNKNOWN": "gluing",
     "FqfIsometry": "gluing",
     "Isometry": "gluing",
     "invariant_sublattice": "gluing",

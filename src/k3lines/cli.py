@@ -70,7 +70,7 @@ def _read_source(arg: str) -> tuple[str, bytes]:
 
 
 def cmd_lattice(args) -> int:
-    from .fqf import brown_invariant, ell, prime_power_factors
+    from .fqf import brown_invariant
     from .lattices import build_lattice, discriminant_data
 
     expr, source = _read_source(args.spec)
@@ -80,9 +80,7 @@ def cmd_lattice(args) -> int:
         raise InputError("degenerate lattice has no discriminant form")
     form = discriminant_data(lattice.gram).form
     det = lattice.determinant
-    # the primes of |det| are those of the exponent, which is smaller
-    primes = [p for p, _ in prime_power_factors(form.exponent())]
-    ell_table = {str(p): ell(form, p) for p in primes}
+    ell_table = {str(p): part.rank() for p, part in form.parts.items()}
     brown = brown_invariant(form)
     qvalues = [_ratio_str(q, form.exponent()) for q in form.qn]
     milgram_ok = (pos - neg - brown) % 8 == 0
@@ -111,8 +109,8 @@ def cmd_lattice(args) -> int:
     ]
     if form.orders:
         lines.append(f"  q-values on generators: {', '.join(qvalues)}")
-    for p in primes:
-        lines.append(f"  ell_{p} = {ell_table[str(p)]}")
+    for p, length in ell_table.items():
+        lines.append(f"  ell_{p} = {length}")
     lines.append(
         f"  Brown invariant {brown}, Milgram check "
         f"{'ok' if milgram_ok else 'FAIL'} "
@@ -198,7 +196,7 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_real(args) -> int:
-    from .gluing import UNKNOWN
+    from .fano import UNKNOWN
 
     cfg, source = _load(args)
     candidates = shared_analysis(cfg).real_structure_candidates(

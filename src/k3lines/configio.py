@@ -5,10 +5,10 @@ The on-disk format is JSON with a fixed field set: `degree`, `vertices`,
 are rejected so that typos fail loudly instead of being ignored.  Fractions
 are written as strings "a/b"; plain integers are also accepted.  A
 `transcendental` block becomes one of the `lattices` specs.  `fractions` is
-imported by the parsers that read a rational and `fqf` by the one that
-builds a `discr` form, so a configuration with no kernel and no `discr`
-block loads neither.  `load_configuration` parses text; the caller reads
-the file (the CLI with `errors.read_utf8`, once).
+imported by the parsers that read a rational, `lattices` by the one that
+reads a `transcendental` block and `fqf` for a `discr` form, so a file with
+no kernel and no such block loads none of them.  `load_configuration`
+parses text; the caller reads the file (the CLI with `errors.read_utf8`, once).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 
 from .errors import InputError
 from .fano import LineConfiguration
-from .lattices import Definite2, GenericDiscr, Lattice, TwoU
 from .multigraph import Multigraph
 
 # The largest line count accepted, checked before the n x n multiplicity
@@ -122,6 +121,8 @@ def _parse_kernel(raw, n: int):
 
 
 def _parse_transcendental(raw) -> TranscendentalSpec:
+    from .lattices import Definite2, GenericDiscr, Lattice, TwoU
+
     if not isinstance(raw, dict):
         raise InputError("transcendental must be an object")
     keys = set(raw)

@@ -44,7 +44,6 @@ from math import lcm
 
 from .errors import CapExceeded, InputError
 from .intmat import leading_rank_and_inertia, mat_vec
-from .lattices import discriminant_data
 from .multigraph import (
     Multigraph,
     PermutationGroup,
@@ -55,8 +54,9 @@ from .multigraph import (
 )
 from .records import Record
 
-# `realcrit` and `gluing` are imported inside the methods that use them: the
-# fragment census needs neither, and a fresh process would pay to load them.
+# `lattices`, `realcrit` and `gluing` are imported inside the methods that
+# use them: the fragment census needs none of them, and a fresh process
+# would pay to load them.
 
 K3_RANK = 22
 MAX_MULTIPLICITY = 3
@@ -317,6 +317,11 @@ class PolarizedIsometry(Record):
         vars(self).update(permutation=permutation, sign=sign)
 
 
+ADMISSIBLE = "ADMISSIBLE"
+INADMISSIBLE = "INADMISSIBLE"
+UNKNOWN = "UNKNOWN"
+
+
 class RealCandidate(Record):
     _fields = (
         "isometry",
@@ -417,6 +422,8 @@ class Analysis:
     @cached_property
     def data(self):
         """Discriminant data of N, read off `gram` itself."""
+        from .lattices import discriminant_data
+
         return discriminant_data(self.gram)
 
     @property
@@ -568,18 +575,12 @@ class Analysis:
         """Involutive candidates (sigma, -1) up to stabilizer conjugacy, in
         increasing order of sigma, each with its fragment counts and gluing
         admissibility against the transcendental spec (None for none)."""
-        from .gluing import (
-            ADMISSIBLE,
-            INADMISSIBLE,
-            UNKNOWN,
-            match_real_structure,
-            t_side_involution_classes,
-        )
-
         r = self.r
         notes = list(self.warnings)
         tside = None
         if spec is not None:
+            from .gluing import match_real_structure, t_side_involution_classes
+
             if spec.rank() != r:
                 notes.append(
                     f"transcendental rank {spec.rank()} differs from "

@@ -2,8 +2,8 @@
 form and the Q/Z-valued pairing it polarizes.
 
 These arise as dual quotients of even lattices.  The module provides p-parts
-and their length invariants, subgroup and isotropic-quotient forms, and a
-Jordan splitting of each p-part into cyclic blocks and, at p = 2, the
+read off the divisor chain (`parts`), subgroup and isotropic-quotient forms,
+and a Jordan splitting of each p-part into cyclic blocks and, at p = 2, the
 rank-two blocks u_a and v_a, each block's complement taken by
 `orthogonal_subgroup`.  The local determinant square classes and the
 signature residue mod 8 (the Brown invariant, summed block by block by the
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import ELEMENT_CAP, CapExceeded
@@ -248,15 +249,23 @@ class FiniteQuadraticForm(Record):
             tuple(tuple(-x % self._n for x in row) for row in self.bn),
         )
 
+    @cached_property
+    def parts(self) -> dict[int, "FiniteQuadraticForm"]:
+        """The p-part at each prime p of the exponent (the primes of the order),
+        by increasing p.  Each e_i of order d and p-power q = p**v > 1 gives
+        (d / q) * e_i of order q; these form a chain and present the p-part."""
+        basis, out = _basis(self.rank()), {}
+        for p, _ in prime_power_factors(self.exponent()):
+            powers = [(p ** _pval(d, p), d, e) for d, e in zip(self.orders, basis)]
+            chain = [(q, tuple(d // q * x for x in e)) for q, d, e in powers if q > 1]
+            out[p] = _form_on(*zip(*chain), self.qn, self.bn, self._n)
+        return out
+
     def p_part(self, p: int) -> "FiniteQuadraticForm":
-        coords = []
-        for i, d in enumerate(self.orders):
-            if d % p == 0:
-                c = [0] * len(self.orders)
-                # the cofactor kills every other primary component
-                c[i] = d // p ** _pval(d, p)
-                coords.append(tuple(c))
-        return subgroup_form(self, coords)[0]
+        """The p-part from `parts`; a p that is not prime raises ValueError."""
+        if p not in self.parts:
+            _require_prime(p)
+        return self.parts.get(p, TRIVIAL_FORM)
 
 
 TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
@@ -428,8 +437,8 @@ def isotropic_quotient(form: FiniteQuadraticForm, kernel_gens):
 
 
 def ell(form: FiniteQuadraticForm, p: int) -> int:
-    """Minimal generator count of the p-part."""
-    return sum(1 for d in form.orders if d % p == 0)
+    """Rank of the p-part; a p that is not prime raises ValueError."""
+    return form.p_part(p).rank()
 
 
 # -- signature residue --------------------------------------------------------
@@ -445,8 +454,8 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
     ValueError: it has no such splitting.
     """
     total = 0
-    for p, _ in prime_power_factors(form.exponent()):
-        for a, cs in _jordan_blocks(form.p_part(p), p):
+    for p, part in form.parts.items():
+        for a, cs in _jordan_blocks(part, p):
             if len(cs) == 2:  # q = 2x, 2z over 2**a; 4a for v_a (x * z odd)
                 total += a * (cs[0] * cs[1] % 8)
             elif p == 2:  # q = c / 2**a, c odd
@@ -464,8 +473,7 @@ def brown_invariant(form: FiniteQuadraticForm) -> int:
 def square_class_equal(a, b, p: int) -> bool:
     """Whether a and b generate the same square class of p-adic units times
     powers of p (both nonzero rationals)."""
-    if prime_power_factors(p) != [(p, p)]:
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     # a / b times the square (a.denominator * b.numerator) ** 2
     x = a.numerator * a.denominator * b.numerator * b.denominator
     v = _pval(x, p)
@@ -485,9 +493,9 @@ def _pval(n: int, p: int) -> int:
     return v
 
 
-def _require_primary(part: FiniteQuadraticForm, p: int):
-    if any(d != p ** _pval(d, p) for d in part.orders):
-        raise ValueError(f"form is not {p}-primary")
+def _require_prime(p: int) -> None:
+    if prime_power_factors(p) != [(p, p)]:
+        raise ValueError(f"{p} is not prime")
 
 
 def _jordan_blocks(part: FiniteQuadraticForm, p: int):
@@ -500,7 +508,6 @@ def _jordan_blocks(part: FiniteQuadraticForm, p: int):
     Each block is split off at the top order and the rest is its orthogonal
     complement, from `orthogonal_subgroup`.  Degenerate input raises
     ValueError."""
-    _require_primary(part, p)
     form = part
     while not form.is_trivial():
         n, k = form._n, form.rank()

@@ -22,6 +22,7 @@ from functools import cached_property
 from math import isqrt, prod
 
 from .errors import CapExceeded, InputError
+from .fano import ADMISSIBLE, INADMISSIBLE, UNKNOWN
 from .fqf import FiniteQuadraticForm
 from .intmat import det, identity, integral_kernel, mat_mul, transpose
 from .lattices import (
@@ -36,10 +37,6 @@ from .lattices import (
 )
 from .multigraph import chain
 from .records import Record
-
-ADMISSIBLE = "ADMISSIBLE"
-INADMISSIBLE = "INADMISSIBLE"
-UNKNOWN = "UNKNOWN"
 
 
 # -- isometries and anti-isometries of finite quadratic forms ----------------

@@ -24,8 +24,8 @@ from .errors import InputError
 from .intmat import block_diag, det, inertia, mat_vec, smith_decompose
 from .records import Record
 
-# `fqf` is imported inside the functions that build or check discriminant
-# forms, so that a lattice used only for its signature does not load it.
+# `fqf` is imported inside the function that builds discriminant forms, so
+# that a lattice used only for its signature does not load it.
 
 
 class Lattice(Record):
@@ -357,15 +357,11 @@ class GenericDiscr(Record):
     _fields = ("form", "rank_")
 
     def __init__(self, form: FiniteQuadraticForm, rank_: int):
-        from .fqf import ell, prime_power_factors
-
         if rank_ < 1:
             raise InputError("rank must be positive")
-        for p, _ in prime_power_factors(form.exponent()):
-            if ell(form, p) > rank_:
-                raise InputError(
-                    f"rank {rank_} is below the {p}-length of the form"
-                )
+        for p, part in form.parts.items():
+            if part.rank() > rank_:
+                raise InputError(f"rank {rank_} is below the {p}-length of the form")
         if not form.is_nondegenerate():
             raise InputError("discriminant form must be nondegenerate")
         vars(self).update(form=form, rank_=rank_)

@@ -24,7 +24,6 @@ from .fqf import (
     FiniteQuadraticForm,
     odd_p_det_class,
     orthogonal_subgroup,
-    prime_power_factors,
     square_class_equal,
     subgroup_form,
     two_adic_det_classes,
@@ -133,8 +132,9 @@ def _odd_prime_rules(d_n, r, absn, gap, factor, case, reasons) -> bool:
     and returns whether all of them pass."""
     target = "-2|det N|" if factor == 2 else "-|det N|"
     ok = True
-    for p in [q for q, _ in prime_power_factors(d_n.exponent()) if q != 2]:
-        part = d_n.p_part(p)
+    for p, part in d_n.parts.items():
+        if p == 2:
+            continue
         length = part.rank()
         head = f"{case} case, p={p}: length {length}"
         if length < r - gap:

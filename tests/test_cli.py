@@ -803,6 +803,15 @@ class TestStartUp:
         assert "k3lines.realcrit" in modules
         assert "k3lines.gluing" not in modules
 
+    def test_real_without_a_transcendental_block_loads_no_gluing(self):
+        modules = loaded_modules("real", str(CORPUS / "k33.json"))
+        assert "k3lines.realcrit" in modules
+        assert "k3lines.gluing" not in modules
+
+    def test_fragments_without_a_transcendental_block_loads_no_lattices(self):
+        modules = loaded_modules("fragments", str(CORPUS / "k4.json"))
+        assert "k3lines.lattices" not in modules
+
     def test_real_loads_gluing(self):
         assert "k3lines.gluing" in loaded_modules("real", str(CORPUS / "k33_twou3.json"))
 

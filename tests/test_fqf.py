@@ -5,6 +5,8 @@ import cmath
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from k3lines import fqf
+from k3lines import fqf, intmat
 from k3lines.configio import load_configuration
 from k3lines.errors import CapExceeded
 from k3lines.fqf import (
@@ -248,6 +250,58 @@ def test_ell_counts_primary_generators():
     assert ell(form, 2) == 2
     assert ell(form, 3) == 1
     assert ell(form, 5) == 0
+
+
+def test_p_part_and_ell_refuse_a_p_that_is_not_prime():
+    form = discriminant_form(build_lattice("[8]"))
+    for p in (0, 4, -2):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            form.p_part(p)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        ell(form, 4)
+    assert form.p_part(3) == TRIVIAL_FORM
+    assert ell(form, 3) == 0
+
+
+P_PART_OF_ONE = """
+from k3lines.lattices import build_lattice, discriminant_data
+form = discriminant_data(build_lattice("[8]").gram).form
+try:
+    form.p_part(1)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_p_part_of_one_is_refused():
+    # run apart: a p-adic valuation at p = 1 that never ends must fail the
+    # test, not hang the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", P_PART_OF_ONE],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=30,
+    )
+    assert proc.stdout == "1 is not prime\n"
+
+
+def test_parts_compute_no_smith_form(monkeypatch):
+    form = discriminant_form(build_lattice("[8,4,8]+A2(5)+U(3)"))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Smith form was computed")
+
+    monkeypatch.setattr(intmat, "_smith", refused)
+    assert list(form.parts) == [2, 3, 5]
+    assert [part.orders for part in form.parts.values()] == [
+        (4, 4),
+        (3, 3, 3, 3),
+        (5, 5),
+    ]
+    assert form.p_part(3) is form.parts[3]
+    assert form.p_part(7) == TRIVIAL_FORM
+    assert [ell(form, p) for p in (2, 3, 5, 7)] == [2, 4, 2, 0]
 
 
 def test_brown_invariant_frozen_values():
@@ -925,3 +979,35 @@ def test_generic_discr_block_reads_the_same_through_configio():
     }
     assert (form._n, form.qn) == (10, (10, 10, 10, 18))
     assert form.bn == ((0, 5, 0, 0), (5, 0, 0, 0), (0, 0, 0, 5), (0, 0, 5, 8))
+
+
+# -- p-parts read off the divisor chain ---------------------------------------
+
+
+def p_part_by_subgroup(form, p):
+    """The p-part presented afresh by `subgroup_form`, from the cofactor
+    multiples of the generators whose order p divides."""
+    coords = []
+    for i, d in enumerate(form.orders):
+        if d % p == 0:
+            power = p
+            while d % (power * p) == 0:
+                power *= p
+            c = [0] * form.rank()
+            c[i] = d // power  # the cofactor kills every other primary part
+            coords.append(tuple(c))
+    return subgroup_form(form, coords)[0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(even_lattices(max_rank=3), min_size=1, max_size=3))
+def test_property_parts_match_the_subgroup_presentation(summands):
+    lat = summands[0]
+    for other in summands[1:]:
+        lat = lat.direct_sum(other)
+    form = discriminant_form(lat)
+    primes = [p for p, _ in prime_power_factors(form.order())]
+    assert list(form.parts) == primes
+    for p, part in form.parts.items():
+        assert part == p_part_by_subgroup(form, p)
+    assert math.prod(part.order() for part in form.parts.values()) == form.order()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lines import gluing, realcrit
+from k3lines import gluing, intmat, realcrit
 from k3lines.configio import load_configuration
 from k3lines.errors import CapExceeded, InputError
 from k3lines.fano import Analysis
@@ -759,6 +759,23 @@ def test_fermat_totally_real_no_by_binary_forms():
             for y in ybox
             if a * x * x + 2 * b * x * y + c * y * y == 2
         ]
+
+
+def test_fermat_criterion_computes_no_smith_form(monkeypatch):
+    # D_N = Z/8 x Z/8 is its own 2-part, read off the divisor chain; a
+    # 2-part presented afresh through `subgroup_form` costs 3 Smith forms
+    analysis = Analysis(read_configuration(FERMAT))
+    d_n, r, det_n = analysis.dn, analysis.r, analysis.det_n
+    calls = []
+    smith = intmat._smith
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(intmat, "_smith", counted)
+    assert totally_real_criterion(d_n, r, det_n).kind == "NO"
+    assert not calls
 
 
 def test_fermat_real_searches_for_an_anti_isometry_once(monkeypatch):
